@@ -10,11 +10,14 @@ P(p <= alpha) <= alpha exhaustively on enumerable spaces.
 
 Relabelings that empty a cell leave the DiD contrast undefined.  Such
 draws are discarded and, in the Monte Carlo path, redrawn from the same
-per-iteration stream (up to a retry cap), so every retained distribution
-is conditional on estimability.  The discard count is always reported.
+block stream (up to a retry cap per iteration), so every retained
+distribution is conditional on estimability.  The discard count is always
+reported.
 
-Simulation is embarrassingly parallel: iteration k depends only on
-(master_seed, k), so results are bit-identical for any worker count.
+Simulation runs in blocks of B = `stream_block_rows(n)` iterations: iteration k
+(1-based) is row (k - 1) mod B of block (k - 1) // B, and block b depends
+only on (master_seed, b).  Workers take runs of whole blocks, so results
+are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from .randomize import (
     Mode,
     RandomizationScheme,
     SeedSpec,
-    _IterationStreams,
+    stream_block_rows,
+    draw_relabelings,
     generator_for,
 )
 
@@ -131,11 +135,33 @@ def _stat_from_sums(counts: np.ndarray, sums: np.ndarray) -> float:
     # Cell index is 2*affected + time. The grouping (treated change) minus
     # (control change) is kept explicit so that label symmetries of the
     # relabeling space map to exact floating-point sign flips; every path
-    # that produces null values goes through this kernel so that tie
-    # comparisons between paths are exact.
+    # that produces null values goes through this kernel, or through
+    # `_stats_from_block`, which does the same operations in the same
+    # order, so that tie comparisons between paths are exact.
     c0, c1, c2, c3 = counts.tolist()
     s0, s1, s2, s3 = sums.tolist()
     return (s3 / c3 - s2 / c2) - (s1 / c1 - s0 / c0)
+
+
+def _stats_from_block(counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """`_stat_from_sums` of every row of (rows, 4) counts and sums, bit for bit."""
+    c0, c1, c2, c3 = counts.T
+    s0, s1, s2, s3 = sums.T
+    return (s3 / c3 - s2 / c2) - (s1 / c1 - s0 / c0)
+
+
+def _block_cells(cells: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row cell counts and sums, each (rows, 4), of a (rows, n) cell-index matrix.
+
+    One bincount over the row-offset index 4*row + cell visits every row's
+    entries in their own order, so each row's sums are bit-identical to a
+    bincount of that row alone.
+    """
+    rows = cells.shape[0]
+    idx = (cells + 4 * np.arange(rows)[:, None]).ravel()
+    counts = np.bincount(idx, minlength=4 * rows).reshape(rows, 4)
+    sums = np.bincount(idx, weights=weights[: idx.size], minlength=4 * rows).reshape(rows, 4)
+    return counts, sums
 
 
 def _require_estimable(sample: PanelSample) -> float:
@@ -149,31 +175,34 @@ def _require_estimable(sample: PanelSample) -> float:
 
 
 def _simulate_chunk(args) -> tuple[np.ndarray, int]:
-    (y, time, affected, margins_value, mode_value, master_seed, start, stop, max_attempts) = args
-    fixed = Mode(mode_value) is Mode.FIXED_MARGINS
-    dual = Margins(margins_value) is Margins.DUAL
-    n = y.size
-    streams = _IterationStreams(master_seed)
-    values = np.empty(stop - start, dtype=np.float64)
+    """Values and discard count of blocks [first_block, stop_block) of a run."""
+    y, time, affected, scheme, master_seed, first_block, stop_block, iterations, max_attempts = args
+    per_block = stream_block_rows(y.size)
+    start = first_block * per_block
+    values = np.empty(min(stop_block * per_block, iterations) - start, dtype=np.float64)
+    weights = np.tile(y, per_block)
     discarded = 0
-    for i, k in enumerate(range(start, stop)):
-        rng = streams.generator(k)
-        for attempt in range(max_attempts):
-            if fixed:
-                a = rng.permutation(affected)
-                t = rng.permutation(time) if dual else time
-            else:
-                a = (rng.random(n) < 0.5).astype(np.int64)
-                t = (rng.random(n) < 0.5).astype(np.int64) if dual else time
-            idx = 2 * a + t
-            counts = np.bincount(idx, minlength=4)
-            if counts.all():
-                sums = np.bincount(idx, weights=y, minlength=4)
-                values[i] = _stat_from_sums(counts, sums)
-                discarded += attempt
-                break
-        else:
-            raise TooManyDegenerateDrawsError(iteration=k, attempts=max_attempts)
+    # Degenerate rows divide by an empty cell's zero count; their values are
+    # overwritten by the redraw below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for block in range(first_block, stop_block):
+            lo = block * per_block
+            rows = min(per_block, iterations - lo)
+            rng = generator_for(SeedSpec(master_seed, block))
+            new_affected, new_time = draw_relabelings(rng, affected, time, scheme, rows)
+            counts, sums = _block_cells(2 * new_affected + new_time, weights)
+            out = values[lo - start : lo - start + rows]
+            out[:] = _stats_from_block(counts, sums)
+            for row in np.flatnonzero(~counts.all(axis=1)).tolist():
+                for attempt in range(1, max_attempts):
+                    new_affected, new_time = draw_relabelings(rng, affected, time, scheme, 1)
+                    counts, sums = _block_cells(2 * new_affected + new_time, weights)
+                    if counts.all():
+                        out[row] = _stat_from_sums(counts[0], sums[0])
+                        discarded += attempt
+                        break
+                else:
+                    raise TooManyDegenerateDrawsError(iteration=lo + row + 1, attempts=max_attempts)
     return values, discarded
 
 
@@ -188,9 +217,13 @@ def simulate_null(
 ) -> NullDistribution:
     """Monte Carlo null distribution of the DiD coefficient.
 
-    Iteration k (1-based) relabels the sample with the stream
-    SeedSpec(master_seed, k); a degenerate draw is retried from the same
-    stream up to `max_attempts` times.  The result is a pure function of
+    Iterations are drawn in blocks of B = `stream_block_rows(sample.n)` rows.
+    Block b (0-based) holds iterations b*B + 1 .. min((b + 1)*B, iterations)
+    and reads the stream SeedSpec(master_seed, b): first the affected
+    label matrix, then the time matrix (dual scheme), one row per
+    iteration.  After that main draw, each degenerate row is redrawn from
+    the same stream, in row order, until estimable; an iteration gets at
+    most `max_attempts` draws in all.  The result is a pure function of
     (sample, scheme, iterations, master_seed) and is bit-identical for
     every `workers` value.
 
@@ -205,7 +238,8 @@ def simulate_null(
     master_seed : int
         Unsigned 64-bit seed identifying the whole run.
     workers : int
-        Process count for chunked evaluation; affects speed only.
+        Process count; each process takes a run of whole blocks.  Affects
+        speed only.
     max_attempts : int
         Retry cap per iteration before TooManyDegenerateDrawsError.
 
@@ -223,25 +257,26 @@ def simulate_null(
     SeedSpec(master_seed, 0)  # validates the seed range
     _require_estimable(sample)
 
-    def chunk_args(start: int, stop: int):
+    def chunk_args(first_block: int, stop_block: int):
         return (
             sample.y,
             sample.time,
             sample.affected,
-            scheme.margins.value,
-            scheme.mode.value,
+            scheme,
             master_seed,
-            start,
-            stop,
+            first_block,
+            stop_block,
+            iterations,
             max_attempts,
         )
 
-    if workers <= 1:
-        values, discarded = _simulate_chunk(chunk_args(1, iterations + 1))
+    blocks = -(-iterations // stream_block_rows(sample.n))
+    if min(workers, blocks) <= 1:
+        values, discarded = _simulate_chunk(chunk_args(0, blocks))
     else:
-        bounds = np.linspace(1, iterations + 1, num=min(workers, iterations) + 1, dtype=np.int64)
-        jobs = [chunk_args(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        bounds = np.linspace(0, blocks, num=min(workers, blocks) + 1, dtype=np.int64)
+        jobs = [chunk_args(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             parts = list(pool.map(_simulate_chunk, jobs))
         values = np.concatenate([part for part, _ in parts])
         discarded = sum(d for _, d in parts)

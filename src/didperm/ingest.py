@@ -87,7 +87,9 @@ def load_panel(path, columns: ColumnMap = ColumnMap(), *, allow_bool_words: bool
         Ragged row, non-binary label, or non-finite/non-numeric outcome.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put
+    # before the header; files without one read as plain UTF-8.
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

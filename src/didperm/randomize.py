@@ -8,11 +8,14 @@ Two axes configure a randomization scheme:
   relabeled vector, preserving its count of ones exactly; `BERNOULLI`
   redraws every label independently as a fair coin flip.
 
-Randomness is counter-based: the stream for simulation iteration k is a
-pure function of (master_seed, k), realized as a Philox generator keyed by
-that pair.  No shared mutable generator exists anywhere, so any number of
-iterations can be produced concurrently and in any order with identical
-results.
+Randomness is counter-based.  Simulation iterations are drawn in blocks of
+B = `stream_block_rows(n)` rows: iteration k (1-based) is row (k - 1) mod B of
+block (k - 1) // B, and block b reads one Philox stream keyed by
+SeedSpec(master_seed, b).  A block draws its whole affected matrix first,
+then its time matrix (dual scheme); degenerate rows are redrawn from the
+same stream after that main draw, in row order.  No shared mutable
+generator exists anywhere, so blocks can be produced concurrently and in
+any order with identical results.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ __all__ = [
     "SeedSpec",
     "generator_for",
     "derive_seed",
+    "stream_block_rows",
+    "draw_relabelings",
     "permute_fixed",
     "draw_bernoulli",
     "relabel",
@@ -38,6 +43,12 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 BERNOULLI_P = 0.5
+
+# Label entries per margin in one stream block (see `stream_block_rows`).  Block
+# arrays are short-lived but set the peak memory of short runs: 2**17 was
+# no faster and raised it by about 14%.
+_BLOCK_ENTRIES = 2**13
+_MAX_BLOCK_ROWS = 4096
 
 
 class Margins(Enum):
@@ -70,10 +81,11 @@ class RandomizationScheme:
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Identifies one deterministic random stream: (master seed, iteration index).
+    """Identifies one deterministic random stream: (master seed, stream index).
 
-    The stream derived from a SeedSpec does not depend on evaluation order
-    or on any other iteration's stream.
+    `simulate_null` keys block b of a run by SeedSpec(master_seed, b).  The
+    stream derived from a SeedSpec does not depend on evaluation order or
+    on any other stream.
     """
 
     master_seed: int
@@ -111,31 +123,6 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     return state
 
 
-class _IterationStreams:
-    """Reusable Philox stream, re-keyed per iteration.
-
-    `generator(k)` returns a Generator whose output is bit-identical to
-    ``generator_for(SeedSpec(master_seed, k))`` but without re-allocating
-    the bit generator; this is the hot path of the simulation loop.
-    """
-
-    def __init__(self, master_seed: int):
-        self._bg = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
-        self._gen = np.random.Generator(self._bg)
-        self._state = self._bg.state
-
-    def generator(self, iteration_index: int) -> np.random.Generator:
-        st = self._state
-        st["state"]["key"][1] = iteration_index
-        st["state"]["counter"][:] = 0
-        st["buffer"][:] = 0
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
-        return self._gen
-
-
 def _check_binary(labels) -> np.ndarray:
     arr = np.asarray(labels)
     if arr.ndim != 1 or arr.size == 0:
@@ -146,56 +133,78 @@ def _check_binary(labels) -> np.ndarray:
     return out
 
 
+def stream_block_rows(n: int) -> int:
+    """Iterations per stream block for an n-observation panel.
+
+    Holds a block near 2**13 label entries per margin, so block memory
+    stays bounded for every n; it depends on n alone, never on worker
+    count or iteration count.
+    """
+    return max(1, min(_MAX_BLOCK_ROWS, _BLOCK_ENTRIES // n))
+
+
+def _draw_margin(
+    rng: np.random.Generator, labels: np.ndarray, mode: Mode, rows: int, p: float = BERNOULLI_P
+) -> np.ndarray:
+    """`rows` independent relabelings of the int64 vector `labels`, one per row.
+
+    FIXED_MARGINS rows are uniformly random rearrangements of `labels`, so
+    each keeps its count of ones exactly; BERNOULLI rows are n independent
+    Bernoulli(p) labels and read only the length of `labels`.  Rows are
+    drawn from `rng` in row order.
+    """
+    if mode is Mode.FIXED_MARGINS:
+        out = np.tile(labels, (rows, 1))
+        return rng.permuted(out, axis=1, out=out)
+    return (rng.random((rows, labels.size)) < p).astype(np.int64)
+
+
+def draw_relabelings(
+    rng: np.random.Generator,
+    affected: np.ndarray,
+    time: np.ndarray,
+    scheme: RandomizationScheme,
+    rows: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(affected, time) label matrices of `rows` relabelings drawn from `rng`.
+
+    The affected matrix is drawn first, then the time matrix in the dual
+    scheme; under AFFECTED_ONLY every time row is `time` itself.
+    """
+    new_affected = _draw_margin(rng, affected, scheme.mode, rows)
+    if scheme.margins is Margins.DUAL:
+        return new_affected, _draw_margin(rng, time, scheme.mode, rows)
+    return new_affected, np.broadcast_to(time, (rows, time.size))
+
+
 def permute_fixed(labels, seed: SeedSpec) -> np.ndarray:
     """Uniformly random rearrangement of a binary vector, count of ones preserved.
 
-    Uses the generator's unbiased exchange shuffle; uniformity over all
-    arrangements is asserted by tests rather than assumed.
+    One row of `_draw_margin`; uniformity over all arrangements is asserted
+    by tests rather than assumed.
     """
     arr = _check_binary(labels)
-    return generator_for(seed).permutation(arr)
+    return _draw_margin(generator_for(seed), arr, Mode.FIXED_MARGINS, 1)[0]
 
 
 def draw_bernoulli(n: int, p: float, seed: SeedSpec) -> np.ndarray:
-    """Vector of n independent Bernoulli(p) labels."""
+    """Vector of n independent Bernoulli(p) labels (one row of `_draw_margin`)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
     rng = generator_for(seed)
-    return (rng.random(n) < p).astype(np.int64)
-
-
-def _draw_labels(
-    affected: np.ndarray,
-    time: np.ndarray,
-    scheme: RandomizationScheme,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One relabeling drawn from `rng`; non-randomized vectors pass through.
-
-    In the dual scheme the affected vector is drawn first, then time; the
-    two draws are independent reads of the same stream.
-    """
-    if scheme.mode is Mode.FIXED_MARGINS:
-        new_affected = rng.permutation(affected)
-        if scheme.margins is Margins.DUAL:
-            return new_affected, rng.permutation(time)
-        return new_affected, time
-    n = affected.size
-    new_affected = (rng.random(n) < BERNOULLI_P).astype(np.int64)
-    if scheme.margins is Margins.DUAL:
-        return new_affected, (rng.random(n) < BERNOULLI_P).astype(np.int64)
-    return new_affected, time
+    return _draw_margin(rng, np.zeros(n, dtype=np.int64), Mode.BERNOULLI, 1, p)[0]
 
 
 def relabel(sample: PanelSample, scheme: RandomizationScheme, seed: SeedSpec) -> PanelSample:
     """Sample with relabeled indicator vectors; the outcome vector is never touched.
 
-    Pure in (sample, scheme, seed): re-running any iteration in isolation
-    reproduces it bit-for-bit.  Estimability of the result is the caller's
-    concern.
+    One row of `draw_relabelings` from the stream `seed`: with
+    SeedSpec(master_seed, b) and AFFECTED_ONLY margins this is the main
+    draw of the first row of block b.  Pure in (sample, scheme, seed);
+    estimability of the result is the caller's concern.
     """
     rng = generator_for(seed)
-    new_affected, new_time = _draw_labels(sample.affected, sample.time, scheme, rng)
-    return PanelSample(y=sample.y, time=new_time, affected=new_affected)
+    new_affected, new_time = draw_relabelings(rng, sample.affected, sample.time, scheme, 1)
+    return PanelSample(y=sample.y, time=new_time[0], affected=new_affected[0])

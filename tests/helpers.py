@@ -2,7 +2,9 @@
 
 Everything here recomputes quantities from first principles (pure Python,
 itertools, Fraction arithmetic) so library results can be checked against
-a second route.
+a second route.  The one exception is `kernel_stat`, which applies the
+library's scalar statistic kernel to replayed labels so that simulated
+values can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -115,3 +117,67 @@ def random_estimable_sample(rng, n_min=8, n_max=24):
             break
     y = rng.normal(size=n)
     return PanelSample(y=y, time=time, affected=affected)
+
+
+def documented_block_rows(n):
+    """Iterations per stream block, B = max(1, min(4096, 2**13 // n))."""
+    return max(1, min(4096, 2**13 // n))
+
+
+def _replay_margin(rng, labels, fixed):
+    if fixed:
+        return rng.permutation(labels)
+    return (rng.random(len(labels)) < 0.5).astype(np.int64)
+
+
+def replay_block(sample, dual, fixed, master_seed, block, rows, max_attempts=1000):
+    """Replay one simulation block row by row from its documented draw order.
+
+    Block `block` reads generator_for(SeedSpec(master_seed, block)): the
+    affected labels of all `rows` rows, then (dual) the time labels of all
+    rows; then each degenerate row, in row order, redraws affected and
+    (dual) time from the same stream until estimable.  Returns
+    (labels, discarded, failed_row): `labels` lists the final
+    (affected, time) pair per row, and `failed_row` is the first row that
+    exhausted `max_attempts` (None when every row is estimable).
+    """
+    from didperm import SeedSpec, generator_for
+
+    rng = generator_for(SeedSpec(master_seed, block))
+    affected = [_replay_margin(rng, sample.affected, fixed) for _ in range(rows)]
+    if dual:
+        time = [_replay_margin(rng, sample.time, fixed) for _ in range(rows)]
+    else:
+        time = [sample.time] * rows
+    discarded = 0
+    for row in range(rows):
+        attempts = 1
+        while brute_force_did(sample.y, time[row], affected[row]) is None:
+            if attempts == max_attempts:
+                return list(zip(affected, time)), discarded, row
+            affected[row] = _replay_margin(rng, sample.affected, fixed)
+            if dual:
+                time[row] = _replay_margin(rng, sample.time, fixed)
+            attempts += 1
+        discarded += attempts - 1
+    return list(zip(affected, time)), discarded, None
+
+
+def kernel_stat(y, time, affected):
+    """The library's scalar statistic kernel on one labeling."""
+    from didperm.inference import _stat_from_sums
+
+    idx = 2 * np.asarray(affected, dtype=np.int64) + np.asarray(time, dtype=np.int64)
+    return _stat_from_sums(np.bincount(idx, minlength=4), np.bincount(idx, weights=y, minlength=4))
+
+
+def replay_run(sample, dual, fixed, master_seed, iterations):
+    """Per-block replays of a whole simulate_null run: [(labels, discarded), ...]."""
+    rows_per_block = documented_block_rows(len(sample.y))
+    out = []
+    for block, lo in enumerate(range(0, iterations, rows_per_block)):
+        rows = min(rows_per_block, iterations - lo)
+        labels, discarded, failed = replay_block(sample, dual, fixed, master_seed, block, rows)
+        assert failed is None
+        out.append((labels, discarded))
+    return out

@@ -32,11 +32,15 @@ from didperm import test_significance as significance_test
 from didperm.datasets import INPRESS
 from helpers import (
     brute_force_did,
+    documented_block_rows,
     enumerate_brute_force,
     exact_p_law_fraction,
+    kernel_stat,
     arrangements_fixed,
     arrangements_bernoulli,
     random_estimable_sample,
+    replay_block,
+    replay_run,
     sup_cdf_distance,
 )
 
@@ -74,53 +78,60 @@ class TestSimulateNull:
         assert dist.degenerate_draws_discarded > 0  # 12/36 of dual draws degenerate
 
     def test_bit_identical_across_worker_counts(self):
-        base = simulate_null(FOUR_POINT, DUAL_FIXED, iterations=400, master_seed=9)
-        for workers in (2, 3):
+        # 2B + 7 iterations span three blocks, so worker chunks cut across
+        # block boundaries; 5 workers exceed the block count.
+        iterations = 2 * documented_block_rows(FOUR_POINT.n) + 7
+        base = simulate_null(FOUR_POINT, DUAL_FIXED, iterations=iterations, master_seed=9)
+        for workers in (2, 3, 5):
             par = simulate_null(
-                FOUR_POINT, DUAL_FIXED, iterations=400, master_seed=9, workers=workers
+                FOUR_POINT, DUAL_FIXED, iterations=iterations, master_seed=9, workers=workers
             )
             assert np.array_equal(base.values, par.values)
             assert par.degenerate_draws_discarded == base.degenerate_draws_discarded
+        one = simulate_null(FOUR_POINT, DUAL_FIXED, iterations=1, master_seed=9)
+        par = simulate_null(FOUR_POINT, DUAL_FIXED, iterations=1, master_seed=9, workers=3)
+        assert np.array_equal(one.values, par.values)
+        assert par.degenerate_draws_discarded == one.degenerate_draws_discarded
 
     @pytest.mark.parametrize("scheme", [AFFECTED_FIXED, DUAL_FIXED, DUAL_BERNOULLI])
     def test_matches_independent_stream_replay(self, scheme):
-        # Reference: replay each iteration's stream with the documented draw
-        # order (affected first, then time), retrying until estimable.
-        dist = simulate_null(FOUR_POINT, scheme, iterations=60, master_seed=21)
-        replay = []
-        for k in range(1, 61):
-            rng = generator_for(SeedSpec(21, k))
-            while True:
-                if scheme.mode is Mode.FIXED_MARGINS:
-                    a = rng.permutation(FOUR_POINT.affected)
-                    t = (
-                        rng.permutation(FOUR_POINT.time)
-                        if scheme.margins is Margins.DUAL
-                        else FOUR_POINT.time
-                    )
-                else:
-                    a = (rng.random(4) < 0.5).astype(int)
-                    t = (
-                        (rng.random(4) < 0.5).astype(int)
-                        if scheme.margins is Margins.DUAL
-                        else FOUR_POINT.time
-                    )
-                value = brute_force_did(FOUR_POINT.y, t, a)
-                if value is not None:
-                    replay.append(value)
-                    break
-        assert np.allclose(dist.values, replay, rtol=1e-12, atol=0)
+        # Reference: replay each block's stream row by row with the
+        # documented draw order (affected rows, then time rows, then
+        # redraws of degenerate rows), across two block boundaries.
+        iterations = 2 * documented_block_rows(FOUR_POINT.n) + 60
+        dist = simulate_null(FOUR_POINT, scheme, iterations=iterations, master_seed=21)
+        blocks = replay_run(
+            FOUR_POINT,
+            scheme.margins is Margins.DUAL,
+            scheme.mode is Mode.FIXED_MARGINS,
+            21,
+            iterations,
+        )
+        labels = [pair for block_labels, _ in blocks for pair in block_labels]
+        brute = [brute_force_did(FOUR_POINT.y, t, a) for a, t in labels]
+        kernel = [kernel_stat(FOUR_POINT.y, t, a) for a, t in labels]
+        assert len(blocks) == 3
+        assert np.allclose(dist.values, brute, rtol=1e-12, atol=0)
+        assert dist.values.tobytes() == np.array(kernel, dtype=np.float64).tobytes()
+        assert dist.degenerate_draws_discarded == sum(d for _, d in blocks)
 
     def test_first_attempt_matches_relabel(self):
-        # When the first draw of an iteration is estimable, the retained
-        # value is exactly the statistic of relabel() at that SeedSpec.
-        dist = simulate_null(FOUR_POINT, AFFECTED_FIXED, iterations=40, master_seed=5)
+        # relabel() at SeedSpec(seed, b) is one row of the block draw: under
+        # affected-only margins it reproduces the main draw of the first row
+        # of block b, so when that draw is estimable the retained value of
+        # iteration b*B + 1 is exactly its statistic.
+        rng = np.random.default_rng(12)
+        sample = PanelSample(
+            y=rng.normal(size=1024), time=[0, 1] * 512, affected=[0] * 512 + [1] * 512
+        )
+        rows = documented_block_rows(sample.n)
+        assert rows == 8
+        dist = simulate_null(sample, AFFECTED_FIXED, iterations=40 * rows, master_seed=5)
         checked = 0
-        for k in range(1, 41):
-            out = relabel(FOUR_POINT, AFFECTED_FIXED, SeedSpec(5, k))
-            value = brute_force_did(out.y, out.time, out.affected)
-            if value is not None:
-                assert dist.values[k - 1] == pytest.approx(value, rel=1e-12)
+        for block in range(40):
+            out = relabel(sample, AFFECTED_FIXED, SeedSpec(5, block))
+            if brute_force_did(out.y, out.time, out.affected) is not None:
+                assert dist.values[block * rows] == kernel_stat(out.y, out.time, out.affected)
                 checked += 1
         assert checked > 10
 
@@ -136,19 +147,21 @@ class TestSimulateNull:
             simulate_null(FOUR_POINT, DUAL_FIXED, iterations=10, master_seed=-1)
 
     def test_retry_cap_exhaustion_raises(self):
-        # find a seed whose first dual draw on the 4-point panel is degenerate
-        bad_seed = None
+        # find a seed whose first block has a degenerate main draw on the
+        # 4-point panel; with one attempt per iteration that row must fail
+        # and the error names its 1-based iteration
+        found = None
         for seed in range(200):
-            out = relabel(FOUR_POINT, DUAL_FIXED, SeedSpec(seed, 1))
-            if brute_force_did(out.y, out.time, out.affected) is None:
-                bad_seed = seed
+            _, _, failed = replay_block(FOUR_POINT, True, True, seed, 0, 5, max_attempts=1)
+            if failed is not None:
+                found = (seed, failed)
                 break
-        assert bad_seed is not None
+        assert found is not None
+        seed, failed = found
         with pytest.raises(TooManyDegenerateDrawsError) as err:
-            simulate_null(
-                FOUR_POINT, DUAL_FIXED, iterations=5, master_seed=bad_seed, max_attempts=1
-            )
+            simulate_null(FOUR_POINT, DUAL_FIXED, iterations=5, master_seed=seed, max_attempts=1)
         assert err.value.attempts == 1
+        assert err.value.iteration == failed + 1
 
 
 class TestEnumerateNull:

@@ -53,6 +53,13 @@ class TestLoadPanel:
         assert np.array_equal(sample.time, [0, 1, 0, 1])
         assert np.array_equal(sample.affected, [0, 0, 1, 1])
 
+    def test_utf8_bom_before_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + MINIMAL.encode("utf-8"))
+        sample = load_panel(path)
+        assert np.array_equal(sample.y, [1.0, 2.0, 3.0, 5.0])
+        assert np.array_equal(sample.affected, [0, 0, 1, 1])
+
     def test_custom_column_map_and_order(self, tmp_path):
         text = "when,score,group\n0,1.5,0\n1,2.5,0\n0,3.5,1\n1,4.5,1\n"
         sample = load_panel(

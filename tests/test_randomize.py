@@ -13,11 +13,11 @@ from didperm import (
     SeedSpec,
     derive_seed,
     draw_bernoulli,
-    generator_for,
     permute_fixed,
     relabel,
+    simulate_null,
 )
-from didperm.randomize import _IterationStreams
+from helpers import documented_block_rows, kernel_stat, replay_run
 
 SAMPLE = PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=[0, 1, 0, 1], affected=[0, 0, 1, 1])
 
@@ -46,13 +46,30 @@ class TestSeedContract:
         with pytest.raises(ValueError):
             SeedSpec(master_seed=0, iteration_index=-3)
 
-    def test_iteration_streams_match_fresh_generators(self):
-        streams = _IterationStreams(777)
-        for k in (0, 1, 5, 1000, 123456789):
-            fast = streams.generator(k)
-            fresh = generator_for(SeedSpec(777, k))
-            assert np.array_equal(fast.permutation(50), fresh.permutation(50))
-            assert np.array_equal(fast.random(10), fresh.random(10))
+    def test_run_is_concatenation_of_block_replays(self):
+        # Every block is replayed alone from its own fresh generator; the run
+        # is their concatenation.  A shorter run of whole blocks is a prefix
+        # of it; a partial last block draws fewer rows, so it is not.
+        rng = np.random.default_rng(77)
+        sample = PanelSample(
+            y=rng.normal(size=600), time=rng.integers(0, 2, 600), affected=[0, 1] * 300
+        )
+        rows = documented_block_rows(sample.n)
+        assert rows == 13
+        iterations = 3 * rows + 5
+        for margins in Margins:
+            for mode in Mode:
+                scheme = RandomizationScheme(margins, mode)
+                dual, fixed = margins is Margins.DUAL, mode is Mode.FIXED_MARGINS
+                dist = simulate_null(sample, scheme, iterations=iterations, master_seed=777)
+                replayed = [
+                    kernel_stat(sample.y, t, a)
+                    for labels, _ in replay_run(sample, dual, fixed, 777, iterations)
+                    for a, t in labels
+                ]
+                assert dist.values.tobytes() == np.array(replayed).tobytes()
+                prefix = simulate_null(sample, scheme, iterations=2 * rows, master_seed=777)
+                assert np.array_equal(prefix.values, dist.values[: 2 * rows])
 
     def test_derive_seed_is_deterministic_and_spread(self):
         a = derive_seed(42, 1, 2)
