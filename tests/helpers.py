@@ -3,8 +3,8 @@
 Everything here recomputes quantities from first principles (pure Python,
 itertools, Fraction arithmetic) so library results can be checked against
 a second route.  The one exception is `kernel_stat`, which applies the
-library's scalar statistic kernel to replayed labels so that simulated
-values can be compared bit for bit.
+library's scalar statistic kernel to replayed or enumerated labels so that
+simulated and enumerated values can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -56,20 +56,38 @@ def arrangements_bernoulli(n):
     return out
 
 
-def enumerate_brute_force(y, time, affected, dual, fixed):
-    """All relabeled DiD values in canonical order; None marks degenerate draws."""
-    n = len(y)
+def canonical_labelings(time, affected, dual, fixed):
+    """Every (affected, time) pair of a relabeling space in enumeration order.
+
+    Affected-major; arrangements lexicographic (fixed margins) or in
+    integer order (Bernoulli); under affected-only margins the time
+    vector is `time` itself.
+    """
+    n = len(time)
     if fixed:
         a_space = arrangements_fixed(n, int(np.sum(affected)))
         t_space = arrangements_fixed(n, int(np.sum(time))) if dual else [list(time)]
     else:
         a_space = arrangements_bernoulli(n)
         t_space = arrangements_bernoulli(n) if dual else [list(time)]
+    return [(a_vec, t_vec) for a_vec in a_space for t_vec in t_space]
+
+
+def enumerate_brute_force(y, time, affected, dual, fixed):
+    """All relabeled DiD values in canonical order; None marks degenerate draws."""
+    return [brute_force_did(y, t, a) for a, t in canonical_labelings(time, affected, dual, fixed)]
+
+
+def enumerate_kernel(y, time, affected, dual, fixed):
+    """`kernel_stat` of every estimable labeling in canonical order, and the degenerate count."""
     values = []
-    for a_vec in a_space:
-        for t_vec in t_space:
-            values.append(brute_force_did(y, t_vec, a_vec))
-    return values
+    degenerate = 0
+    for a_vec, t_vec in canonical_labelings(time, affected, dual, fixed):
+        if np.bincount(2 * np.asarray(a_vec) + np.asarray(t_vec), minlength=4).all():
+            values.append(kernel_stat(y, t_vec, a_vec))
+        else:
+            degenerate += 1
+    return np.array(values, dtype=np.float64), degenerate
 
 
 def exact_p_law_fraction(y, label_pairs):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import didperm.inference as inference
 from didperm import (
@@ -34,6 +36,7 @@ from helpers import (
     brute_force_did,
     documented_block_rows,
     enumerate_brute_force,
+    enumerate_kernel,
     exact_p_law_fraction,
     kernel_stat,
     arrangements_fixed,
@@ -48,6 +51,7 @@ FOUR_POINT = PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=[0, 1, 0, 1], affected=[0,
 AFFECTED_FIXED = RandomizationScheme(Margins.AFFECTED_ONLY, Mode.FIXED_MARGINS)
 DUAL_FIXED = RandomizationScheme(Margins.DUAL, Mode.FIXED_MARGINS)
 DUAL_BERNOULLI = RandomizationScheme(Margins.DUAL, Mode.BERNOULLI)
+ALL_SCHEMES = [RandomizationScheme(margins, mode) for margins in Margins for mode in Mode]
 
 
 def mock_distribution(values, scheme=DUAL_FIXED):
@@ -215,16 +219,67 @@ class TestEnumerateNull:
         assert np.allclose(dist.values, kept, rtol=1e-10, atol=1e-12)
 
     def test_block_size_does_not_change_values(self, monkeypatch):
+        # The default budget gives the dual spaces uneven blocks of 57 and 14
+        # affected rows per call.  Budgets of 100 and 1000 entries make every
+        # dual call a single affected row against an uneven split of the
+        # time side (11 and 111 rows per call), and give the affected-only
+        # spaces (126 and 512 rows) uneven blocks of 11 and 111 rows.
         rng = np.random.default_rng(62)
         s = PanelSample(
             y=rng.normal(size=9),
             time=[0, 1, 0, 1, 0, 1, 0, 1, 1],
             affected=[0, 0, 0, 1, 1, 1, 0, 1, 0],
         )
-        baseline = enumerate_null(s, DUAL_FIXED)
-        monkeypatch.setattr(inference, "_BLOCK_ROWS", 7)
-        blocked = enumerate_null(s, DUAL_FIXED)
-        assert np.array_equal(baseline.values, blocked.values)
+        baselines = [enumerate_null(s, scheme) for scheme in ALL_SCHEMES]
+        for budget in (100, 1000):
+            monkeypatch.setattr(inference, "_ENUM_ENTRIES", budget)
+            for scheme, baseline in zip(ALL_SCHEMES, baselines):
+                blocked = enumerate_null(s, scheme)
+                assert np.array_equal(baseline.values, blocked.values)
+                assert blocked.degenerate_draws_discarded == baseline.degenerate_draws_discarded
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("y", [np.arange(7.0) ** 1.5 - 4.1, [0.0, 2.0, 1.0, 0.0, 1.0, 2.0, 1.0]])
+    def test_bitwise_equal_to_scalar_kernel_oracle(self, scheme, y):
+        # Every retained value is the scalar kernel on its labeling, bit for
+        # bit, so ties (integer outcomes tie often) and exact p-values do not
+        # depend on how the enumeration is blocked.
+        s = PanelSample(y=y, time=[0, 1, 1, 0, 1, 0, 1], affected=[1, 0, 0, 1, 1, 0, 0])
+        dist = enumerate_null(s, scheme)
+        values, degenerate = enumerate_kernel(
+            s.y,
+            s.time,
+            s.affected,
+            dual=scheme.margins is Margins.DUAL,
+            fixed=scheme.mode is Mode.FIXED_MARGINS,
+        )
+        assert degenerate > 0
+        assert dist.degenerate_draws_discarded == degenerate
+        assert dist.values.view(np.uint64).tobytes() == values.view(np.uint64).tobytes()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_scalar_kernel_oracle_property(self, data):
+        scheme = data.draw(st.sampled_from(ALL_SCHEMES))
+        # dual Bernoulli spaces hold 4**n labelings; keep the oracle fast
+        n = data.draw(st.integers(4, 6 if scheme == DUAL_BERNOULLI else 8))
+        extra = data.draw(st.lists(st.integers(0, 3), min_size=n - 4, max_size=n - 4))
+        cells = np.array(data.draw(st.permutations([0, 1, 2, 3] + extra)))
+        outcome = st.one_of(
+            st.floats(-1e3, 1e3, allow_nan=False), st.integers(-2, 2).map(float)
+        )
+        y = data.draw(st.lists(outcome, min_size=n, max_size=n))
+        s = PanelSample(y=y, time=cells % 2, affected=cells // 2)
+        dist = enumerate_null(s, scheme)
+        values, degenerate = enumerate_kernel(
+            s.y,
+            s.time,
+            s.affected,
+            dual=scheme.margins is Margins.DUAL,
+            fixed=scheme.mode is Mode.FIXED_MARGINS,
+        )
+        assert dist.degenerate_draws_discarded == degenerate
+        assert dist.values.view(np.uint64).tobytes() == values.view(np.uint64).tobytes()
 
     def test_exact_p_value_counts_observed_labeling(self):
         # the observed arrangement is in the space, so the exact p-value is

@@ -13,10 +13,12 @@ from didperm import (
     SeedSpec,
     derive_seed,
     draw_bernoulli,
+    generator_for,
     permute_fixed,
     relabel,
     simulate_null,
 )
+from didperm.randomize import draw_relabelings
 from helpers import documented_block_rows, kernel_stat, replay_run
 
 SAMPLE = PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=[0, 1, 0, 1], affected=[0, 0, 1, 1])
@@ -105,13 +107,20 @@ class TestPermuteFixed:
     def test_uniform_over_all_arrangements(self):
         # C(6,3) = 20 arrangements; 60000 draws, expected 3000 each,
         # sigma = sqrt(60000 * (1/20)(19/20)) ~ 53.4, 4 sigma ~ 214.
+        # Drawn as 15 blocks of 4000 rows, the path simulate_null runs;
+        # permute_fixed is row 0 of the block on its stream.
         labels = np.array([1, 1, 1, 0, 0, 0])
-        counts = {}
-        for k in range(60000):
-            key = permute_fixed(labels, SeedSpec(1234, k)).tobytes()
-            counts[key] = counts.get(key, 0) + 1
-        assert len(counts) == 20
-        assert max(abs(c - 3000) for c in counts.values()) <= 214
+        scheme = RandomizationScheme(Margins.AFFECTED_ONLY, Mode.FIXED_MARGINS)
+        codes = []
+        for b in range(15):
+            block, _ = draw_relabelings(
+                generator_for(SeedSpec(1234, b)), labels, 1 - labels, scheme, 4000
+            )
+            assert np.array_equal(permute_fixed(labels, SeedSpec(1234, b)), block[0])
+            codes.append(block @ (1 << np.arange(6)))
+        counts = np.unique(np.concatenate(codes), return_counts=True)[1]
+        assert counts.size == 20
+        assert np.abs(counts - 3000).max() <= 214
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
@@ -166,7 +175,9 @@ class TestRelabel:
 
     def test_dual_bernoulli_time_vectors_uniform(self):
         # 2^8 = 256 possible time vectors; 80000 draws, expected 312.5,
-        # sigma ~ 17.7, 5 sigma ~ 88.
+        # sigma ~ 17.7, 5 sigma ~ 88.  Drawn as 20 blocks of 4000 rows, the
+        # path simulate_null runs; relabel's affected vector is row 0 of the
+        # block's affected matrix on the same stream.
         rng = np.random.default_rng(42)
         sample = PanelSample(
             y=rng.normal(size=8), time=[0, 1] * 4, affected=[0, 0, 1, 1] * 2
@@ -174,9 +185,13 @@ class TestRelabel:
         scheme = RandomizationScheme(Margins.DUAL, Mode.BERNOULLI)
         counts = np.zeros(256, dtype=int)
         weights = 1 << np.arange(8)
-        for k in range(80000):
-            out = relabel(sample, scheme, SeedSpec(314, k))
-            counts[int(out.time @ weights)] += 1
+        for b in range(20):
+            new_affected, new_time = draw_relabelings(
+                generator_for(SeedSpec(314, b)), sample.affected, sample.time, scheme, 4000
+            )
+            out = relabel(sample, scheme, SeedSpec(314, b))
+            assert np.array_equal(out.affected, new_affected[0])
+            counts += np.bincount(new_time @ weights, minlength=256)
         assert counts.min() > 0
         assert np.abs(counts - 312.5).max() <= 89
 
@@ -184,18 +199,24 @@ class TestRelabel:
         # Joint law over (affected arrangement, time arrangement) should be
         # the product of two uniform laws on 6 arrangements each: chi-square
         # against uniform on 36 cells, df = 35, 99.9% quantile ~ 66.6.
+        # Drawn as 9 blocks of 4000 rows, checked against relabel as above.
         scheme = RandomizationScheme(Margins.DUAL, Mode.FIXED_MARGINS)
-        arrangement = {
-            bytes(np.array(v, dtype=np.int64).tobytes()): i
-            for i, v in enumerate(
-                sorted(set(itertools.permutations([0, 0, 1, 1])))
-            )
-        }
-        joint = np.zeros((6, 6), dtype=int)
+        codes = sorted(
+            np.array(v) @ (1 << np.arange(4)) for v in set(itertools.permutations([0, 0, 1, 1]))
+        )
+        arrangement = np.zeros(16, dtype=int)
+        arrangement[codes] = np.arange(6)
+        joint = np.zeros(36, dtype=int)
         draws = 36000
-        for k in range(draws):
-            out = relabel(SAMPLE, scheme, SeedSpec(2718, k))
-            joint[arrangement[out.affected.tobytes()], arrangement[out.time.tobytes()]] += 1
+        for b in range(9):
+            new_affected, new_time = draw_relabelings(
+                generator_for(SeedSpec(2718, b)), SAMPLE.affected, SAMPLE.time, scheme, 4000
+            )
+            out = relabel(SAMPLE, scheme, SeedSpec(2718, b))
+            assert np.array_equal(out.affected, new_affected[0])
+            a_code = arrangement[new_affected @ (1 << np.arange(4))]
+            t_code = arrangement[new_time @ (1 << np.arange(4))]
+            joint += np.bincount(6 * a_code + t_code, minlength=36)
         expected = draws / 36
         chi2 = float(((joint - expected) ** 2 / expected).sum())
         assert chi2 < 66.6
