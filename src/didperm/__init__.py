@@ -45,7 +45,7 @@ from .inference import (
     simulate_null,
     test_significance,
 )
-from .ingest import ColumnMap, load_panel, make_histogram, summarize
+from .ingest import ColumnMap, load_panel, summarize
 from .panel import (
     CellMeans,
     DidEstimate,
@@ -64,12 +64,9 @@ from .randomize import (
     RandomizationScheme,
     SeedSpec,
     derive_seed,
-    draw_bernoulli,
     generator_for,
-    permute_fixed,
-    relabel,
 )
-from .report import SCHEMA_VERSION, Report, read_report, write_report
+from .report import SCHEMA_VERSION, Report, make_histogram, read_report, write_report
 from .spaces import (
     BITS_PER_NAT,
     PermutationSpaceStats,
@@ -127,7 +124,6 @@ __all__ = [
     "did_from_means",
     "did_from_ols",
     "did_value",
-    "draw_bernoulli",
     "empirical_quantile",
     "enumerate_null",
     "exactness_audit",
@@ -136,10 +132,8 @@ __all__ = [
     "log_binomial",
     "make_fixture",
     "make_histogram",
-    "permute_fixed",
     "randomization_p_value",
     "read_report",
-    "relabel",
     "run_power_study",
     "simulate_null",
     "space_stats",

@@ -28,11 +28,11 @@ from .inference import (
     simulate_null,
     test_significance,
 )
-from .ingest import ColumnMap, load_panel, make_histogram
+from .ingest import ColumnMap, load_panel
 from .panel import did_value
 from .power import run_power_study
 from .randomize import Margins, Mode, RandomizationScheme
-from .report import DECISION_NOT_REJECTED, DECISION_REJECTED, Report, write_report
+from .report import DECISION_NOT_REJECTED, DECISION_REJECTED, Report, make_histogram, write_report
 from .spaces import space_stats, stirling_log_binomial
 
 EXIT_OK = 0
@@ -92,6 +92,10 @@ def _add_scheme_flags(sub: argparse.ArgumentParser) -> None:
         default=Margins.DUAL.value,
         help="relabel only the affected vector, or both margins (default: dual)",
     )
+    _add_mode_flag(sub)
+
+
+def _add_mode_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--mode",
         choices=[m.value for m in Mode],
@@ -157,11 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     power.add_argument("--alpha", type=_probability, default=0.05)
     power.add_argument("--seed", type=_seed, default=0)
-    power.add_argument(
-        "--mode",
-        choices=[m.value for m in Mode],
-        default=Mode.FIXED_MARGINS.value,
-    )
+    _add_mode_flag(power)
     power.set_defaults(func=cmd_power)
 
     return parser

@@ -22,6 +22,7 @@ are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import SpaceTooLargeError, TooManyDegenerateDrawsError
-from .panel import PanelSample, compute_cell_means, did_from_means
+from .panel import PanelSample, did_value
 from .randomize import (
     Margins,
     Mode,
@@ -133,21 +134,15 @@ class TestResult:
 # ---------------------------------------------------------------------------
 
 
-def _stat_from_sums(counts: np.ndarray, sums: np.ndarray) -> float:
-    # Cell index is 2*affected + time. The grouping (treated change) minus
-    # (control change) is kept explicit so that label symmetries of the
-    # relabeling space map to exact floating-point sign flips.  Null values
-    # come from `_stats_from_block`, which does the same operations in the
-    # same order; this scalar form runs only for the Monte Carlo redraws of
-    # degenerate rows.  Keeping the two in step makes tie comparisons
-    # between values of either path exact.
-    c0, c1, c2, c3 = counts.tolist()
-    s0, s1, s2, s3 = sums.tolist()
-    return (s3 / c3 - s2 / c2) - (s1 / c1 - s0 / c0)
-
-
 def _stats_from_block(counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """`_stat_from_sums` of every row of (rows, 4) counts and sums, bit for bit."""
+    """DiD statistic of every row of (rows, 4) cell counts and sums.
+
+    Cell index is 2*affected + time.  The grouping (treated change) minus
+    (control change) is kept explicit so that label symmetries of the
+    relabeling space map to exact floating-point sign flips.  Every null
+    value, simulated or enumerated, comes from this one kernel, so tie
+    comparisons between any two of them are exact.
+    """
     c0, c1, c2, c3 = counts.T
     s0, s1, s2, s3 = sums.T
     return (s3 / c3 - s2 / c2) - (s1 / c1 - s0 / c0)
@@ -167,19 +162,15 @@ def _block_cells(cells: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
     return counts, sums
 
 
-def _require_estimable(sample: PanelSample) -> float:
-    """Observed DiD value; raises EmptyCellError when the sample is inestimable."""
-    return did_from_means(compute_cell_means(sample)).value
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo simulation
 # ---------------------------------------------------------------------------
 
 
-def _simulate_chunk(args) -> tuple[np.ndarray, int]:
+def _simulate_chunk(
+    y, time, affected, scheme, master_seed, iterations, max_attempts, first_block, stop_block
+) -> tuple[np.ndarray, int]:
     """Values and discard count of blocks [first_block, stop_block) of a run."""
-    y, time, affected, scheme, master_seed, first_block, stop_block, iterations, max_attempts = args
     per_block = stream_block_rows(y.size)
     start = first_block * per_block
     values = np.empty(min(stop_block * per_block, iterations) - start, dtype=np.float64)
@@ -201,7 +192,7 @@ def _simulate_chunk(args) -> tuple[np.ndarray, int]:
                     new_affected, new_time = draw_relabelings(rng, affected, time, scheme, 1)
                     counts, sums = _block_cells(2 * new_affected + new_time, weights)
                     if counts.all():
-                        out[row] = _stat_from_sums(counts[0], sums[0])
+                        out[row] = _stats_from_block(counts, sums)[0]
                         discarded += attempt
                         break
                 else:
@@ -258,29 +249,25 @@ def simulate_null(
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     SeedSpec(master_seed, 0)  # validates the seed range
-    _require_estimable(sample)
+    did_value(sample)  # raises EmptyCellError when the sample is inestimable
 
-    def chunk_args(first_block: int, stop_block: int):
-        return (
-            sample.y,
-            sample.time,
-            sample.affected,
-            scheme,
-            master_seed,
-            first_block,
-            stop_block,
-            iterations,
-            max_attempts,
-        )
-
+    run = functools.partial(
+        _simulate_chunk,
+        sample.y,
+        sample.time,
+        sample.affected,
+        scheme,
+        master_seed,
+        iterations,
+        max_attempts,
+    )
     blocks = -(-iterations // stream_block_rows(sample.n))
     if min(workers, blocks) <= 1:
-        values, discarded = _simulate_chunk(chunk_args(0, blocks))
+        values, discarded = run(0, blocks)
     else:
-        bounds = np.linspace(0, blocks, num=min(workers, blocks) + 1, dtype=np.int64)
-        jobs = [chunk_args(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            parts = list(pool.map(_simulate_chunk, jobs))
+        bounds = np.linspace(0, blocks, num=min(workers, blocks) + 1, dtype=np.int64).tolist()
+        with ProcessPoolExecutor(max_workers=len(bounds) - 1) as pool:
+            parts = list(pool.map(run, bounds[:-1], bounds[1:]))
         values = np.concatenate([part for part, _ in parts])
         discarded = sum(d for _, d in parts)
 
@@ -355,10 +342,10 @@ def enumerate_null(
     the dual scheme.  Degenerate relabelings are counted in
     `degenerate_draws_discarded` and excluded from the values.
 
-    Every value comes from the block statistic kernel of `simulate_null`,
-    which matches the scalar kernel bit for bit, so exact ties (the
-    observed labeling against itself, sign-symmetric relabeling pairs)
-    survive in floating point and the weak inequality in
+    Every value comes from the statistic kernel of `simulate_null`, with
+    each relabeling's cells summed in observation order, so exact ties
+    (the observed labeling against itself, sign-symmetric relabeling
+    pairs) survive in floating point and the weak inequality in
     `randomization_p_value` counts them correctly.
 
     Raises
@@ -520,9 +507,9 @@ def exactness_audit(
     Outcomes are drawn once from a standard normal stream seeded by
     `outcome_seed` (continuous, so cross-relabeling ties occur only
     through exact symmetries of the space), or taken from `outcomes` when
-    given.  All statistics come from `enumerate_null`, whose block
-    kernel the Monte Carlo path shares, so those symmetries hold exactly
-    in floating point.
+    given.  All statistics come from `enumerate_null`, on the one
+    statistic kernel behind every null value, so those symmetries hold
+    exactly in floating point.
 
     Raises
     ------

@@ -1,4 +1,4 @@
-"""CSV ingestion of 2x2 panels and small text/histogram renderings.
+"""CSV ingestion of 2x2 panels and a text rendering of their cell means.
 
 Ingestion is total: every input file either yields a valid PanelSample or
 a structured error naming the offending row.  Labels are accepted only as
@@ -17,14 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyFileError, MalformedRowError, MissingColumnError
-from .inference import NullDistribution
 from .panel import PanelSample, compute_cell_means
 
 __all__ = [
     "ColumnMap",
     "load_panel",
     "summarize",
-    "make_histogram",
 ]
 
 
@@ -139,20 +137,3 @@ def summarize(sample: PanelSample) -> str:
         lines.append(f"{label:24s}" + "".join(entries))
     return "\n".join(lines)
 
-
-def make_histogram(dist: NullDistribution, bins: int) -> list[tuple[float, float, int]]:
-    """Equal-width histogram of the retained null values.
-
-    Bins span [min, max]; each bin is closed on the left and open on the
-    right except the last, which is closed.  Counts always sum to the
-    number of retained draws.
-    """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    if dist.iterations_retained == 0:
-        raise ValueError("null distribution is empty")
-    counts, edges = np.histogram(dist.values, bins=bins)
-    return [
-        (float(edges[i]), float(edges[i + 1]), int(counts[i]))
-        for i in range(len(counts))
-    ]

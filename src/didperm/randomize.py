@@ -8,6 +8,11 @@ Two axes configure a randomization scheme:
   relabeled vector, preserving its count of ones exactly; `BERNOULLI`
   redraws every label independently as a fair coin flip.
 
+`draw_relabelings` is the one relabeling entry point: it draws a matrix
+of relabeled affected vectors and one of time vectors, a row per
+relabeling, from a given generator.  A single relabeling is a one-row
+draw.
+
 Randomness is counter-based.  Simulation iterations are drawn in blocks of
 B = `stream_block_rows(n)` rows: iteration k (1-based) is row (k - 1) mod B of
 block (k - 1) // B, and block b reads one Philox stream keyed by
@@ -25,8 +30,6 @@ from enum import Enum
 
 import numpy as np
 
-from .panel import PanelSample
-
 __all__ = [
     "Margins",
     "Mode",
@@ -36,9 +39,6 @@ __all__ = [
     "derive_seed",
     "stream_block_rows",
     "draw_relabelings",
-    "permute_fixed",
-    "draw_bernoulli",
-    "relabel",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -123,16 +123,6 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     return state
 
 
-def _check_binary(labels) -> np.ndarray:
-    arr = np.asarray(labels)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("labels must be a non-empty 1-d vector")
-    out = arr.astype(np.int64)
-    if not np.array_equal(out, arr) or not np.isin(out, (0, 1)).all():
-        raise ValueError("labels must contain only 0/1 values")
-    return out
-
-
 def stream_block_rows(n: int) -> int:
     """Iterations per stream block for an n-observation panel.
 
@@ -144,19 +134,19 @@ def stream_block_rows(n: int) -> int:
 
 
 def _draw_margin(
-    rng: np.random.Generator, labels: np.ndarray, mode: Mode, rows: int, p: float = BERNOULLI_P
+    rng: np.random.Generator, labels: np.ndarray, mode: Mode, rows: int
 ) -> np.ndarray:
     """`rows` independent relabelings of the int64 vector `labels`, one per row.
 
     FIXED_MARGINS rows are uniformly random rearrangements of `labels`, so
     each keeps its count of ones exactly; BERNOULLI rows are n independent
-    Bernoulli(p) labels and read only the length of `labels`.  Rows are
-    drawn from `rng` in row order.
+    Bernoulli(BERNOULLI_P) labels and read only the length of `labels`.
+    Rows are drawn from `rng` in row order.
     """
     if mode is Mode.FIXED_MARGINS:
         out = np.tile(labels, (rows, 1))
         return rng.permuted(out, axis=1, out=out)
-    return (rng.random((rows, labels.size)) < p).astype(np.int64)
+    return (rng.random((rows, labels.size)) < BERNOULLI_P).astype(np.int64)
 
 
 def draw_relabelings(
@@ -176,35 +166,3 @@ def draw_relabelings(
         return new_affected, _draw_margin(rng, time, scheme.mode, rows)
     return new_affected, np.broadcast_to(time, (rows, time.size))
 
-
-def permute_fixed(labels, seed: SeedSpec) -> np.ndarray:
-    """Uniformly random rearrangement of a binary vector, count of ones preserved.
-
-    One row of `_draw_margin`; uniformity over all arrangements is asserted
-    by tests rather than assumed.
-    """
-    arr = _check_binary(labels)
-    return _draw_margin(generator_for(seed), arr, Mode.FIXED_MARGINS, 1)[0]
-
-
-def draw_bernoulli(n: int, p: float, seed: SeedSpec) -> np.ndarray:
-    """Vector of n independent Bernoulli(p) labels (one row of `_draw_margin`)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
-    rng = generator_for(seed)
-    return _draw_margin(rng, np.zeros(n, dtype=np.int64), Mode.BERNOULLI, 1, p)[0]
-
-
-def relabel(sample: PanelSample, scheme: RandomizationScheme, seed: SeedSpec) -> PanelSample:
-    """Sample with relabeled indicator vectors; the outcome vector is never touched.
-
-    One row of `draw_relabelings` from the stream `seed`: with
-    SeedSpec(master_seed, b) and AFFECTED_ONLY margins this is the main
-    draw of the first row of block b.  Pure in (sample, scheme, seed);
-    estimability of the result is the caller's concern.
-    """
-    rng = generator_for(seed)
-    new_affected, new_time = draw_relabelings(rng, sample.affected, sample.time, scheme, 1)
-    return PanelSample(y=sample.y, time=new_time[0], affected=new_affected[0])

@@ -1,20 +1,27 @@
-"""Machine-readable run reports with a fixed, versioned schema.
+"""Machine-readable run reports with a fixed, versioned schema, and their histograms.
 
-Reports serialize to JSON with a pinned field order and round-trip
-bit-exactly: floats are written in shortest-repr form, so reading a
-report back yields a Report equal field-for-field to the one written.
+Reports serialize to JSON in the field order of the `Report` dataclass
+(nested dataclasses in their own field order, enums as their values) and
+round-trip bit-exactly: floats are written in shortest-repr form, and
+reading a report back coerces every field to its annotated type, so the
+result is a Report equal field-for-field to the one written.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
-from .randomize import Margins, Mode, RandomizationScheme
+import numpy as np
+
+from .inference import NullDistribution
+from .randomize import RandomizationScheme
 from .spaces import PermutationSpaceStats
 
-__all__ = ["Report", "SCHEMA_VERSION", "write_report", "read_report"]
+__all__ = ["Report", "SCHEMA_VERSION", "make_histogram", "write_report", "read_report"]
 
 SCHEMA_VERSION = "didperm-report/1"
 
@@ -50,71 +57,49 @@ class Report:
         )
 
 
+def make_histogram(dist: NullDistribution, bins: int) -> list[tuple[float, float, int]]:
+    """Equal-width histogram of the retained null values.
+
+    Bins span [min, max]; each bin is closed on the left and open on the
+    right except the last, which is closed.  Counts always sum to the
+    number of retained draws.
+    """
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    if dist.iterations_retained == 0:
+        raise ValueError("null distribution is empty")
+    counts, edges = np.histogram(dist.values, bins=bins)
+    return [
+        (float(edges[i]), float(edges[i + 1]), int(counts[i]))
+        for i in range(len(counts))
+    ]
+
+
+def _json_fields(pairs) -> dict:
+    return {name: value.value if isinstance(value, Enum) else value for name, value in pairs}
+
+
 def _to_dict(report: Report) -> dict:
-    s = report.space_stats
-    return {
-        "schema": SCHEMA_VERSION,
-        "dataset_id": report.dataset_id,
-        "scheme": {"margins": report.scheme.margins.value, "mode": report.scheme.mode.value},
-        "iterations": report.iterations,
-        "master_seed": report.master_seed,
-        "observed": report.observed,
-        "lower": report.lower,
-        "upper": report.upper,
-        "alpha": report.alpha,
-        "decision": report.decision,
-        "p_raw": report.p_raw,
-        "p_corrected": report.p_corrected,
-        "histogram": [[lo, hi, c] for lo, hi, c in report.histogram],
-        "space_stats": {
-            "n": s.n,
-            "n_affected": s.n_affected,
-            "n_time": s.n_time,
-            "p_affected": s.p_affected,
-            "p_time": s.p_time,
-            "log_size_single": s.log_size_single,
-            "log_size_dual": s.log_size_dual,
-            "log_gain": s.log_gain,
-            "log_size_bernoulli_dual": s.log_size_bernoulli_dual,
-            "entropy_affected": s.entropy_affected,
-            "entropy_time": s.entropy_time,
-        },
-    }
+    return {"schema": SCHEMA_VERSION, **asdict(report, dict_factory=_json_fields)}
+
+
+def _coerce(kind, value):
+    """`value` read back as the annotated type `kind`: dataclass, tuple, scalar or Enum."""
+    if is_dataclass(kind):
+        hints = get_type_hints(kind)
+        return kind(**{f.name: _coerce(hints[f.name], value[f.name]) for f in fields(kind)})
+    if get_origin(kind) is tuple:
+        items = get_args(kind)
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        return tuple(_coerce(item, v) for item, v in zip(items, value))
+    return kind(value)
 
 
 def _from_dict(data: dict) -> Report:
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema: {data.get('schema')!r}")
-    s = data["space_stats"]
-    return Report(
-        dataset_id=data["dataset_id"],
-        scheme=RandomizationScheme(
-            margins=Margins(data["scheme"]["margins"]), mode=Mode(data["scheme"]["mode"])
-        ),
-        iterations=int(data["iterations"]),
-        master_seed=int(data["master_seed"]),
-        observed=float(data["observed"]),
-        lower=float(data["lower"]),
-        upper=float(data["upper"]),
-        alpha=float(data["alpha"]),
-        decision=data["decision"],
-        p_raw=float(data["p_raw"]),
-        p_corrected=float(data["p_corrected"]),
-        histogram=tuple((lo, hi, c) for lo, hi, c in data["histogram"]),
-        space_stats=PermutationSpaceStats(
-            n=int(s["n"]),
-            n_affected=int(s["n_affected"]),
-            n_time=int(s["n_time"]),
-            p_affected=float(s["p_affected"]),
-            p_time=float(s["p_time"]),
-            log_size_single=float(s["log_size_single"]),
-            log_size_dual=float(s["log_size_dual"]),
-            log_gain=float(s["log_gain"]),
-            log_size_bernoulli_dual=float(s["log_size_bernoulli_dual"]),
-            entropy_affected=float(s["entropy_affected"]),
-            entropy_time=float(s["entropy_time"]),
-        ),
-    )
+    return _coerce(Report, data)
 
 
 def write_report(report: Report, path) -> None:

@@ -2,9 +2,9 @@
 
 Everything here recomputes quantities from first principles (pure Python,
 itertools, Fraction arithmetic) so library results can be checked against
-a second route.  The one exception is `kernel_stat`, which applies the
-library's scalar statistic kernel to replayed or enumerated labels so that
-simulated and enumerated values can be compared bit for bit.
+a second route.  `kernel_stat` writes out the statistic's formula with the
+library's documented cell summation and grouping, so simulated and
+enumerated values can be compared with it bit for bit.
 """
 
 from __future__ import annotations
@@ -182,11 +182,15 @@ def replay_block(sample, dual, fixed, master_seed, block, rows, max_attempts=100
 
 
 def kernel_stat(y, time, affected):
-    """The library's scalar statistic kernel on one labeling."""
-    from didperm.inference import _stat_from_sums
+    """DiD of one labeling: cells summed in observation order, grouped as in the library.
 
+    Cell index is 2*affected + time; the value is
+    (s3/c3 - s2/c2) - (s1/c1 - s0/c0) on the cell counts c and sums s.
+    """
     idx = 2 * np.asarray(affected, dtype=np.int64) + np.asarray(time, dtype=np.int64)
-    return _stat_from_sums(np.bincount(idx, minlength=4), np.bincount(idx, weights=y, minlength=4))
+    c0, c1, c2, c3 = np.bincount(idx, minlength=4).tolist()
+    s0, s1, s2, s3 = np.bincount(idx, weights=y, minlength=4).tolist()
+    return (s3 / c3 - s2 / c2) - (s1 / c1 - s0 / c0)
 
 
 def replay_run(sample, dual, fixed, master_seed, iterations):

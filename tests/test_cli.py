@@ -290,6 +290,12 @@ class TestCmdPower:
         rates = [float(x) for x in re.findall(r"(\d+\.\d{4})", captured.out)]
         assert all(r in (0.0, 1.0) for r in rates[::2])
 
+    def test_mode_flag_shared_with_test(self):
+        code = main(
+            ["power", "--mode", "bernoulli", "--cell-n", "4", "--reps", "1", "--iterations", "49"]
+        )
+        assert code == 0
+
     def test_large_effect_always_rejects(self, capsys):
         code = main(
             [

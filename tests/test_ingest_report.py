@@ -246,12 +246,65 @@ def example_report():
     )
 
 
+# write_report(example_report()) byte for byte: the nested key order and
+# the shortest-repr floats are part of the format.
+GOLDEN_REPORT = (
+    '{\n'
+    '  "schema": "didperm-report/1",\n'
+    '  "dataset_id": "brand_search",\n'
+    '  "scheme": {\n'
+    '    "margins": "dual",\n'
+    '    "mode": "fixed"\n'
+    '  },\n'
+    '  "iterations": 15000,\n'
+    '  "master_seed": 42,\n'
+    '  "observed": 4.827,\n'
+    '  "lower": -3.141592653589793,\n'
+    '  "upper": 2.9560001,\n'
+    '  "alpha": 0.05,\n'
+    '  "decision": "rejected",\n'
+    '  "p_raw": 0.0008,\n'
+    '  "p_corrected": 0.0013,\n'
+    '  "histogram": [\n'
+    '    [\n'
+    '      -3.0,\n'
+    '      0.0,\n'
+    '      7400\n'
+    '    ],\n'
+    '    [\n'
+    '      0.0,\n'
+    '      3.0,\n'
+    '      7600\n'
+    '    ]\n'
+    '  ],\n'
+    '  "space_stats": {\n'
+    '    "n": 40,\n'
+    '    "n_affected": 20,\n'
+    '    "n_time": 20,\n'
+    '    "p_affected": 0.5,\n'
+    '    "p_time": 0.5,\n'
+    '    "log_size_single": 25.649406793250407,\n'
+    '    "log_size_dual": 51.29881358650081,\n'
+    '    "log_gain": 25.649406793250407,\n'
+    '    "log_size_bernoulli_dual": 55.451774444795625,\n'
+    '    "entropy_affected": 0.6931471805599453,\n'
+    '    "entropy_time": 0.6931471805599453\n'
+    '  }\n'
+    '}\n'
+)
+
+
 class TestReport:
     def test_round_trip_equality(self, tmp_path):
         report = example_report()
         path = tmp_path / "report.json"
         write_report(report, path)
         assert read_report(path) == report
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_report(example_report(), path)
+        assert path.read_bytes() == GOLDEN_REPORT.encode("utf-8")
 
     def test_schema_version_and_field_order(self, tmp_path):
         path = tmp_path / "report.json"

@@ -12,32 +12,52 @@ from didperm import (
     RandomizationScheme,
     SeedSpec,
     derive_seed,
-    draw_bernoulli,
     generator_for,
-    permute_fixed,
-    relabel,
     simulate_null,
 )
 from didperm.randomize import draw_relabelings
 from helpers import documented_block_rows, kernel_stat, replay_run
 
 SAMPLE = PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=[0, 1, 0, 1], affected=[0, 0, 1, 1])
+AFFECTED_FIXED = RandomizationScheme(Margins.AFFECTED_ONLY, Mode.FIXED_MARGINS)
+AFFECTED_BERNOULLI = RandomizationScheme(Margins.AFFECTED_ONLY, Mode.BERNOULLI)
+
+
+def draw(affected, time, scheme, seed, rows=1):
+    """`draw_relabelings` of `rows` relabelings from the stream `seed`."""
+    affected = np.asarray(affected, dtype=np.int64)
+    time = np.asarray(time, dtype=np.int64)
+    return draw_relabelings(generator_for(seed), affected, time, scheme, rows)
+
+
+def affected_row(labels, scheme, seed):
+    """Relabeled affected vector of a one-row draw from the stream `seed`."""
+    return draw(labels, labels, scheme, seed)[0][0]
 
 
 class TestSeedContract:
     def test_same_seedspec_reproduces_everything(self):
         seed = SeedSpec(master_seed=99, iteration_index=123)
+        labels = [0, 1, 1, 0, 1]
         assert np.array_equal(
-            permute_fixed([0, 1, 1, 0, 1], seed), permute_fixed([0, 1, 1, 0, 1], seed)
+            affected_row(labels, AFFECTED_FIXED, seed), affected_row(labels, AFFECTED_FIXED, seed)
         )
-        assert np.array_equal(draw_bernoulli(64, 0.5, seed), draw_bernoulli(64, 0.5, seed))
+        zeros = np.zeros(64, dtype=np.int64)
+        assert np.array_equal(
+            affected_row(zeros, AFFECTED_BERNOULLI, seed),
+            affected_row(zeros, AFFECTED_BERNOULLI, seed),
+        )
         scheme = RandomizationScheme(Margins.DUAL, Mode.BERNOULLI)
-        r1, r2 = relabel(SAMPLE, scheme, seed), relabel(SAMPLE, scheme, seed)
-        assert np.array_equal(r1.affected, r2.affected)
-        assert np.array_equal(r1.time, r2.time)
+        a1, t1 = draw(SAMPLE.affected, SAMPLE.time, scheme, seed)
+        a2, t2 = draw(SAMPLE.affected, SAMPLE.time, scheme, seed)
+        assert np.array_equal(a1, a2)
+        assert np.array_equal(t1, t2)
 
     def test_different_iterations_differ(self):
-        draws = {draw_bernoulli(32, 0.5, SeedSpec(5, k)).tobytes() for k in range(16)}
+        zeros = np.zeros(32, dtype=np.int64)
+        draws = {
+            affected_row(zeros, AFFECTED_BERNOULLI, SeedSpec(5, k)).tobytes() for k in range(16)
+        }
         assert len(draws) == 16
 
     def test_seedspec_validation(self):
@@ -82,16 +102,18 @@ class TestSeedContract:
 
 
 class TestPermuteFixed:
+    """Fixed-margin draws: each row is a uniformly random rearrangement."""
+
     def test_two_element_space_is_fair(self):
         flips = sum(
-            permute_fixed([1, 0], SeedSpec(0, k))[0] == 0 for k in range(4000)
+            affected_row([1, 0], AFFECTED_FIXED, SeedSpec(0, k))[0] == 0 for k in range(4000)
         )
         # binomial(4000, 1/2): 4 sigma is ~126
         assert abs(flips - 2000) <= 130
 
     def test_constant_vectors_are_fixed_points(self):
         for labels in ([1, 1, 1], [0, 0, 0, 0]):
-            out = permute_fixed(labels, SeedSpec(3, 9))
+            out = affected_row(labels, AFFECTED_FIXED, SeedSpec(3, 9))
             assert np.array_equal(out, labels)
 
     def test_margin_preserved_on_every_draw(self):
@@ -100,65 +122,46 @@ class TestPermuteFixed:
             labels = rng.integers(0, 2, size=int(rng.integers(2, 30)))
             if labels.sum() in (0, labels.size):
                 continue
-            out = permute_fixed(labels, SeedSpec(17, k))
+            out = affected_row(labels, AFFECTED_FIXED, SeedSpec(17, k))
             assert out.sum() == labels.sum()
             assert sorted(out.tolist()) == sorted(labels.tolist())
 
     def test_uniform_over_all_arrangements(self):
         # C(6,3) = 20 arrangements; 60000 draws, expected 3000 each,
         # sigma = sqrt(60000 * (1/20)(19/20)) ~ 53.4, 4 sigma ~ 214.
-        # Drawn as 15 blocks of 4000 rows, the path simulate_null runs;
-        # permute_fixed is row 0 of the block on its stream.
+        # Drawn as 15 blocks of 4000 rows, the path simulate_null runs.
         labels = np.array([1, 1, 1, 0, 0, 0])
-        scheme = RandomizationScheme(Margins.AFFECTED_ONLY, Mode.FIXED_MARGINS)
         codes = []
         for b in range(15):
-            block, _ = draw_relabelings(
-                generator_for(SeedSpec(1234, b)), labels, 1 - labels, scheme, 4000
-            )
-            assert np.array_equal(permute_fixed(labels, SeedSpec(1234, b)), block[0])
+            block, _ = draw(labels, 1 - labels, AFFECTED_FIXED, SeedSpec(1234, b), rows=4000)
             codes.append(block @ (1 << np.arange(6)))
         counts = np.unique(np.concatenate(codes), return_counts=True)[1]
         assert counts.size == 20
         assert np.abs(counts - 3000).max() <= 214
 
-    def test_rejects_bad_labels(self):
-        with pytest.raises(ValueError):
-            permute_fixed([], SeedSpec(0, 0))
-        with pytest.raises(ValueError):
-            permute_fixed([0, 2], SeedSpec(0, 0))
-
 
 class TestDrawBernoulli:
+    """Bernoulli draws: every label an independent fair coin flip."""
+
     def test_single_draw_is_binary(self):
         for k in range(8):
-            assert draw_bernoulli(1, 0.5, SeedSpec(2, k))[0] in (0, 1)
+            assert affected_row([0], AFFECTED_BERNOULLI, SeedSpec(2, k))[0] in (0, 1)
 
     def test_fair_coin_fraction(self):
-        frac = draw_bernoulli(10000, 0.5, SeedSpec(77, 0)).mean()
+        zeros = np.zeros(10000, dtype=np.int64)
+        frac = affected_row(zeros, AFFECTED_BERNOULLI, SeedSpec(77, 0)).mean()
         assert 0.48 <= frac <= 0.52
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            draw_bernoulli(0, 0.5, SeedSpec(0, 0))
-        for p in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(ValueError):
-                draw_bernoulli(4, p, SeedSpec(0, 0))
 
 
 class TestRelabel:
-    def test_affected_only_passes_time_through(self):
-        scheme = RandomizationScheme(Margins.AFFECTED_ONLY, Mode.FIXED_MARGINS)
-        for k in range(20):
-            out = relabel(SAMPLE, scheme, SeedSpec(4, k))
-            assert np.array_equal(out.time, SAMPLE.time)
-            assert out.affected.sum() == SAMPLE.affected.sum()
+    """(affected, time) relabelings under each margins setting."""
 
-    def test_outcomes_never_modified(self):
-        for margins in Margins:
-            for mode in Mode:
-                out = relabel(SAMPLE, RandomizationScheme(margins, mode), SeedSpec(6, 1))
-                assert np.array_equal(out.y, SAMPLE.y)
+    def test_affected_only_passes_time_through(self):
+        for k in range(20):
+            seed = SeedSpec(4, k)
+            new_affected, new_time = draw(SAMPLE.affected, SAMPLE.time, AFFECTED_FIXED, seed)
+            assert np.array_equal(new_time[0], SAMPLE.time)
+            assert new_affected[0].sum() == SAMPLE.affected.sum()
 
     def test_dual_fixed_preserves_both_margins(self):
         scheme = RandomizationScheme(Margins.DUAL, Mode.FIXED_MARGINS)
@@ -169,15 +172,14 @@ class TestRelabel:
             affected=[1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0],
         )
         for k in range(100):
-            out = relabel(sample, scheme, SeedSpec(8, k))
-            assert out.affected.sum() == sample.affected.sum()
-            assert out.time.sum() == sample.time.sum()
+            new_affected, new_time = draw(sample.affected, sample.time, scheme, SeedSpec(8, k))
+            assert new_affected[0].sum() == sample.affected.sum()
+            assert new_time[0].sum() == sample.time.sum()
 
     def test_dual_bernoulli_time_vectors_uniform(self):
         # 2^8 = 256 possible time vectors; 80000 draws, expected 312.5,
         # sigma ~ 17.7, 5 sigma ~ 88.  Drawn as 20 blocks of 4000 rows, the
-        # path simulate_null runs; relabel's affected vector is row 0 of the
-        # block's affected matrix on the same stream.
+        # path simulate_null runs.
         rng = np.random.default_rng(42)
         sample = PanelSample(
             y=rng.normal(size=8), time=[0, 1] * 4, affected=[0, 0, 1, 1] * 2
@@ -186,11 +188,7 @@ class TestRelabel:
         counts = np.zeros(256, dtype=int)
         weights = 1 << np.arange(8)
         for b in range(20):
-            new_affected, new_time = draw_relabelings(
-                generator_for(SeedSpec(314, b)), sample.affected, sample.time, scheme, 4000
-            )
-            out = relabel(sample, scheme, SeedSpec(314, b))
-            assert np.array_equal(out.affected, new_affected[0])
+            _, new_time = draw(sample.affected, sample.time, scheme, SeedSpec(314, b), rows=4000)
             counts += np.bincount(new_time @ weights, minlength=256)
         assert counts.min() > 0
         assert np.abs(counts - 312.5).max() <= 89
@@ -199,7 +197,7 @@ class TestRelabel:
         # Joint law over (affected arrangement, time arrangement) should be
         # the product of two uniform laws on 6 arrangements each: chi-square
         # against uniform on 36 cells, df = 35, 99.9% quantile ~ 66.6.
-        # Drawn as 9 blocks of 4000 rows, checked against relabel as above.
+        # Drawn as 9 blocks of 4000 rows, as above.
         scheme = RandomizationScheme(Margins.DUAL, Mode.FIXED_MARGINS)
         codes = sorted(
             np.array(v) @ (1 << np.arange(4)) for v in set(itertools.permutations([0, 0, 1, 1]))
@@ -209,11 +207,9 @@ class TestRelabel:
         joint = np.zeros(36, dtype=int)
         draws = 36000
         for b in range(9):
-            new_affected, new_time = draw_relabelings(
-                generator_for(SeedSpec(2718, b)), SAMPLE.affected, SAMPLE.time, scheme, 4000
+            new_affected, new_time = draw(
+                SAMPLE.affected, SAMPLE.time, scheme, SeedSpec(2718, b), rows=4000
             )
-            out = relabel(SAMPLE, scheme, SeedSpec(2718, b))
-            assert np.array_equal(out.affected, new_affected[0])
             a_code = arrangement[new_affected @ (1 << np.arange(4))]
             t_code = arrangement[new_time @ (1 << np.arange(4))]
             joint += np.bincount(6 * a_code + t_code, minlength=36)
