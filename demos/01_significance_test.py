@@ -14,12 +14,12 @@ sample = dp.make_fixture(dp.BRAND_SEARCH, per_cell=10)
 print("cell means of the panel:")
 print(dp.summarize(sample))
 
-estimate = dp.did_from_means(dp.compute_cell_means(sample))
-print(f"\nobserved DiD coefficient: {estimate.value:.4f}")
+observed = dp.did_from_means(dp.compute_cell_means(sample))
+print(f"\nobserved DiD coefficient: {observed:.4f}")
 
 scheme = dp.RandomizationScheme(dp.Margins.DUAL, dp.Mode.FIXED_MARGINS)
 null = dp.simulate_null(sample, scheme, iterations=15_000, master_seed=42)
-result = dp.test_significance(estimate.value, null, alpha=0.05)
+result = dp.test_significance(observed, null, alpha=0.05)
 
 print(f"null 95% interval: ({result.lower:.4f}, {result.upper:.4f})")
 print(f"p-value: {result.p_value:.4f}  (corrected {result.p_value_corrected:.4f})")

@@ -33,7 +33,7 @@ from .panel import did_value
 from .power import run_power_study
 from .randomize import Margins, Mode, RandomizationScheme
 from .report import DECISION_NOT_REJECTED, DECISION_REJECTED, Report, make_histogram, write_report
-from .spaces import space_stats, stirling_log_binomial
+from .spaces import PermutationSpaceStats, space_stats, stirling_log_binomial
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -235,18 +235,25 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _resolve_margins(args) -> tuple[int, int, int]:
+def _space_stats(args) -> PermutationSpaceStats:
     if args.input:
         sample = load_panel(args.input, _columns(args))
-        return sample.n, sample.n_affected, sample.n_time
+        try:
+            return space_stats(sample.n, sample.n_affected, sample.n_time)
+        except ValueError:
+            did_value(sample)  # a constant label column empties a cell: EmptyCellError
+            raise
     if args.n is None or args.n_affected is None or args.n_time is None:
         raise _UsageError("either --input or all of --n/--n-affected/--n-time are required")
-    return args.n, args.n_affected, args.n_time
+    try:
+        return space_stats(args.n, args.n_affected, args.n_time)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def cmd_space(args) -> int:
-    n, n_affected, n_time = _resolve_margins(args)
-    stats = space_stats(n, n_affected, n_time)
+    stats = _space_stats(args)
+    n = stats.n
     rows = [
         ("single margin log size", stats.log_size_single, stirling_log_binomial(n, stats.p_affected)),
         ("dual gain (time margin)", stats.log_gain, stirling_log_binomial(n, stats.p_time)),
@@ -271,9 +278,12 @@ def cmd_space(args) -> int:
 def cmd_audit(args) -> int:
     if args.n is None or args.n_affected is None or args.n_time is None:
         raise _UsageError("--n, --n-affected, and --n-time are required")
-    report = exactness_audit(
-        args.n, args.n_affected, args.n_time, _scheme(args), outcome_seed=args.seed
-    )
+    try:
+        report = exactness_audit(
+            args.n, args.n_affected, args.n_time, _scheme(args), outcome_seed=args.seed
+        )
+    except ValueError as exc:  # margins out of range, or no estimable relabeling
+        raise _UsageError(str(exc)) from None
     print(
         f"audited {report.estimable_relabelings} estimable relabelings "
         f"(of {report.total_relabelings} total)"

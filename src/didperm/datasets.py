@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .panel import PanelSample
+from .panel import PanelSample, _did_from_cells
 
 __all__ = [
     "ReferenceInference",
@@ -69,8 +69,7 @@ class BenchmarkDataset:
 
     def did_from_cell_means(self) -> float:
         """Four-means DiD implied by the rounded cell means."""
-        m = self.cell_means
-        return (m[1][1] - m[1][0]) - (m[0][1] - m[0][0])
+        return float(_did_from_cells(np.array(self.cell_means).reshape(4)))
 
 
 INPRESS = BenchmarkDataset(

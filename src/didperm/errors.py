@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DidPermError",
+    "EmptyCellError",
+    "EmptyFileError",
+    "MalformedRowError",
+    "MissingColumnError",
+    "SpaceTooLargeError",
+    "TooManyDegenerateDrawsError",
+]
+
 
 class DidPermError(Exception):
     """Base class for all didperm errors."""
@@ -33,7 +43,7 @@ class MalformedRowError(DidPermError):
 
 
 class EmptyFileError(DidPermError):
-    """The input file contains no data rows."""
+    """The input file has no header or fewer data rows than a 2x2 panel needs (4)."""
 
 
 class MissingColumnError(DidPermError):

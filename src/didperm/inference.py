@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import SpaceTooLargeError, TooManyDegenerateDrawsError
-from .panel import PanelSample, did_value
+from .panel import PanelSample, _block_cells, _did_from_cells, did_value
 from .randomize import (
     Margins,
     Mode,
@@ -130,39 +130,6 @@ class TestResult:
 
 
 # ---------------------------------------------------------------------------
-# statistic kernel
-# ---------------------------------------------------------------------------
-
-
-def _stats_from_block(counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """DiD statistic of every row of (rows, 4) cell counts and sums.
-
-    Cell index is 2*affected + time.  The grouping (treated change) minus
-    (control change) is kept explicit so that label symmetries of the
-    relabeling space map to exact floating-point sign flips.  Every null
-    value, simulated or enumerated, comes from this one kernel, so tie
-    comparisons between any two of them are exact.
-    """
-    c0, c1, c2, c3 = counts.T
-    s0, s1, s2, s3 = sums.T
-    return (s3 / c3 - s2 / c2) - (s1 / c1 - s0 / c0)
-
-
-def _block_cells(cells: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row cell counts and sums, each (rows, 4), of a (rows, n) cell-index matrix.
-
-    One bincount over the row-offset index 4*row + cell visits every row's
-    entries in their own order, so each row's sums are bit-identical to a
-    bincount of that row alone.
-    """
-    rows = cells.shape[0]
-    idx = (cells + 4 * np.arange(rows)[:, None]).ravel()
-    counts = np.bincount(idx, minlength=4 * rows).reshape(rows, 4)
-    sums = np.bincount(idx, weights=weights[: idx.size], minlength=4 * rows).reshape(rows, 4)
-    return counts, sums
-
-
-# ---------------------------------------------------------------------------
 # Monte Carlo simulation
 # ---------------------------------------------------------------------------
 
@@ -186,13 +153,13 @@ def _simulate_chunk(
             new_affected, new_time = draw_relabelings(rng, affected, time, scheme, rows)
             counts, sums = _block_cells(2 * new_affected + new_time, weights)
             out = values[lo - start : lo - start + rows]
-            out[:] = _stats_from_block(counts, sums)
+            out[:] = _did_from_cells(sums / counts)
             for row in np.flatnonzero(~counts.all(axis=1)).tolist():
                 for attempt in range(1, max_attempts):
                     new_affected, new_time = draw_relabelings(rng, affected, time, scheme, 1)
                     counts, sums = _block_cells(2 * new_affected + new_time, weights)
                     if counts.all():
-                        out[row] = _stats_from_block(counts, sums)[0]
+                        out[row] = _did_from_cells(sums / counts)[0]
                         discarded += attempt
                         break
                 else:
@@ -342,11 +309,14 @@ def enumerate_null(
     the dual scheme.  Degenerate relabelings are counted in
     `degenerate_draws_discarded` and excluded from the values.
 
-    Every value comes from the statistic kernel of `simulate_null`, with
-    each relabeling's cells summed in observation order, so exact ties
-    (the observed labeling against itself, sign-symmetric relabeling
-    pairs) survive in floating point and the weak inequality in
-    `randomization_p_value` counts them correctly.
+    Every value comes from the statistic kernel of `did_value` and
+    `simulate_null` (`panel._did_from_cells`), with each relabeling's
+    cells summed in observation order.  So the observed labeling's value
+    is bitwise one of the values, and flipping the 0/1 labels of one
+    margin maps a value to its exact negation; the weak inequality in
+    `randomization_p_value` counts those ties.  Ties that hold only in
+    exact arithmetic, such as the group/time swap in the dual scheme with
+    n_affected = n_time, can round apart (ROADMAP, direction 1).
 
     Raises
     ------
@@ -381,7 +351,7 @@ def enumerate_null(
             for t_block in t_blocks:
                 cells = (2 * a_block[:, None, :] + t_block[None, :, :]).reshape(-1, n)
                 counts, sums = _block_cells(cells, weights)
-                kept = _stats_from_block(counts, sums)[counts.all(axis=1)]
+                kept = _did_from_cells(sums / counts)[counts.all(axis=1)]
                 values[pos : pos + kept.size] = kept
                 pos += kept.size
 
@@ -508,8 +478,11 @@ def exactness_audit(
     `outcome_seed` (continuous, so cross-relabeling ties occur only
     through exact symmetries of the space), or taken from `outcomes` when
     given.  All statistics come from `enumerate_null`, on the one
-    statistic kernel behind every null value, so those symmetries hold
-    exactly in floating point.
+    statistic kernel behind every DiD value.  Sign flips of one margin's
+    labels tie exactly in floating point; the group/time swap of the dual
+    scheme with n_affected = n_time does not, so at such margins some
+    p-values differ from their exact-arithmetic law (ROADMAP,
+    direction 1).
 
     Raises
     ------

@@ -78,11 +78,15 @@ def load_panel(path, columns: ColumnMap = ColumnMap(), *, allow_bool_words: bool
     Raises
     ------
     EmptyFileError
-        No header or no data rows.
+        No header, or fewer than 4 data rows (the least a 2x2 panel holds).
     MissingColumnError
         A mapped column is absent from the header.
     MalformedRowError
-        Ragged row, non-binary label, or non-finite/non-numeric outcome.
+        Ragged row, non-binary label, non-finite/non-numeric outcome, or
+        an outcome at which twice the running sum of |y| overflows.  Every
+        cell sum, cell mean and DiD value, observed or relabeled, is at
+        most that sum in magnitude, so the bound keeps all of them and the
+        width of the null distribution's range finite.
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheet exports put
@@ -117,9 +121,15 @@ def load_panel(path, columns: ColumnMap = ColumnMap(), *, allow_bool_words: bool
                 _parse_label(row[a_pos], columns.affected_column, row_index, allow_bool_words)
             )
 
-    if not y:
-        raise EmptyFileError(f"{path}: no data rows")
-    return PanelSample(y=np.array(y), time=np.array(time), affected=np.array(affected))
+    if len(y) < 4:
+        raise EmptyFileError(f"{path}: {len(y)} data rows; a 2x2 panel needs at least 4")
+    y = np.array(y)
+    with np.errstate(over="ignore"):
+        overflows = np.flatnonzero(~np.isfinite(2.0 * np.cumsum(np.abs(y))))
+    if overflows.size:
+        row = int(overflows[0]) + 1
+        raise MalformedRowError(row, f"twice the sum of |{columns.outcome_column}| overflows here")
+    return PanelSample(y=y, time=np.array(time), affected=np.array(affected))
 
 
 def summarize(sample: PanelSample) -> str:

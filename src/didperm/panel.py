@@ -11,6 +11,11 @@ coefficient of the saturated two-way OLS model
 Both estimators are provided; for the saturated 2x2 design they agree exactly,
 and the OLS coefficients are solved in closed form from the cell means.
 
+This module also holds the statistic kernel that every DiD value in the
+package goes through, observed or relabeled: `_block_cells` sums the
+cells of many labelings at once and `_did_from_cells` applies the
+four-means formula to their means.
+
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
 """
@@ -18,7 +23,6 @@ functions, so everything here is safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -27,21 +31,12 @@ from .errors import EmptyCellError
 __all__ = [
     "PanelSample",
     "CellMeans",
-    "DidEstimate",
     "OlsFit",
-    "EstimationMethod",
     "compute_cell_means",
     "did_from_means",
     "did_from_ols",
     "did_value",
 ]
-
-
-class EstimationMethod(Enum):
-    """How a DiD value was computed."""
-
-    FOUR_MEANS = "four_means"
-    OLS = "ols"
 
 
 def _as_binary(values, name: str) -> np.ndarray:
@@ -111,7 +106,7 @@ class PanelSample:
         return int(self.time.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellMeans:
     """Per-cell means and counts of the 2x2 design.
 
@@ -139,28 +134,6 @@ class CellMeans:
     def n(self) -> int:
         return int(self.counts.sum())
 
-    def __eq__(self, other):
-        if not isinstance(other, CellMeans):
-            return NotImplemented
-        same_counts = np.array_equal(self.counts, other.counts)
-        mask = self.counts > 0
-        return same_counts and np.array_equal(
-            self.means[mask], other.means[mask]
-        )
-
-
-@dataclass(frozen=True)
-class DidEstimate:
-    """A DiD coefficient together with the cell means it was computed from."""
-
-    value: float
-    cells: CellMeans
-    method: EstimationMethod
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError("DiD value must be finite")
-
 
 @dataclass(frozen=True)
 class OlsFit:
@@ -177,18 +150,51 @@ class OlsFit:
     residual_sum_squares: float
 
 
+def _block_cells(cells: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row cell counts and sums, each (rows, 4), of a (rows, n) cell-index matrix.
+
+    Cell index is 2*affected + time.  `weights` holds the outcomes tiled at
+    least `rows` times.  One bincount over the row-offset index
+    4*row + cell visits every row's entries in their own order, so each
+    row's sums are bit-identical to a bincount of that row alone.
+    """
+    rows = cells.shape[0]
+    idx = (cells + 4 * np.arange(rows)[:, None]).ravel()
+    counts = np.bincount(idx, minlength=4 * rows).reshape(rows, 4)
+    sums = np.bincount(idx, weights=weights[: idx.size], minlength=4 * rows).reshape(rows, 4)
+    return counts, sums
+
+
+def _did_from_cells(means: np.ndarray) -> np.ndarray:
+    """The DiD formula on (..., 4) cell means, cell index 2*affected + time.
+
+    (treated change) - (control change) = (m3 - m2) - (m1 - m0), with this
+    grouping kept explicit.  Every DiD value of the package, observed or
+    relabeled, is this function of `_block_cells` sums, so ties between
+    them are exact in floating point for:
+
+    * the observed labeling against itself in its own null;
+    * relabelings that flip the 0/1 labels of one margin, which maps
+      every value to its exact negation.
+
+    Ties that hold only in exact arithmetic are not exact here: in the
+    dual scheme with n_affected = n_time, swapping the group and time
+    labels regroups the four means and rounds differently (ROADMAP,
+    direction 1).
+    """
+    return (means[..., 3] - means[..., 2]) - (means[..., 1] - means[..., 0])
+
+
 def compute_cell_means(sample: PanelSample) -> CellMeans:
     """Compute the four (group, period) cell means and counts.
 
     Empty cells are represented (count 0, mean NaN) rather than rejected,
     so callers can decide how to treat inestimable relabelings.
     """
-    idx = 2 * sample.affected + sample.time
-    counts = np.bincount(idx, minlength=4)
-    sums = np.bincount(idx, weights=sample.y, minlength=4)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    counts, sums = _block_cells((2 * sample.affected + sample.time)[None, :], sample.y)
+    # An empty cell's sum is 0, so its mean is 0/0 = NaN.
+    with np.errstate(invalid="ignore"):
         means = sums / counts
-    means[counts == 0] = np.nan
     return CellMeans(means=means.reshape(2, 2), counts=counts.reshape(2, 2))
 
 
@@ -199,7 +205,7 @@ def _require_four_cells(counts: np.ndarray) -> None:
             raise EmptyCellError(affected=cell >> 1, time=cell & 1)
 
 
-def did_from_means(cells: CellMeans) -> DidEstimate:
+def did_from_means(cells: CellMeans) -> float:
     """DiD coefficient from the four cell means.
 
     value = (mean[1,1] - mean[1,0]) - (mean[0,1] - mean[0,0]): the treated
@@ -210,15 +216,18 @@ def did_from_means(cells: CellMeans) -> DidEstimate:
     EmptyCellError
         If any cell has zero count, naming the first empty (g, t) cell in
         scan order (0,0), (0,1), (1,0), (1,1).
+    ValueError
+        If the value is not finite.
     """
     _require_four_cells(cells.counts)
-    m = cells.means
-    value = (m[1, 1] - m[1, 0]) - (m[0, 1] - m[0, 0])
-    return DidEstimate(value=float(value), cells=cells, method=EstimationMethod.FOUR_MEANS)
+    value = float(_did_from_cells(cells.means.reshape(4)))
+    if not np.isfinite(value):
+        raise ValueError("DiD value must be finite")
+    return value
 
 
-def did_from_ols(sample: PanelSample) -> tuple[DidEstimate, OlsFit]:
-    """Fit the saturated two-way OLS model and return (estimate, coefficients).
+def did_from_ols(sample: PanelSample) -> OlsFit:
+    """Fit the saturated two-way OLS model and return its coefficients.
 
     The design is saturated, so the normal equations have the closed-form
     solution alpha = mean[0,0], beta = mean[0,1] - mean[0,0],
@@ -227,25 +236,18 @@ def did_from_ols(sample: PanelSample) -> tuple[DidEstimate, OlsFit]:
     which case EmptyCellError is raised.
     """
     cells = compute_cell_means(sample)
-    _require_four_cells(cells.counts)
+    delta = did_from_means(cells)
     m = cells.means
-    alpha = m[0, 0]
-    beta = m[0, 1] - m[0, 0]
-    gamma = m[1, 0] - m[0, 0]
-    delta = (m[1, 1] - m[1, 0]) - (m[0, 1] - m[0, 0])
     resid = sample.y - m[sample.affected, sample.time]
-    rss = float(resid @ resid)
-    estimate = DidEstimate(value=float(delta), cells=cells, method=EstimationMethod.OLS)
-    fit = OlsFit(
-        alpha=float(alpha),
-        beta=float(beta),
-        gamma=float(gamma),
-        delta=float(delta),
-        residual_sum_squares=rss,
+    return OlsFit(
+        alpha=float(m[0, 0]),
+        beta=float(m[0, 1] - m[0, 0]),
+        gamma=float(m[1, 0] - m[0, 0]),
+        delta=delta,
+        residual_sum_squares=float(resid @ resid),
     )
-    return estimate, fit
 
 
 def did_value(sample: PanelSample) -> float:
-    """Convenience: the four-means DiD value of an estimable sample."""
-    return did_from_means(compute_cell_means(sample)).value
+    """The four-means DiD value of an estimable sample."""
+    return did_from_means(compute_cell_means(sample))

@@ -37,8 +37,6 @@ __all__ = [
     "SeedSpec",
     "generator_for",
     "derive_seed",
-    "stream_block_rows",
-    "draw_relabelings",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -89,18 +87,18 @@ class SeedSpec:
     """
 
     master_seed: int
-    iteration_index: int = 0
+    stream_index: int = 0
 
     def __post_init__(self):
         if not 0 <= int(self.master_seed) <= _MASK64:
             raise ValueError("master_seed must be an unsigned 64-bit integer")
-        if not 0 <= int(self.iteration_index) <= _MASK64:
-            raise ValueError("iteration_index must be a non-negative 64-bit integer")
+        if not 0 <= int(self.stream_index) <= _MASK64:
+            raise ValueError("stream_index must be a non-negative 64-bit integer")
 
 
 def generator_for(seed: SeedSpec) -> np.random.Generator:
     """Fresh Generator for the stream identified by `seed`."""
-    key = np.array([seed.master_seed, seed.iteration_index], dtype=np.uint64)
+    key = np.array([seed.master_seed, seed.stream_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

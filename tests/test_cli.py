@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from didperm import (
     BRAND_SEARCH,
@@ -24,10 +26,21 @@ from didperm.cli import (
     EXIT_ESTIMATION,
     EXIT_INGEST,
     EXIT_IO,
+    EXIT_OK,
     EXIT_SPACE,
     EXIT_USAGE,
     main,
 )
+
+DOCUMENTED_EXITS = {
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_INGEST,
+    EXIT_ESTIMATION,
+    EXIT_SPACE,
+    EXIT_DEGENERATE,
+    EXIT_IO,
+}
 
 MINIMAL = "y,time,affected\n1,0,0\n2,1,0\n3,0,1\n5,1,1\n"
 
@@ -395,6 +408,9 @@ class TestExitCodes:
         path = tmp_path / "degenerate.csv"
         path.write_text("y,time,affected\n1,0,0\n2,0,0\n3,1,1\n4,1,1\n")
         assert main(["test", "--input", str(path), "--iterations", "10"]) == EXIT_ESTIMATION
+        # a label column that is all 1 has no relabeling space to account for
+        path.write_text("y,time,affected\n1,0,1\n2,1,1\n3,0,1\n4,1,1\n")
+        assert main(["space", "--input", str(path)]) == EXIT_ESTIMATION
 
     def test_retry_exhaustion_maps_to_degenerate_exit(self, minimal_csv, monkeypatch):
         import didperm.cli as cli
@@ -416,6 +432,80 @@ class TestExitCodes:
             with pytest.raises(SystemExit) as err:
                 main(argv)
             assert err.value.code == 2
+
+    def test_too_few_rows_is_an_input_error(self, tmp_path):
+        path = tmp_path / "short.csv"
+        for rows in ("1,0,0\n", "1,0,0\n2,1,1\n", "1,0,0\n2,1,0\n3,0,1\n"):
+            path.write_text("y,time,affected\n" + rows)
+            for argv in (
+                ["test", "--input", str(path), "--iterations", "10"],
+                ["enumerate", "--input", str(path)],
+                ["space", "--input", str(path)],
+            ):
+                assert main(argv) == EXIT_INGEST
+
+    def test_overflowing_outcome_sum_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        out = str(tmp_path / "r.json")
+        cases = (
+            ("1e308,0,0\n1.7e308,0,0\n1,1,0\n2,0,1\n3,1,1\n", 1),
+            ("6e307,0,0\n-5e307,0,0\n1,1,0\n2,0,1\n3,1,1\n", 2),
+            # |y| sums to a finite 1e308, but the null values would span
+            # about 2e308, more than a histogram or a quantile can take
+            ("1e308,1,1\n0,0,0\n0,0,1\n0,1,0\n0,1,1\n", 1),
+        )
+        for rows, bad_row in cases:
+            path.write_text("y,time,affected\n" + rows)
+            for argv in (
+                ["test", "--input", str(path), "--iterations", "10", "--output", out],
+                ["enumerate", "--input", str(path), "--output", out],
+            ):
+                assert main(argv) == EXIT_INGEST
+            assert f"row {bad_row}:" in capsys.readouterr().err
+
+    def test_invalid_margins_are_usage_errors(self, capsys):
+        for argv in (
+            ["audit", "--n", "4", "--n-affected", "5", "--n-time", "2"],
+            ["space", "--n", "4", "--n-affected", "5", "--n-time", "2"],
+            ["audit", "--n", "5", "--n-affected", "1", "--n-time", "1", "--scheme", "affected"],
+        ):
+            assert main(argv) == EXIT_USAGE
+            assert "didperm: usage error:" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        # an estimable panel of 4-6 rows, cell index 2*affected + time ...
+        cells=st.lists(st.integers(0, 3), max_size=2).flatmap(
+            lambda extra: st.permutations([0, 1, 2, 3] + extra)
+        ),
+        outcomes=st.lists(
+            st.sampled_from(["0", "1", "-2.5", "0.5", "4e307"]), min_size=6, max_size=6
+        ),
+        # ... less its first `dropped` rows, with at most one (row, column, token) overwrite
+        dropped=st.integers(0, 6),
+        edit=st.none()
+        | st.tuples(
+            st.integers(0, 5),
+            st.integers(0, 2),
+            st.sampled_from(["0", "1", "true", "nan", "1e308", "-1.7e308", "x", ""]),
+        ),
+    )
+    def test_any_short_file_ends_in_a_documented_exit(
+        self, tmp_path_factory, cells, outcomes, dropped, edit
+    ):
+        rows = [[y, str(c % 2), str(c // 2)] for y, c in zip(outcomes, cells)][dropped:]
+        if rows and edit:
+            row, column, token = edit
+            rows[row % len(rows)][column] = token
+        work = tmp_path_factory.mktemp("fuzz")
+        path = work / "panel.csv"
+        path.write_text("y,time,affected\n" + "".join(",".join(row) + "\n" for row in rows))
+        out = str(work / "r.json")
+        for argv in (
+            ["test", "--input", str(path), "--iterations", "20", "--output", out],
+            ["enumerate", "--input", str(path), "--output", out],
+        ):
+            assert main(argv) in DOCUMENTED_EXITS
 
     def test_write_failure_maps_to_io(self, minimal_csv, tmp_path):
         code = main(

@@ -261,18 +261,25 @@ class TestEnumerateNull:
         assert dist.values.view(np.uint64).tobytes() == values.view(np.uint64).tobytes()
 
     def test_exact_p_value_counts_observed_labeling(self):
-        # the observed arrangement is in the space, so the exact p-value is
-        # bounded below by one over the estimable count
+        # the observed arrangement is in the space and goes through the same
+        # kernel, so its value is bitwise one of the null values and the
+        # exact p-value is bounded below by one over the estimable count
         rng = np.random.default_rng(64)
-        s = PanelSample(
-            y=rng.normal(size=7),
-            time=[0, 1, 1, 0, 1, 0, 1],
-            affected=[1, 0, 0, 1, 1, 0, 0],
-        )
-        for scheme in (AFFECTED_FIXED, DUAL_FIXED):
-            dist = enumerate_null(s, scheme)
-            raw, _ = randomization_p_value(did_value(s), dist)
-            assert raw >= 1 / dist.iterations_retained
+        samples = [
+            PanelSample(
+                y=rng.normal(size=7),
+                time=[0, 1, 1, 0, 1, 0, 1],
+                affected=[1, 0, 0, 1, 1, 0, 0],
+            )
+        ]
+        samples += [random_estimable_sample(rng, n_min=5, n_max=8) for _ in range(20)]
+        for s in samples:
+            observed = did_value(s)
+            for scheme in ALL_SCHEMES:
+                dist = enumerate_null(s, scheme)
+                assert np.float64(observed).view(np.uint64) in dist.values.view(np.uint64)
+                raw, _ = randomization_p_value(observed, dist)
+                assert raw >= 1 / dist.iterations_retained
 
     def test_space_too_large(self):
         sample = make_fixture(INPRESS)  # n = 40, both margins 20

@@ -6,14 +6,13 @@ import pytest
 from didperm import (
     CellMeans,
     EmptyCellError,
-    EstimationMethod,
     PanelSample,
     compute_cell_means,
     did_from_means,
     did_from_ols,
     did_value,
 )
-from helpers import brute_force_did, random_estimable_sample
+from helpers import brute_force_did, brute_force_did_fraction, random_estimable_sample
 
 
 def make_cells(m00, m01, m10, m11, count=10):
@@ -54,26 +53,25 @@ class TestComputeCellMeans:
             s = random_estimable_sample(rng)
             cells = compute_cell_means(s)
             expected = brute_force_did(s.y, s.time, s.affected)
-            assert did_from_means(cells).value == pytest.approx(expected, rel=1e-12)
+            assert did_from_means(cells) == pytest.approx(expected, rel=1e-12)
 
 
 class TestDidFromMeans:
     def test_school_program_cells(self):
         est = did_from_means(make_cells(9.7327, 8.4759, 10.1184, 8.9379))
-        assert est.value == pytest.approx(0.076, abs=5e-4)
-        assert est.value == pytest.approx(0.0763, abs=1e-10)
-        assert est.method is EstimationMethod.FOUR_MEANS
+        assert est == pytest.approx(0.076, abs=5e-4)
+        assert est == pytest.approx(0.0763, abs=1e-10)
 
     def test_brand_search_cells(self):
         est = did_from_means(make_cells(1.915, 2.055, 5.681, 10.648))
-        assert est.value == pytest.approx(4.827, abs=1e-10)
+        assert est == pytest.approx(4.827, abs=1e-10)
 
     def test_minimum_wage_employment_cells(self):
         est = did_from_means(make_cells(23.3312, 21.1656, 20.4394, 21.0274))
-        assert est.value == pytest.approx(2.7536, abs=1e-10)
+        assert est == pytest.approx(2.7536, abs=1e-10)
 
     def test_equal_means_give_zero(self):
-        assert did_from_means(make_cells(3.3, 3.3, 3.3, 3.3)).value == 0.0
+        assert did_from_means(make_cells(3.3, 3.3, 3.3, 3.3)) == 0.0
 
     def test_empty_cell_raises_with_cell_identity(self):
         cells = CellMeans(
@@ -88,24 +86,24 @@ class TestDidFromMeans:
 class TestDidFromOls:
     def test_coefficients_read_off_cell_means(self):
         s = PanelSample(y=[1, 2, 3, 5], time=[0, 1, 0, 1], affected=[0, 0, 1, 1])
-        est, fit = did_from_ols(s)
+        fit = did_from_ols(s)
         assert (fit.alpha, fit.beta, fit.gamma, fit.delta) == (1.0, 1.0, 2.0, 1.0)
         assert fit.residual_sum_squares == 0.0
-        assert est.method is EstimationMethod.OLS
 
     def test_interaction_equals_four_means_did(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
             s = random_estimable_sample(rng)
-            est, _ = did_from_ols(s)
-            reference = did_value(s)
-            assert abs(est.value - reference) <= 1e-10 * (1.0 + abs(reference))
+            delta = did_from_ols(s).delta
+            # delta is did_value's formula, so the reference is the exact rational DiD
+            reference = float(brute_force_did_fraction(s.y, s.time, s.affected))
+            assert abs(delta - reference) <= 1e-10 * (1.0 + abs(reference))
 
     def test_agrees_with_generic_linear_solve(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             s = random_estimable_sample(rng)
-            _, fit = did_from_ols(s)
+            fit = did_from_ols(s)
             design = np.column_stack(
                 [np.ones(s.n), s.time, s.affected, s.time * s.affected]
             ).astype(float)
@@ -132,7 +130,7 @@ class TestDidFromOls:
             center = grid[np.argmin(rss)]
             width /= 2.0
 
-        _, fit = did_from_ols(s)
+        fit = did_from_ols(s)
         assert fit.delta == pytest.approx(center[3], abs=1e-4)
 
     def test_empty_cell_raises(self):

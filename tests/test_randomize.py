@@ -37,7 +37,7 @@ def affected_row(labels, scheme, seed):
 
 class TestSeedContract:
     def test_same_seedspec_reproduces_everything(self):
-        seed = SeedSpec(master_seed=99, iteration_index=123)
+        seed = SeedSpec(master_seed=99, stream_index=123)
         labels = [0, 1, 1, 0, 1]
         assert np.array_equal(
             affected_row(labels, AFFECTED_FIXED, seed), affected_row(labels, AFFECTED_FIXED, seed)
@@ -66,7 +66,7 @@ class TestSeedContract:
         with pytest.raises(ValueError):
             SeedSpec(master_seed=2**64)
         with pytest.raises(ValueError):
-            SeedSpec(master_seed=0, iteration_index=-3)
+            SeedSpec(master_seed=0, stream_index=-3)
 
     def test_run_is_concatenation_of_block_replays(self):
         # Every block is replayed alone from its own fresh generator; the run
