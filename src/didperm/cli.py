@@ -132,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(enum)
     _add_scheme_flags(enum)
     enum.add_argument("--alpha", type=_probability, default=0.05)
-    enum.add_argument("--seed", type=_seed, default=0)
     enum.add_argument("--bins", type=_positive_int, default=50)
     enum.add_argument("--output", help="report path (default: <output dir>/enumerate_report.json)")
     enum.set_defaults(func=cmd_enumerate)
@@ -192,7 +191,7 @@ def _emit_report(args, sample, dist, default_name: str) -> tuple[Report, Path]:
         dataset_id=Path(args.input).stem,
         scheme=dist.scheme,
         iterations=dist.iterations_requested,
-        master_seed=args.seed,
+        master_seed=dist.master_seed or 0,  # an exact run has no seed; schema /1 writes 0
         observed=result.observed,
         lower=result.lower,
         upper=result.upper,

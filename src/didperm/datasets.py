@@ -149,23 +149,17 @@ ALL_DATASETS = (
 )
 
 
-def make_fixture(
-    dataset: BenchmarkDataset,
-    per_cell: int = DEFAULT_PER_CELL,
-    relative_spread: float = DEFAULT_RELATIVE_SPREAD,
-) -> PanelSample:
+def make_fixture(dataset: BenchmarkDataset, per_cell: int = DEFAULT_PER_CELL) -> PanelSample:
     """Synthetic panel whose cell means equal the dataset's summary exactly.
 
     Each cell holds `per_cell` observations arranged as symmetric
     mean +/- d pairs (plus one observation at the mean when per_cell is
-    odd), with offsets d_j = relative_spread * max(1, |mean|) * j / k for
+    odd), with offsets d_j = DEFAULT_RELATIVE_SPREAD * max(1, |mean|) * j / k for
     the k = per_cell // 2 pairs.  Rows are emitted cell by cell in the
     order (0,0), (0,1), (1,0), (1,1).
     """
     if per_cell < 1:
         raise ValueError("per_cell must be >= 1")
-    if relative_spread < 0:
-        raise ValueError("relative_spread must be non-negative")
     ys: list[np.ndarray] = []
     time: list[int] = []
     affected: list[int] = []
@@ -173,7 +167,7 @@ def make_fixture(
         for t in (0, 1):
             mean = dataset.cell_means[g][t]
             pairs = per_cell // 2
-            scale = relative_spread * max(1.0, abs(mean))
+            scale = DEFAULT_RELATIVE_SPREAD * max(1.0, abs(mean))
             values = [mean] if per_cell % 2 else []
             for j in range(1, pairs + 1):
                 d = scale * j / max(pairs, 1)
@@ -184,10 +178,10 @@ def make_fixture(
     return PanelSample(y=np.concatenate(ys), time=np.array(time), affected=np.array(affected))
 
 
-def write_fixture_csv(path, sample: PanelSample, columns=("y", "time", "affected")) -> Path:
-    """Write a PanelSample as a didperm-readable CSV; returns the path."""
+def write_fixture_csv(path, sample: PanelSample) -> Path:
+    """Write a PanelSample as a CSV with header y,time,affected; returns the path."""
     path = Path(path)
-    lines = [",".join(columns)]
+    lines = ["y,time,affected"]
     for y, t, a in zip(sample.y, sample.time, sample.affected):
         lines.append(f"{float(y)!r},{int(t)},{int(a)}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

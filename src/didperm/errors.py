@@ -31,7 +31,7 @@ class EmptyCellError(DidPermError):
 
 
 class MalformedRowError(DidPermError):
-    """A data row could not be parsed. `row` is the 1-based data-row index."""
+    """A row could not be parsed. `row` is the 1-based data-row index, 0 for the header."""
 
     def __init__(self, row: int, reason: str):
         self.row = row

@@ -12,12 +12,8 @@ Relabelings that empty a cell leave the DiD contrast undefined.  Such
 draws are discarded and, in the Monte Carlo path, redrawn from the same
 block stream (up to a retry cap per iteration), so every retained
 distribution is conditional on estimability.  The discard count is always
-reported.
-
-Simulation runs in blocks of B = `stream_block_rows(n)` iterations: iteration k
-(1-based) is row (k - 1) mod B of block (k - 1) // B, and block b depends
-only on (master_seed, b).  Workers take runs of whole blocks, so results
-are bit-identical for any worker count.
+reported.  `simulate_null` states the block and stream contract that
+makes its results bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from .randomize import (
     Margins,
     Mode,
     RandomizationScheme,
-    SeedSpec,
     stream_block_rows,
     draw_relabelings,
     generator_for,
@@ -50,17 +45,18 @@ __all__ = [
     "UniformityReport",
     "simulate_null",
     "enumerate_null",
-    "empirical_quantile",
     "decide",
     "test_significance",
     "randomization_p_value",
     "exactness_audit",
     "DEFAULT_ITERATIONS",
-    "DEFAULT_ENUMERATION_CAP",
+    "ENUMERATION_CAP",
 ]
 
 DEFAULT_ITERATIONS = 15_000
-DEFAULT_ENUMERATION_CAP = 10_000_000
+# Largest space `enumerate_null` visits.  9.4M relabelings (n=18, dual,
+# margins 4 and 4) took 2.1 s on a 2-vCPU host with numpy 2.4.
+ENUMERATION_CAP = 10_000_000
 MAX_RETRY_ATTEMPTS = 1_000
 
 # Label entries per kernel call during enumeration (see `enumerate_null`).
@@ -81,14 +77,13 @@ class NullDistribution:
     """Realized DiD values under a randomization scheme, with provenance.
 
     `iterations_requested` is the Monte Carlo iteration count, or the full
-    space size for exact enumeration.  `iterations_retained` equals
+    space size for exact enumeration.  `iterations_retained` is
     len(values); it falls short of the space size exactly when degenerate
     (empty-cell) relabelings were discarded.
     """
 
     values: np.ndarray
     iterations_requested: int
-    iterations_retained: int
     scheme: RandomizationScheme
     master_seed: int | None
     degenerate_draws_discarded: int
@@ -100,11 +95,13 @@ class NullDistribution:
             raise ValueError("values must be a 1-d vector")
         if not np.isfinite(values).all():
             raise ValueError("null distribution values must all be finite")
-        if self.iterations_retained != values.size:
-            raise ValueError("iterations_retained must equal len(values)")
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+    @property
+    def iterations_retained(self) -> int:
+        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -135,13 +132,14 @@ class TestResult:
 
 
 def _simulate_chunk(
-    y, time, affected, scheme, master_seed, iterations, max_attempts, first_block, stop_block
+    y, time, affected, scheme, master_seed, iterations, first_block, stop_block
 ) -> tuple[np.ndarray, int]:
     """Values and discard count of blocks [first_block, stop_block) of a run."""
     per_block = stream_block_rows(y.size)
     start = first_block * per_block
     values = np.empty(min(stop_block * per_block, iterations) - start, dtype=np.float64)
     weights = np.tile(y, per_block)
+    attempts = MAX_RETRY_ATTEMPTS
     discarded = 0
     # Degenerate rows divide by an empty cell's zero count; their values are
     # overwritten by the redraw below.
@@ -149,13 +147,13 @@ def _simulate_chunk(
         for block in range(first_block, stop_block):
             lo = block * per_block
             rows = min(per_block, iterations - lo)
-            rng = generator_for(SeedSpec(master_seed, block))
+            rng = generator_for(master_seed, block)
             new_affected, new_time = draw_relabelings(rng, affected, time, scheme, rows)
             counts, sums = _block_cells(2 * new_affected + new_time, weights)
             out = values[lo - start : lo - start + rows]
             out[:] = _did_from_cells(sums / counts)
             for row in np.flatnonzero(~counts.all(axis=1)).tolist():
-                for attempt in range(1, max_attempts):
+                for attempt in range(1, attempts):
                     new_affected, new_time = draw_relabelings(rng, affected, time, scheme, 1)
                     counts, sums = _block_cells(2 * new_affected + new_time, weights)
                     if counts.all():
@@ -163,7 +161,7 @@ def _simulate_chunk(
                         discarded += attempt
                         break
                 else:
-                    raise TooManyDegenerateDrawsError(iteration=lo + row + 1, attempts=max_attempts)
+                    raise TooManyDegenerateDrawsError(iteration=lo + row + 1, attempts=attempts)
     return values, discarded
 
 
@@ -174,17 +172,16 @@ def simulate_null(
     master_seed: int = 0,
     *,
     workers: int = 1,
-    max_attempts: int = MAX_RETRY_ATTEMPTS,
 ) -> NullDistribution:
     """Monte Carlo null distribution of the DiD coefficient.
 
     Iterations are drawn in blocks of B = `stream_block_rows(sample.n)` rows.
     Block b (0-based) holds iterations b*B + 1 .. min((b + 1)*B, iterations)
-    and reads the stream SeedSpec(master_seed, b): first the affected
+    and reads the stream `generator_for(master_seed, b)`: first the affected
     label matrix, then the time matrix (dual scheme), one row per
     iteration.  After that main draw, each degenerate row is redrawn from
     the same stream, in row order, until estimable; an iteration gets at
-    most `max_attempts` draws in all.  The result is a pure function of
+    most `MAX_RETRY_ATTEMPTS` draws in all.  The result is a pure function of
     (sample, scheme, iterations, master_seed) and is bit-identical for
     every `workers` value.
 
@@ -201,8 +198,6 @@ def simulate_null(
     workers : int
         Process count; each process takes a run of whole blocks.  Affects
         speed only.
-    max_attempts : int
-        Retry cap per iteration before TooManyDegenerateDrawsError.
 
     Raises
     ------
@@ -213,9 +208,7 @@ def simulate_null(
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
-    SeedSpec(master_seed, 0)  # validates the seed range
+    generator_for(master_seed)  # validates the seed range
     did_value(sample)  # raises EmptyCellError when the sample is inestimable
 
     run = functools.partial(
@@ -226,7 +219,6 @@ def simulate_null(
         scheme,
         master_seed,
         iterations,
-        max_attempts,
     )
     blocks = -(-iterations // stream_block_rows(sample.n))
     if min(workers, blocks) <= 1:
@@ -241,7 +233,6 @@ def simulate_null(
     return NullDistribution(
         values=values,
         iterations_requested=iterations,
-        iterations_retained=values.size,
         scheme=scheme,
         master_seed=master_seed,
         degenerate_draws_discarded=discarded,
@@ -294,11 +285,7 @@ def _label_blocks(n: int, ones: int, mode: Mode, block_rows: int):
     return _bernoulli_blocks(n, block_rows)
 
 
-def enumerate_null(
-    sample: PanelSample,
-    scheme: RandomizationScheme,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> NullDistribution:
+def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDistribution:
     """Exact null distribution over every admissible relabeling.
 
     Fixed-margin spaces enumerate the C(n, ones) arrangements of each
@@ -321,14 +308,15 @@ def enumerate_null(
     Raises
     ------
     SpaceTooLargeError
-        If the space size exceeds `cap`; use `simulate_null` instead.
+        If the space size exceeds `ENUMERATION_CAP`; use `simulate_null`
+        instead.
     """
     n = sample.n
     ones_a = sample.n_affected
     ones_t = sample.n_time
     size = _space_size(n, ones_a, ones_t, scheme)
-    if size > cap:
-        raise SpaceTooLargeError(log_size=math.log(size), cap=cap)
+    if size > ENUMERATION_CAP:
+        raise SpaceTooLargeError(log_size=math.log(size), cap=ENUMERATION_CAP)
 
     # Each kernel call pairs a block of affected arrangements with a block
     # of time arrangements, about _ENUM_ENTRIES labels in all.  The time
@@ -358,7 +346,6 @@ def enumerate_null(
     return NullDistribution(
         values=values[:pos],
         iterations_requested=size,
-        iterations_retained=pos,
         scheme=scheme,
         master_seed=None,
         degenerate_draws_discarded=size - pos,
@@ -369,20 +356,6 @@ def enumerate_null(
 # ---------------------------------------------------------------------------
 # quantiles, decisions, p-values
 # ---------------------------------------------------------------------------
-
-
-def empirical_quantile(dist: NullDistribution, q: float) -> float:
-    """Order-statistic quantile with linear interpolation between closest ranks.
-
-    On the sorted values of length m this reads off position 1 + q*(m - 1),
-    interpolating linearly between neighbouring order statistics; q = 0 and
-    q = 1 return the minimum and maximum.
-    """
-    if dist.iterations_retained == 0:
-        raise ValueError("null distribution is empty")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("quantile level must lie in [0, 1]")
-    return float(np.quantile(dist.values, q))
 
 
 def decide(observed: float, lower: float, upper: float) -> bool:
@@ -405,12 +378,19 @@ def randomization_p_value(observed: float, dist: NullDistribution) -> tuple[floa
 
 
 def test_significance(observed: float, dist: NullDistribution, alpha: float = 0.05) -> TestResult:
-    """Quantile-based two-sided significance decision with attached p-values."""
+    """Quantile-based two-sided significance decision with attached p-values.
+
+    The bounds are the alpha/2 and 1 - alpha/2 quantiles of the null
+    values: on the sorted values of length m, quantile q reads off
+    position 1 + q*(m - 1), interpolating linearly between neighbouring
+    order statistics.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    lower = empirical_quantile(dist, alpha / 2.0)
-    upper = empirical_quantile(dist, 1.0 - alpha / 2.0)
-    raw, corrected = randomization_p_value(observed, dist)
+    raw, corrected = randomization_p_value(observed, dist)  # raises if dist is empty
+    # Two scalar calls: one call with both levels can differ in the last bit.
+    lower = float(np.quantile(dist.values, alpha / 2.0))
+    upper = float(np.quantile(dist.values, 1.0 - alpha / 2.0))
     return TestResult(
         observed=float(observed),
         lower=lower,
@@ -444,23 +424,24 @@ class UniformityReport:
     n_time: int
     scheme: RandomizationScheme
     total_relabelings: int
-    estimable_relabelings: int
     statistic_values: np.ndarray
     p_values: np.ndarray
+
+    @property
+    def estimable_relabelings(self) -> int:
+        return self.p_values.size
 
     def rejection_rate(self, alpha: float) -> float:
         """P(p <= alpha) over the uniform assignment law."""
         return float(np.mean(self.p_values <= alpha))
 
-    def worst_violation(self, alphas=None) -> float:
-        """max over alphas of P(p <= alpha) - alpha; exactness means <= 0.
+    def worst_violation(self) -> float:
+        """max over alpha of P(p <= alpha) - alpha; exactness means <= 0.
 
-        With alphas=None the maximum is taken over all attainable p-value
-        levels, where P(p <= alpha) - alpha is piecewise largest.
+        The maximum is taken over the attainable p-value levels, where
+        P(p <= alpha) - alpha is piecewise largest.
         """
-        if alphas is None:
-            alphas = np.unique(self.p_values)
-        return max(self.rejection_rate(a) - a for a in np.asarray(alphas, dtype=np.float64))
+        return max(self.rejection_rate(a) - a for a in np.unique(self.p_values))
 
 
 def exactness_audit(
@@ -469,7 +450,6 @@ def exactness_audit(
     n_time: int,
     scheme: RandomizationScheme,
     outcome_seed: int = 0,
-    cap: int = DEFAULT_ENUMERATION_CAP,
     outcomes=None,
 ) -> UniformityReport:
     """Exhaustive finite-sample validity check on a small relabeling space.
@@ -487,7 +467,7 @@ def exactness_audit(
     Raises
     ------
     SpaceTooLargeError
-        If the space exceeds `cap` relabelings.
+        If the space exceeds `ENUMERATION_CAP` relabelings.
     ValueError
         If no relabeling in the space is estimable (e.g. a margin of 1).
     """
@@ -496,7 +476,7 @@ def exactness_audit(
     if not 0 < n_time < n:
         raise ValueError("need 0 < n_time < n")
     if outcomes is None:
-        y = generator_for(SeedSpec(outcome_seed, 0)).standard_normal(n)
+        y = generator_for(outcome_seed).standard_normal(n)
     else:
         y = np.asarray(outcomes, dtype=np.float64)
         if y.shape != (n,):
@@ -507,7 +487,7 @@ def exactness_audit(
     base_time = np.zeros(n, dtype=np.int64)
     base_time[:n_time] = 1
     sample = PanelSample(y=y, time=base_time, affected=base_affected)
-    dist = enumerate_null(sample, scheme, cap)
+    dist = enumerate_null(sample, scheme)
     if dist.iterations_retained == 0:
         raise ValueError("no estimable relabeling exists in this space")
 
@@ -521,7 +501,6 @@ def exactness_audit(
         n_time=n_time,
         scheme=scheme,
         total_relabelings=dist.iterations_requested,
-        estimable_relabelings=m,
         statistic_values=stats,
         p_values=p_values,
     )

@@ -2,15 +2,16 @@
 
 Ingestion is total: every input file either yields a valid PanelSample or
 a structured error naming the offending row.  Labels are accepted only as
-literal 0/1 (optionally true/false behind a flag); silent recoding of
-treatment indicators is a classic source of wrong DiD signs, so anything
-else is an error.
+literal 0/1; silent recoding of treatment indicators is a classic source
+of wrong DiD signs, so anything else is an error.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,22 +41,16 @@ class ColumnMap:
             raise ValueError("outcome, time, and affected columns must be distinct")
 
 
-_TRUE_WORDS = {"true"}
-_FALSE_WORDS = {"false"}
+# Undecodable bytes under errors="surrogateescape".
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-def _parse_label(token: str, column: str, row: int, allow_bool_words: bool) -> int:
+def _parse_label(token: str, column: str, row: int) -> int:
     text = token.strip()
     if text == "0":
         return 0
     if text == "1":
         return 1
-    if allow_bool_words:
-        low = text.lower()
-        if low in _TRUE_WORDS:
-            return 1
-        if low in _FALSE_WORDS:
-            return 0
     raise MalformedRowError(row, f"column {column!r} must be 0 or 1, got {token!r}")
 
 
@@ -69,11 +64,30 @@ def _parse_outcome(token: str, column: str, row: int) -> float:
     return value
 
 
-def load_panel(path, columns: ColumnMap = ColumnMap(), *, allow_bool_words: bool = False) -> PanelSample:
+def _first_fault(path: Path) -> MalformedRowError:
+    """The first record (0 = header) with an undecodable byte or an over-long field.
+
+    Called only after the streaming read has failed: the decoder works on
+    chunks, so its exception does not locate the row.
+    """
+    text = path.read_bytes().decode("utf-8-sig", errors="surrogateescape")
+    row = 0
+    try:
+        for record in csv.reader(io.StringIO(text, newline="")):
+            if any(_UNDECODED.search(field) for field in record):
+                break
+            row += 1
+    except csv.Error as exc:  # the field size limit
+        return MalformedRowError(row, str(exc))
+    return MalformedRowError(row, "not valid UTF-8 text")
+
+
+def load_panel(path, columns: ColumnMap = ColumnMap()) -> PanelSample:
     """Load a comma-separated panel file into a PanelSample.
 
-    The first row must be a header containing the three mapped columns.
-    Row indices in errors are 1-based over data rows.
+    The file must be UTF-8 text, and its first row a header containing
+    the three mapped columns.  Row indices in errors are 1-based over data
+    rows, with 0 for the header.
 
     Raises
     ------
@@ -82,44 +96,47 @@ def load_panel(path, columns: ColumnMap = ColumnMap(), *, allow_bool_words: bool
     MissingColumnError
         A mapped column is absent from the header.
     MalformedRowError
-        Ragged row, non-binary label, non-finite/non-numeric outcome, or
-        an outcome at which twice the running sum of |y| overflows.  Every
-        cell sum, cell mean and DiD value, observed or relabeled, is at
-        most that sum in magnitude, so the bound keeps all of them and the
-        width of the null distribution's range finite.
+        Ragged row, non-binary label, non-finite/non-numeric outcome, a
+        byte that is not UTF-8, a field longer than the csv module's limit
+        (131,072 characters unless changed), or an outcome at which twice
+        the running sum of |y| overflows.  Every cell sum, cell mean and
+        DiD value, observed or relabeled, is at most that sum in
+        magnitude, so the bound keeps all of them and the width of the
+        null distribution's range finite.
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheet exports put
     # before the header; files without one read as plain UTF-8.
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFileError(f"{path}: file is empty") from None
-        header = [name.strip() for name in header]
-        missing = [
-            name
-            for name in (columns.outcome_column, columns.time_column, columns.affected_column)
-            if name not in header
-        ]
-        if missing:
-            raise MissingColumnError(missing)
-        y_pos = header.index(columns.outcome_column)
-        t_pos = header.index(columns.time_column)
-        a_pos = header.index(columns.affected_column)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise EmptyFileError(f"{path}: file is empty") from None
+            header = [name.strip() for name in header]
+            missing = [
+                name
+                for name in (columns.outcome_column, columns.time_column, columns.affected_column)
+                if name not in header
+            ]
+            if missing:
+                raise MissingColumnError(missing)
+            y_pos = header.index(columns.outcome_column)
+            t_pos = header.index(columns.time_column)
+            a_pos = header.index(columns.affected_column)
 
-        y, time, affected = [], [], []
-        for row_index, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise MalformedRowError(
-                    row_index, f"expected {len(header)} fields, got {len(row)}"
-                )
-            y.append(_parse_outcome(row[y_pos], columns.outcome_column, row_index))
-            time.append(_parse_label(row[t_pos], columns.time_column, row_index, allow_bool_words))
-            affected.append(
-                _parse_label(row[a_pos], columns.affected_column, row_index, allow_bool_words)
-            )
+            y, time, affected = [], [], []
+            for row_index, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise MalformedRowError(
+                        row_index, f"expected {len(header)} fields, got {len(row)}"
+                    )
+                y.append(_parse_outcome(row[y_pos], columns.outcome_column, row_index))
+                time.append(_parse_label(row[t_pos], columns.time_column, row_index))
+                affected.append(_parse_label(row[a_pos], columns.affected_column, row_index))
+    except (UnicodeDecodeError, csv.Error):
+        raise _first_fault(path) from None
 
     if len(y) < 4:
         raise EmptyFileError(f"{path}: {len(y)} data rows; a 2x2 panel needs at least 4")

@@ -130,10 +130,6 @@ class CellMeans:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class OlsFit:

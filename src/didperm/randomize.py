@@ -14,11 +14,11 @@ relabeling, from a given generator.  A single relabeling is a one-row
 draw.
 
 Randomness is counter-based.  Simulation iterations are drawn in blocks of
-B = `stream_block_rows(n)` rows: iteration k (1-based) is row (k - 1) mod B of
-block (k - 1) // B, and block b reads one Philox stream keyed by
-SeedSpec(master_seed, b).  A block draws its whole affected matrix first,
-then its time matrix (dual scheme); degenerate rows are redrawn from the
-same stream after that main draw, in row order.  No shared mutable
+B = `stream_block_rows(n)` rows: iteration k (1-based) is row (k - 1) mod B
+of block (k - 1) // B, and block b reads the Philox stream
+`generator_for(master_seed, b)`.  A block draws its whole affected matrix
+first, then its time matrix (dual scheme); degenerate rows are redrawn from
+the same stream after that main draw, in row order.  No shared mutable
 generator exists anywhere, so blocks can be produced concurrently and in
 any order with identical results.
 """
@@ -34,7 +34,6 @@ __all__ = [
     "Margins",
     "Mode",
     "RandomizationScheme",
-    "SeedSpec",
     "generator_for",
     "derive_seed",
 ]
@@ -77,28 +76,17 @@ class RandomizationScheme:
             object.__setattr__(self, "mode", Mode(self.mode))
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Identifies one deterministic random stream: (master seed, stream index).
+def generator_for(master_seed: int, stream_index: int = 0) -> np.random.Generator:
+    """Fresh Generator for the stream (master_seed, stream_index).
 
-    `simulate_null` keys block b of a run by SeedSpec(master_seed, b).  The
-    stream derived from a SeedSpec does not depend on evaluation order or
-    on any other stream.
+    `simulate_null` keys block b of a run by (master_seed, b).  A stream
+    does not depend on evaluation order or on any other stream.
     """
-
-    master_seed: int
-    stream_index: int = 0
-
-    def __post_init__(self):
-        if not 0 <= int(self.master_seed) <= _MASK64:
-            raise ValueError("master_seed must be an unsigned 64-bit integer")
-        if not 0 <= int(self.stream_index) <= _MASK64:
-            raise ValueError("stream_index must be a non-negative 64-bit integer")
-
-
-def generator_for(seed: SeedSpec) -> np.random.Generator:
-    """Fresh Generator for the stream identified by `seed`."""
-    key = np.array([seed.master_seed, seed.stream_index], dtype=np.uint64)
+    if not 0 <= int(master_seed) <= _MASK64:
+        raise ValueError("master_seed must be an unsigned 64-bit integer")
+    if not 0 <= int(stream_index) <= _MASK64:
+        raise ValueError("stream_index must be a non-negative 64-bit integer")
+    key = np.array([master_seed, stream_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

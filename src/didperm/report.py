@@ -79,10 +79,6 @@ def _json_fields(pairs) -> dict:
     return {name: value.value if isinstance(value, Enum) else value for name, value in pairs}
 
 
-def _to_dict(report: Report) -> dict:
-    return {"schema": SCHEMA_VERSION, **asdict(report, dict_factory=_json_fields)}
-
-
 def _coerce(kind, value):
     """`value` read back as the annotated type `kind`: dataclass, tuple, scalar or Enum."""
     if is_dataclass(kind):
@@ -96,17 +92,12 @@ def _coerce(kind, value):
     return kind(value)
 
 
-def _from_dict(data: dict) -> Report:
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema: {data.get('schema')!r}")
-    return _coerce(Report, data)
-
-
 def write_report(report: Report, path) -> None:
     """Write a report as schema-versioned JSON with a fixed field order."""
     path = Path(path)
     try:
-        text = json.dumps(_to_dict(report), indent=2, allow_nan=False) + "\n"
+        data = {"schema": SCHEMA_VERSION, **asdict(report, dict_factory=_json_fields)}
+        text = json.dumps(data, indent=2, allow_nan=False) + "\n"
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
@@ -119,4 +110,6 @@ def read_report(path) -> Report:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise OSError(f"cannot read report from {path}: {exc}") from exc
-    return _from_dict(data)
+    if data.get("schema") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported report schema: {data.get('schema')!r}")
+    return _coerce(Report, data)

@@ -9,6 +9,7 @@ enumerated values can be compared with it bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction
 
@@ -101,9 +102,10 @@ def exact_p_law_fraction(y, label_pairs):
         value = brute_force_did_fraction(y, t_vec, a_vec)
         if value is not None:
             stats.append(abs(value))
+    stats.sort()
     m = len(stats)
-    p_values = [Fraction(sum(1 for other in stats if other >= s), m) for s in stats]
-    return sorted(p_values)
+    # the count of others >= s is m minus the count strictly below s
+    return sorted(Fraction(m - bisect.bisect_left(stats, s), m) for s in stats)
 
 
 def sup_cdf_distance(sample_values, exact_values):
@@ -151,7 +153,7 @@ def _replay_margin(rng, labels, fixed):
 def replay_block(sample, dual, fixed, master_seed, block, rows, max_attempts=1000):
     """Replay one simulation block row by row from its documented draw order.
 
-    Block `block` reads generator_for(SeedSpec(master_seed, block)): the
+    Block `block` reads generator_for(master_seed, block): the
     affected labels of all `rows` rows, then (dual) the time labels of all
     rows; then each degenerate row, in row order, redraws affected and
     (dual) time from the same stream until estimable.  Returns
@@ -159,9 +161,9 @@ def replay_block(sample, dual, fixed, master_seed, block, rows, max_attempts=100
     (affected, time) pair per row, and `failed_row` is the first row that
     exhausted `max_attempts` (None when every row is estimable).
     """
-    from didperm import SeedSpec, generator_for
+    from didperm import generator_for
 
-    rng = generator_for(SeedSpec(master_seed, block))
+    rng = generator_for(master_seed, block)
     affected = [_replay_margin(rng, sample.affected, fixed) for _ in range(rows)]
     if dual:
         time = [_replay_margin(rng, sample.time, fixed) for _ in range(rows)]

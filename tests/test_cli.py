@@ -43,6 +43,18 @@ DOCUMENTED_EXITS = {
 }
 
 MINIMAL = "y,time,affected\n1,0,0\n2,1,0\n3,0,1\n5,1,1\n"
+# Bytes a spreadsheet export or a damaged file can hold: invalid UTF-8, a
+# Latin-1 e-acute, NUL, a bare carriage return, a byte-order mark.
+SPLICES = [b"\xff", b"\xe9", b"\x00", b"\r", b"\xef\xbb\xbf"]
+
+
+def _spliced(edits):
+    """MINIMAL with each (position, bytes) insertion applied in turn."""
+    data = MINIMAL.encode()
+    for position, piece in edits:
+        position %= len(data) + 1
+        data = data[:position] + piece + data[position:]
+    return data
 
 
 @pytest.fixture()
@@ -506,6 +518,46 @@ class TestExitCodes:
             ["enumerate", "--input", str(path), "--output", out],
         ):
             assert main(argv) in DOCUMENTED_EXITS
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        content=st.binary(max_size=120)
+        | st.lists(
+            st.tuples(st.integers(0, 200), st.sampled_from(SPLICES)), min_size=1, max_size=3
+        ).map(_spliced)
+    )
+    def test_any_bytes_end_in_a_documented_exit(self, tmp_path_factory, content):
+        work = tmp_path_factory.mktemp("bytes")
+        path = work / "panel.csv"
+        path.write_bytes(content)
+        out = str(work / "r.json")
+        for argv in (
+            ["test", "--input", str(path), "--iterations", "20", "--output", out],
+            ["enumerate", "--input", str(path), "--output", out],
+        ):
+            assert main(argv) in DOCUMENTED_EXITS
+
+    def test_non_utf8_byte_names_its_row(self, tmp_path, capsys):
+        # Rows 1-2000 fill several decoder chunks before the Latin-1 byte.
+        rows = "".join(f"{k},{k % 2},{k // 2 % 2}\n" for k in range(2000))
+        path = tmp_path / "latin1.csv"
+        for content, bad_row in (
+            (("y,time,affected\n" + rows).encode() + b"caf\xe9,0,0\n", 2001),
+            (b"y,t\xe9me,time,affected\n" + rows.replace("\n", ",0\n").encode(), 0),
+        ):
+            path.write_bytes(content)
+            assert main(["test", "--input", str(path), "--iterations", "10"]) == EXIT_INGEST
+            assert f"row {bad_row}: not valid UTF-8 text" in capsys.readouterr().err
+
+    def test_over_long_field_names_its_row(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("y,time,affected\n1,0,0\n2,1,0\n" + "3" * 131_073 + ",0,1\n5,1,1\n")
+        for argv in (
+            ["test", "--input", str(path), "--iterations", "10"],
+            ["enumerate", "--input", str(path)],
+        ):
+            assert main(argv) == EXIT_INGEST
+            assert "row 3: field larger than field limit" in capsys.readouterr().err
 
     def test_write_failure_maps_to_io(self, minimal_csv, tmp_path):
         code = main(

@@ -59,12 +59,6 @@ class TestFixtures:
                 ref = dataset.reference[label]
                 assert decide(dataset.observed, ref.lower, ref.upper) == ref.rejected
 
-    def test_zero_spread_fixture(self):
-        sample = make_fixture(INPRESS, relative_spread=0.0)
-        assert did_value(sample) == pytest.approx(INPRESS.did_from_cell_means(), abs=1e-12)
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             make_fixture(INPRESS, per_cell=0)
-        with pytest.raises(ValueError):
-            make_fixture(INPRESS, relative_spread=-0.1)

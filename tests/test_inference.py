@@ -15,13 +15,11 @@ from didperm import (
     NullDistribution,
     PanelSample,
     RandomizationScheme,
-    SeedSpec,
     Source,
     SpaceTooLargeError,
     TooManyDegenerateDrawsError,
     decide,
     did_value,
-    empirical_quantile,
     enumerate_null,
     exactness_audit,
     generator_for,
@@ -33,6 +31,7 @@ from didperm import test_significance as significance_test
 from didperm.datasets import INPRESS
 from helpers import (
     brute_force_did,
+    canonical_labelings,
     documented_block_rows,
     enumerate_brute_force,
     enumerate_kernel,
@@ -58,7 +57,6 @@ def mock_distribution(values, scheme=DUAL_FIXED):
     return NullDistribution(
         values=values,
         iterations_requested=values.size,
-        iterations_retained=values.size,
         scheme=scheme,
         master_seed=0,
         degenerate_draws_discarded=0,
@@ -129,10 +127,11 @@ class TestSimulateNull:
         with pytest.raises(ValueError):
             simulate_null(FOUR_POINT, DUAL_FIXED, iterations=10, master_seed=-1)
 
-    def test_retry_cap_exhaustion_raises(self):
+    def test_retry_cap_exhaustion_raises(self, monkeypatch):
         # find a seed whose first block has a degenerate main draw on the
         # 4-point panel; with one attempt per iteration that row must fail
-        # and the error names its 1-based iteration
+        # and the error names its 1-based iteration.  A panel that exhausts
+        # the real cap needs n near 4096, where the replay is slow.
         found = None
         for seed in range(200):
             _, _, failed = replay_block(FOUR_POINT, True, True, seed, 0, 5, max_attempts=1)
@@ -141,10 +140,43 @@ class TestSimulateNull:
                 break
         assert found is not None
         seed, failed = found
+        monkeypatch.setattr(inference, "MAX_RETRY_ATTEMPTS", 1)
         with pytest.raises(TooManyDegenerateDrawsError) as err:
-            simulate_null(FOUR_POINT, DUAL_FIXED, iterations=5, master_seed=seed, max_attempts=1)
+            simulate_null(FOUR_POINT, DUAL_FIXED, iterations=5, master_seed=seed)
         assert err.value.attempts == 1
         assert err.value.iteration == failed + 1
+
+
+class TestLabelSwap:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_swapping_group_names_negates_the_null(self, data):
+        # Fixed margins rearrange positions whatever the labels, so 1 - labels
+        # relabels to 1 - the same draws: every cell changes its name, and
+        # the DiD and each null value change sign exactly.  Compared with ==,
+        # since an exact zero negates to -0.0.
+        n = data.draw(st.integers(4, 40))
+        extra = data.draw(st.lists(st.integers(0, 3), min_size=n - 4, max_size=n - 4))
+        cells = np.array(data.draw(st.permutations([0, 1, 2, 3] + extra)))
+        outcome = st.one_of(st.floats(-1e3, 1e3, allow_nan=False), st.integers(-3, 3).map(float))
+        y = data.draw(st.lists(outcome, min_size=n, max_size=n))
+        sample = PanelSample(y=y, time=cells % 2, affected=cells // 2)
+        swapped = data.draw(
+            st.sampled_from(
+                [
+                    PanelSample(y=y, time=sample.time, affected=1 - sample.affected),
+                    PanelSample(y=y, time=1 - sample.time, affected=sample.affected),
+                ]
+            )
+        )
+        scheme = RandomizationScheme(data.draw(st.sampled_from(list(Margins))), Mode.FIXED_MARGINS)
+        iterations = data.draw(st.integers(1, 400))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        assert did_value(swapped) == -did_value(sample)
+        base = simulate_null(sample, scheme, iterations=iterations, master_seed=seed)
+        flipped = simulate_null(swapped, scheme, iterations=iterations, master_seed=seed)
+        assert np.array_equal(flipped.values, -base.values)
+        assert flipped.degenerate_draws_discarded == base.degenerate_draws_discarded
 
 
 class TestEnumerateNull:
@@ -305,32 +337,28 @@ class TestEnumerateNull:
 
 
 class TestQuantiles:
+    # The decision bounds are the alpha/2 and 1 - alpha/2 quantiles.
     def test_singleton(self):
-        assert empirical_quantile(mock_distribution([3.0]), 0.5) == 3.0
+        result = significance_test(0.0, mock_distribution([3.0]))
+        assert result.lower == result.upper == 3.0
 
     def test_interpolated_rank_positions(self):
         values = np.random.default_rng(71).permutation(np.arange(1.0, 102.0))
-        dist = mock_distribution(values)
-        # position 1 + 0.025 * 100 = 3.5 on the sorted values
-        assert empirical_quantile(dist, 0.025) == pytest.approx(3.5, rel=1e-12)
-
-    def test_boundaries_are_min_and_max(self):
-        dist = mock_distribution([4.0, -2.0, 10.0, 0.5])
-        assert empirical_quantile(dist, 0.0) == -2.0
-        assert empirical_quantile(dist, 1.0) == 10.0
+        result = significance_test(0.0, mock_distribution(values), alpha=0.05)
+        # positions 1 + 0.025 * 100 = 3.5 and 1 + 0.975 * 100 = 98.5
+        assert result.lower == pytest.approx(3.5, rel=1e-12)
+        assert result.upper == pytest.approx(98.5, rel=1e-12)
 
     def test_monotone_in_q(self):
         rng = np.random.default_rng(72)
         dist = mock_distribution(rng.normal(size=37))
-        qs = np.linspace(0, 1, 41)
-        values = [empirical_quantile(dist, q) for q in qs]
-        assert all(a <= b for a, b in zip(values, values[1:]))
+        results = [significance_test(0.0, dist, alpha) for alpha in np.linspace(0.01, 0.99, 41)]
+        bounds = [r.lower for r in results] + [r.upper for r in reversed(results)]
+        assert all(a <= b for a, b in zip(bounds, bounds[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            empirical_quantile(mock_distribution([1.0]), 1.5)
-        with pytest.raises(ValueError):
-            empirical_quantile(mock_distribution([]), 0.5)
+            significance_test(0.0, mock_distribution([]))
 
 
 class TestPValues:
@@ -376,7 +404,7 @@ class TestTestSignificance:
 
     def test_boundary_equality_rejects(self):
         dist = mock_distribution(np.arange(1.0, 102.0))
-        upper = empirical_quantile(dist, 0.975)
+        upper = significance_test(0.0, dist, alpha=0.05).upper
         result = significance_test(upper, dist, alpha=0.05)
         assert result.reject
         inside = significance_test(upper - 1e-9, dist, alpha=0.05)
@@ -425,24 +453,11 @@ class TestTestSignificance:
 
 
 class TestNullDistributionValidation:
-    def test_retained_must_match_length(self):
-        with pytest.raises(ValueError):
-            NullDistribution(
-                values=np.array([1.0, 2.0]),
-                iterations_requested=2,
-                iterations_retained=3,
-                scheme=DUAL_FIXED,
-                master_seed=0,
-                degenerate_draws_discarded=0,
-                source=Source.MONTE_CARLO,
-            )
-
     def test_values_must_be_finite(self):
         with pytest.raises(ValueError):
             NullDistribution(
                 values=np.array([1.0, np.inf]),
                 iterations_requested=2,
-                iterations_retained=2,
                 scheme=DUAL_FIXED,
                 master_seed=0,
                 degenerate_draws_discarded=0,
@@ -472,7 +487,7 @@ class TestExactnessAudit:
         assert report.worst_violation() <= 0.0
 
     def test_matches_exact_rational_oracle(self):
-        y = generator_for(SeedSpec(5, 0)).standard_normal(6)
+        y = generator_for(5).standard_normal(6)
         time0 = np.array([1, 1, 1, 0, 0, 0])
         pairs = [(a, time0) for a in arrangements_fixed(6, 3)]
         oracle = [float(p) for p in exact_p_law_fraction(y, pairs)]
@@ -490,7 +505,7 @@ class TestExactnessAudit:
     def test_validity_guarantee_across_small_configurations(self):
         for n, n_affected in ((5, 2), (6, 2), (6, 4), (7, 2), (8, 3)):
             report = exactness_audit(n, n_affected, n // 2, AFFECTED_FIXED, outcome_seed=3)
-            assert report.worst_violation((0.01, 0.05, 0.1)) <= 0.0
+            assert all(report.rejection_rate(a) <= a for a in (0.01, 0.05, 0.1))
             assert report.worst_violation() <= 1e-12
 
     def test_dual_scheme_audit(self):
@@ -502,7 +517,7 @@ class TestExactnessAudit:
             for a in arrangements_fixed(6, 2)
             for t in arrangements_fixed(6, 3)
         ]
-        y = generator_for(SeedSpec(9, 0)).standard_normal(6)
+        y = generator_for(9).standard_normal(6)
         oracle = [float(p) for p in exact_p_law_fraction(y, pairs)]
         assert np.allclose(sorted(report.p_values), oracle, rtol=0, atol=0)
 
@@ -514,7 +529,7 @@ class TestExactnessAudit:
         assert report.worst_violation() <= 0.0
         time0 = np.array([1, 1, 0, 0, 0])
         pairs = [(a, time0) for a in arrangements_bernoulli(5)]
-        y = generator_for(SeedSpec(4, 0)).standard_normal(5)
+        y = generator_for(4).standard_normal(5)
         oracle = [float(p) for p in exact_p_law_fraction(y, pairs)]
         assert np.allclose(sorted(report.p_values), oracle, rtol=0, atol=0)
 
@@ -527,6 +542,22 @@ class TestExactnessAudit:
     def test_impossible_margin_raises(self):
         with pytest.raises(ValueError):
             exactness_audit(4, 1, 2, AFFECTED_FIXED, outcome_seed=0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP direction 1: at n_affected = n_time the dual group/time swap "
+        "ties in exact arithmetic but rounds apart, and the audit's >= breaks the tie",
+    )
+    @pytest.mark.parametrize(
+        "n, k, scheme", [(6, 3, DUAL_FIXED), (8, 4, DUAL_FIXED), (5, 2, DUAL_BERNOULLI)]
+    )
+    def test_balanced_dual_matches_exact_rational_oracle(self, n, k, scheme):
+        report = exactness_audit(n, k, k, scheme, outcome_seed=0)
+        base = [1] * k + [0] * (n - k)
+        fixed = scheme.mode is Mode.FIXED_MARGINS
+        pairs = canonical_labelings(base, base, dual=True, fixed=fixed)
+        oracle = [float(p) for p in exact_p_law_fraction(generator_for(0).standard_normal(n), pairs)]
+        assert np.array_equal(np.sort(report.p_values), oracle)
 
     def test_space_cap_enforced(self):
         with pytest.raises(SpaceTooLargeError):

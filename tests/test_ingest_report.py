@@ -101,11 +101,8 @@ class TestLoadPanel:
 
     def test_bool_words_only_behind_flag(self, tmp_path):
         text = "y,time,affected\n1,0,false\n2,1,False\n3,0,TRUE\n5,1,true\n"
-        path = write_csv(tmp_path, text)
         with pytest.raises(MalformedRowError):
-            load_panel(path)
-        sample = load_panel(path, allow_bool_words=True)
-        assert np.array_equal(sample.affected, [0, 0, 1, 1])
+            load_panel(write_csv(tmp_path, text))
 
     def test_label_floats_are_rejected(self, tmp_path):
         text = "y,time,affected\n1,0,0\n2,1.0,0\n3,0,1\n5,1,1\n"
@@ -176,7 +173,6 @@ def mock_dist(values):
     return NullDistribution(
         values=values,
         iterations_requested=values.size,
-        iterations_retained=values.size,
         scheme=RandomizationScheme(Margins.DUAL, Mode.FIXED_MARGINS),
         master_seed=0,
         degenerate_draws_discarded=0,

@@ -10,7 +10,6 @@ from didperm import (
     Mode,
     PanelSample,
     RandomizationScheme,
-    SeedSpec,
     derive_seed,
     generator_for,
     simulate_null,
@@ -24,10 +23,10 @@ AFFECTED_BERNOULLI = RandomizationScheme(Margins.AFFECTED_ONLY, Mode.BERNOULLI)
 
 
 def draw(affected, time, scheme, seed, rows=1):
-    """`draw_relabelings` of `rows` relabelings from the stream `seed`."""
+    """`draw_relabelings` of `rows` relabelings from the stream `seed` = (master, index)."""
     affected = np.asarray(affected, dtype=np.int64)
     time = np.asarray(time, dtype=np.int64)
-    return draw_relabelings(generator_for(seed), affected, time, scheme, rows)
+    return draw_relabelings(generator_for(*seed), affected, time, scheme, rows)
 
 
 def affected_row(labels, scheme, seed):
@@ -37,7 +36,7 @@ def affected_row(labels, scheme, seed):
 
 class TestSeedContract:
     def test_same_seedspec_reproduces_everything(self):
-        seed = SeedSpec(master_seed=99, stream_index=123)
+        seed = (99, 123)
         labels = [0, 1, 1, 0, 1]
         assert np.array_equal(
             affected_row(labels, AFFECTED_FIXED, seed), affected_row(labels, AFFECTED_FIXED, seed)
@@ -56,17 +55,17 @@ class TestSeedContract:
     def test_different_iterations_differ(self):
         zeros = np.zeros(32, dtype=np.int64)
         draws = {
-            affected_row(zeros, AFFECTED_BERNOULLI, SeedSpec(5, k)).tobytes() for k in range(16)
+            affected_row(zeros, AFFECTED_BERNOULLI, (5, k)).tobytes() for k in range(16)
         }
         assert len(draws) == 16
 
     def test_seedspec_validation(self):
         with pytest.raises(ValueError):
-            SeedSpec(master_seed=-1)
+            generator_for(-1)
         with pytest.raises(ValueError):
-            SeedSpec(master_seed=2**64)
+            generator_for(2**64)
         with pytest.raises(ValueError):
-            SeedSpec(master_seed=0, stream_index=-3)
+            generator_for(0, -3)
 
     def test_run_is_concatenation_of_block_replays(self):
         # Every block is replayed alone from its own fresh generator; the run
@@ -106,14 +105,14 @@ class TestPermuteFixed:
 
     def test_two_element_space_is_fair(self):
         flips = sum(
-            affected_row([1, 0], AFFECTED_FIXED, SeedSpec(0, k))[0] == 0 for k in range(4000)
+            affected_row([1, 0], AFFECTED_FIXED, (0, k))[0] == 0 for k in range(4000)
         )
         # binomial(4000, 1/2): 4 sigma is ~126
         assert abs(flips - 2000) <= 130
 
     def test_constant_vectors_are_fixed_points(self):
         for labels in ([1, 1, 1], [0, 0, 0, 0]):
-            out = affected_row(labels, AFFECTED_FIXED, SeedSpec(3, 9))
+            out = affected_row(labels, AFFECTED_FIXED, (3, 9))
             assert np.array_equal(out, labels)
 
     def test_margin_preserved_on_every_draw(self):
@@ -122,7 +121,7 @@ class TestPermuteFixed:
             labels = rng.integers(0, 2, size=int(rng.integers(2, 30)))
             if labels.sum() in (0, labels.size):
                 continue
-            out = affected_row(labels, AFFECTED_FIXED, SeedSpec(17, k))
+            out = affected_row(labels, AFFECTED_FIXED, (17, k))
             assert out.sum() == labels.sum()
             assert sorted(out.tolist()) == sorted(labels.tolist())
 
@@ -133,7 +132,7 @@ class TestPermuteFixed:
         labels = np.array([1, 1, 1, 0, 0, 0])
         codes = []
         for b in range(15):
-            block, _ = draw(labels, 1 - labels, AFFECTED_FIXED, SeedSpec(1234, b), rows=4000)
+            block, _ = draw(labels, 1 - labels, AFFECTED_FIXED, (1234, b), rows=4000)
             codes.append(block @ (1 << np.arange(6)))
         counts = np.unique(np.concatenate(codes), return_counts=True)[1]
         assert counts.size == 20
@@ -145,11 +144,11 @@ class TestDrawBernoulli:
 
     def test_single_draw_is_binary(self):
         for k in range(8):
-            assert affected_row([0], AFFECTED_BERNOULLI, SeedSpec(2, k))[0] in (0, 1)
+            assert affected_row([0], AFFECTED_BERNOULLI, (2, k))[0] in (0, 1)
 
     def test_fair_coin_fraction(self):
         zeros = np.zeros(10000, dtype=np.int64)
-        frac = affected_row(zeros, AFFECTED_BERNOULLI, SeedSpec(77, 0)).mean()
+        frac = affected_row(zeros, AFFECTED_BERNOULLI, (77, 0)).mean()
         assert 0.48 <= frac <= 0.52
 
 
@@ -158,7 +157,7 @@ class TestRelabel:
 
     def test_affected_only_passes_time_through(self):
         for k in range(20):
-            seed = SeedSpec(4, k)
+            seed = (4, k)
             new_affected, new_time = draw(SAMPLE.affected, SAMPLE.time, AFFECTED_FIXED, seed)
             assert np.array_equal(new_time[0], SAMPLE.time)
             assert new_affected[0].sum() == SAMPLE.affected.sum()
@@ -172,7 +171,7 @@ class TestRelabel:
             affected=[1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0],
         )
         for k in range(100):
-            new_affected, new_time = draw(sample.affected, sample.time, scheme, SeedSpec(8, k))
+            new_affected, new_time = draw(sample.affected, sample.time, scheme, (8, k))
             assert new_affected[0].sum() == sample.affected.sum()
             assert new_time[0].sum() == sample.time.sum()
 
@@ -188,7 +187,7 @@ class TestRelabel:
         counts = np.zeros(256, dtype=int)
         weights = 1 << np.arange(8)
         for b in range(20):
-            _, new_time = draw(sample.affected, sample.time, scheme, SeedSpec(314, b), rows=4000)
+            _, new_time = draw(sample.affected, sample.time, scheme, (314, b), rows=4000)
             counts += np.bincount(new_time @ weights, minlength=256)
         assert counts.min() > 0
         assert np.abs(counts - 312.5).max() <= 89
@@ -208,7 +207,7 @@ class TestRelabel:
         draws = 36000
         for b in range(9):
             new_affected, new_time = draw(
-                SAMPLE.affected, SAMPLE.time, scheme, SeedSpec(2718, b), rows=4000
+                SAMPLE.affected, SAMPLE.time, scheme, (2718, b), rows=4000
             )
             a_code = arrangement[new_affected @ (1 << np.arange(4))]
             t_code = arrangement[new_time @ (1 << np.arange(4))]
