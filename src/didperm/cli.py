@@ -9,7 +9,6 @@ failures do, each class with its own nonzero code.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -42,8 +41,6 @@ EXIT_ESTIMATION = 4
 EXIT_SPACE = 5
 EXIT_DEGENERATE = 6
 EXIT_IO = 7
-
-OUTPUT_DIR_ENV = "DIDPERM_OUTPUT_DIR"
 
 
 class _UsageError(Exception):
@@ -125,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     test.add_argument("--seed", type=_seed, default=0)
     test.add_argument("--bins", type=_positive_int, default=50, help="histogram bins")
     test.add_argument("--workers", type=_positive_int, default=1, help="process count")
-    test.add_argument("--output", help="report path (default: <output dir>/test_report.json)")
+    test.add_argument("--output", help="report path (default: ./test_report.json)")
     test.set_defaults(func=cmd_test)
 
     enum = sub.add_parser("enumerate", help="exact test over the full relabeling space")
@@ -133,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scheme_flags(enum)
     enum.add_argument("--alpha", type=_probability, default=0.05)
     enum.add_argument("--bins", type=_positive_int, default=50)
-    enum.add_argument("--output", help="report path (default: <output dir>/enumerate_report.json)")
+    enum.add_argument("--output", help="report path (default: ./enumerate_report.json)")
     enum.set_defaults(func=cmd_enumerate)
 
     space = sub.add_parser("space", help="relabeling-space sizes, gain, and entropies")
@@ -178,13 +175,7 @@ def _scheme(args) -> RandomizationScheme:
     return RandomizationScheme(margins=Margins(args.scheme), mode=Mode(args.mode))
 
 
-def _output_path(args, default_name: str) -> Path:
-    if args.output:
-        return Path(args.output)
-    return Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / default_name
-
-
-def _emit_report(args, sample, dist, default_name: str) -> tuple[Report, Path]:
+def _emit_report(args, sample, dist, default_name: str) -> None:
     observed = did_value(sample)
     result = test_significance(observed, dist, args.alpha)
     report = Report(
@@ -202,7 +193,7 @@ def _emit_report(args, sample, dist, default_name: str) -> tuple[Report, Path]:
         histogram=tuple(make_histogram(dist, args.bins)),
         space_stats=space_stats(sample.n, sample.n_affected, sample.n_time),
     )
-    path = _output_path(args, default_name)
+    path = Path(args.output or default_name)
     write_report(report, path)
     verdict = "rejected" if result.reject else "not rejected"
     print(
@@ -211,7 +202,6 @@ def _emit_report(args, sample, dist, default_name: str) -> tuple[Report, Path]:
         f"p={result.p_value:.4g} (corrected {result.p_value_corrected:.4g}); "
         f"report: {path}"
     )
-    return report, path
 
 
 def cmd_test(args) -> int:

@@ -3,10 +3,14 @@
 The null distribution of the DiD coefficient is built by relabeling the
 indicator vectors while holding outcomes fixed, either by Monte Carlo
 sampling (`simulate_null`) or by exact enumeration of every admissible
-relabeling (`enumerate_null`, for small spaces).  `test_significance`
-turns a distribution into a two-sided quantile decision plus p-values,
-and `exactness_audit` verifies the finite-sample validity guarantee
-P(p <= alpha) <= alpha exhaustively on enumerable spaces.
+relabeling (`enumerate_null`, for small spaces).  `randomize` owns the
+relabeling space (its draws, its size and its enumeration) and
+`panel._block_cells` turns each block of labels into DiD values, so both
+builders read: label blocks, one kernel call, keep or redraw.
+`test_significance` turns a distribution into a two-sided quantile
+decision plus p-values, and `exactness_audit` verifies the finite-sample
+validity guarantee P(p <= alpha) <= alpha exhaustively on enumerable
+spaces.
 
 Relabelings that empty a cell leave the DiD contrast undefined.  Such
 draws are discarded and, in the Monte Carlo path, redrawn from the same
@@ -19,7 +23,6 @@ makes its results bit-identical for any worker count.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -28,14 +31,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import SpaceTooLargeError, TooManyDegenerateDrawsError
-from .panel import PanelSample, _block_cells, _did_from_cells, did_value
+from .panel import PanelSample, _block_cells, did_value
 from .randomize import (
-    Margins,
-    Mode,
     RandomizationScheme,
-    stream_block_rows,
     draw_relabelings,
+    enumerate_relabelings,
     generator_for,
+    stream_block_rows,
 )
 
 __all__ = [
@@ -58,11 +60,6 @@ DEFAULT_ITERATIONS = 15_000
 # margins 4 and 4) took 2.1 s on a 2-vCPU host with numpy 2.4.
 ENUMERATION_CAP = 10_000_000
 MAX_RETRY_ATTEMPTS = 1_000
-
-# Label entries per kernel call during enumeration (see `enumerate_null`).
-# At n=12 dual/fixed, 2**13 and 2**14 were 1.5x and 1.25x slower, and 2**17
-# was slower and held 2.5 MB more.
-_ENUM_ENTRIES = 2**16
 
 
 class Source(Enum):
@@ -135,34 +132,30 @@ def _simulate_chunk(
     y, time, affected, scheme, master_seed, iterations, first_block, stop_block
 ) -> tuple[np.ndarray, int]:
     """Values and discard count of blocks [first_block, stop_block) of a run."""
+    # np.bincount copies read-only weights such as `PanelSample.y` on every
+    # kernel call; one writeable copy per run spares the one-row blocks that.
+    y = np.array(y)
     per_block = stream_block_rows(y.size)
-    start = first_block * per_block
-    values = np.empty(min(stop_block * per_block, iterations) - start, dtype=np.float64)
-    weights = np.tile(y, per_block)
     attempts = MAX_RETRY_ATTEMPTS
+    parts = []
     discarded = 0
-    # Degenerate rows divide by an empty cell's zero count; their values are
-    # overwritten by the redraw below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for block in range(first_block, stop_block):
-            lo = block * per_block
-            rows = min(per_block, iterations - lo)
-            rng = generator_for(master_seed, block)
-            new_affected, new_time = draw_relabelings(rng, affected, time, scheme, rows)
-            counts, sums = _block_cells(2 * new_affected + new_time, weights)
-            out = values[lo - start : lo - start + rows]
-            out[:] = _did_from_cells(sums / counts)
-            for row in np.flatnonzero(~counts.all(axis=1)).tolist():
-                for attempt in range(1, attempts):
-                    new_affected, new_time = draw_relabelings(rng, affected, time, scheme, 1)
-                    counts, sums = _block_cells(2 * new_affected + new_time, weights)
-                    if counts.all():
-                        out[row] = _did_from_cells(sums / counts)[0]
-                        discarded += attempt
-                        break
-                else:
-                    raise TooManyDegenerateDrawsError(iteration=lo + row + 1, attempts=attempts)
-    return values, discarded
+    for block in range(first_block, stop_block):
+        lo = block * per_block
+        rng = generator_for(master_seed, block)
+        labels = draw_relabelings(rng, affected, time, scheme, min(per_block, iterations - lo))
+        values, estimable = _block_cells(*labels, y)
+        for row in np.flatnonzero(~estimable).tolist():
+            for attempt in range(1, attempts):
+                labels = draw_relabelings(rng, affected, time, scheme, 1)
+                redrawn, estimable = _block_cells(*labels, y)
+                if estimable[0]:
+                    values[row] = redrawn[0]
+                    discarded += attempt
+                    break
+            else:
+                raise TooManyDegenerateDrawsError(iteration=lo + row + 1, attempts=attempts)
+        parts.append(values)
+    return np.concatenate(parts), discarded
 
 
 def simulate_null(
@@ -245,65 +238,26 @@ def simulate_null(
 # ---------------------------------------------------------------------------
 
 
-def _space_size(n: int, ones_affected: int, ones_time: int, scheme: RandomizationScheme) -> int:
-    if scheme.mode is Mode.FIXED_MARGINS:
-        size = math.comb(n, ones_affected)
-        if scheme.margins is Margins.DUAL:
-            size *= math.comb(n, ones_time)
-        return size
-    size = 1 << n
-    if scheme.margins is Margins.DUAL:
-        size <<= n
-    return size
-
-
-def _fixed_blocks(n: int, ones: int, block_rows: int):
-    """Indicator matrices over all C(n, ones) arrangements, lexicographic order."""
-    combos = itertools.combinations(range(n), ones)
-    while True:
-        rows = list(itertools.islice(combos, block_rows))
-        if not rows:
-            return
-        block = np.zeros((len(rows), n), dtype=np.int64)
-        if ones:
-            block[np.arange(len(rows))[:, None], np.array(rows, dtype=np.intp)] = 1
-        yield block
-
-
-def _bernoulli_blocks(n: int, block_rows: int):
-    """Indicator matrices over all 2**n binary vectors, integer order (bit j = obs j)."""
-    total = 1 << n
-    shifts = np.arange(n, dtype=np.uint64)
-    for start in range(0, total, block_rows):
-        ints = np.arange(start, min(start + block_rows, total), dtype=np.uint64)
-        yield ((ints[:, None] >> shifts) & np.uint64(1)).astype(np.int64)
-
-
-def _label_blocks(n: int, ones: int, mode: Mode, block_rows: int):
-    if mode is Mode.FIXED_MARGINS:
-        return _fixed_blocks(n, ones, block_rows)
-    return _bernoulli_blocks(n, block_rows)
-
-
 def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDistribution:
     """Exact null distribution over every admissible relabeling.
 
-    Fixed-margin spaces enumerate the C(n, ones) arrangements of each
-    relabeled vector (both vectors independently for the dual scheme);
-    Bernoulli spaces enumerate all 2**n binary vectors per margin.  The
-    values vector is assembled in canonical order: arrangements in
-    lexicographic (fixed) or integer (Bernoulli) order, affected-major for
-    the dual scheme.  Degenerate relabelings are counted in
-    `degenerate_draws_discarded` and excluded from the values.
+    `randomize.enumerate_relabelings` sizes the space and walks it: the
+    C(n, ones) arrangements of each relabeled vector under fixed margins,
+    all 2**n binary vectors per margin under Bernoulli, both margins for
+    the dual scheme.  The values vector keeps its canonical order:
+    arrangements in lexicographic (fixed) or integer (Bernoulli) order,
+    affected-major for the dual scheme.  Degenerate relabelings are
+    counted in `degenerate_draws_discarded` and excluded from the values.
 
-    Every value comes from the statistic kernel of `did_value` and
-    `simulate_null` (`panel._did_from_cells`), with each relabeling's
-    cells summed in observation order.  So the observed labeling's value
-    is bitwise one of the values, and flipping the 0/1 labels of one
-    margin maps a value to its exact negation; the weak inequality in
-    `randomization_p_value` counts those ties.  Ties that hold only in
-    exact arithmetic, such as the group/time swap in the dual scheme with
-    n_affected = n_time, can round apart (ROADMAP, direction 1).
+    Every value comes from `panel._block_cells`, the statistic call of
+    `simulate_null`, whose formula `panel._did_from_cells` also gives
+    `did_value`, with each relabeling's cells summed in observation order.
+    So the observed labeling's value is bitwise one of the values, and
+    flipping the 0/1 labels of one margin maps a value to its exact
+    negation; the weak inequality in `randomization_p_value` counts those
+    ties.  Ties that hold only in exact arithmetic, such as the group/time
+    swap in the dual scheme with n_affected = n_time, can round apart
+    (ROADMAP, direction 1).
 
     Raises
     ------
@@ -311,37 +265,17 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
         If the space size exceeds `ENUMERATION_CAP`; use `simulate_null`
         instead.
     """
-    n = sample.n
-    ones_a = sample.n_affected
-    ones_t = sample.n_time
-    size = _space_size(n, ones_a, ones_t, scheme)
+    size, blocks = enumerate_relabelings(sample.affected, sample.time, scheme)
     if size > ENUMERATION_CAP:
         raise SpaceTooLargeError(log_size=math.log(size), cap=ENUMERATION_CAP)
 
-    # Each kernel call pairs a block of affected arrangements with a block
-    # of time arrangements, about _ENUM_ENTRIES labels in all.  The time
-    # side is split only when one affected row against all of it exceeds
-    # that, so the calls visit the space in canonical order.
-    t_step = max(1, _ENUM_ENTRIES // n)
-    if scheme.margins is Margins.DUAL:
-        t_blocks = [blk.astype(np.int8) for blk in _label_blocks(n, ones_t, scheme.mode, t_step)]
-    else:
-        t_blocks = [sample.time.astype(np.int8)[None, :]]
-    t_rows = sum(blk.shape[0] for blk in t_blocks)
-    block_rows = max(1, _ENUM_ENTRIES // (t_rows * n))
-    weights = np.tile(sample.y, block_rows * t_blocks[0].shape[0])
     values = np.empty(size, dtype=np.float64)
     pos = 0
-    # Degenerate relabelings divide by an empty cell's zero count; their
-    # values are dropped.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a_block in _label_blocks(n, ones_a, scheme.mode, block_rows):
-            for t_block in t_blocks:
-                cells = (2 * a_block[:, None, :] + t_block[None, :, :]).reshape(-1, n)
-                counts, sums = _block_cells(cells, weights)
-                kept = _did_from_cells(sums / counts)[counts.all(axis=1)]
-                values[pos : pos + kept.size] = kept
-                pos += kept.size
+    for affected, time in blocks:
+        drawn, estimable = _block_cells(affected, time, sample.y)
+        kept = drawn[estimable]
+        values[pos : pos + kept.size] = kept
+        pos += kept.size
 
     return NullDistribution(
         values=values[:pos],
@@ -441,7 +375,8 @@ class UniformityReport:
         The maximum is taken over the attainable p-value levels, where
         P(p <= alpha) - alpha is piecewise largest.
         """
-        return max(self.rejection_rate(a) - a for a in np.unique(self.p_values))
+        levels, counts = np.unique(self.p_values, return_counts=True)
+        return float(np.max(np.cumsum(counts) / self.p_values.size - levels))
 
 
 def exactness_audit(
@@ -482,11 +417,8 @@ def exactness_audit(
         if y.shape != (n,):
             raise ValueError(f"outcomes must be a length-{n} vector")
 
-    base_affected = np.zeros(n, dtype=np.int64)
-    base_affected[:n_affected] = 1
-    base_time = np.zeros(n, dtype=np.int64)
-    base_time[:n_time] = 1
-    sample = PanelSample(y=y, time=base_time, affected=base_affected)
+    positions = np.arange(n)
+    sample = PanelSample(y=y, time=positions < n_time, affected=positions < n_affected)
     dist = enumerate_null(sample, scheme)
     if dist.iterations_retained == 0:
         raise ValueError("no estimable relabeling exists in this space")

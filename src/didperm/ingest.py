@@ -64,22 +64,44 @@ def _parse_outcome(token: str, column: str, row: int) -> float:
     return value
 
 
-def _first_fault(path: Path) -> MalformedRowError:
-    """The first record (0 = header) with an undecodable byte or an over-long field.
+def _decoded_records(path: Path):
+    """The CSV records of `path`, raising at the first non-UTF-8 byte or over-long field.
 
-    Called only after the streaming read has failed: the decoder works on
-    chunks, so its exception does not locate the row.
+    Each undecodable byte reads as a surrogate.  Rows count from 0 = header.
     """
     text = path.read_bytes().decode("utf-8-sig", errors="surrogateescape")
     row = 0
     try:
         for record in csv.reader(io.StringIO(text, newline="")):
             if any(_UNDECODED.search(field) for field in record):
-                break
+                raise MalformedRowError(row, "not valid UTF-8 text")
+            yield record
             row += 1
     except csv.Error as exc:  # the field size limit
-        return MalformedRowError(row, str(exc))
-    return MalformedRowError(row, "not valid UTF-8 text")
+        raise MalformedRowError(row, str(exc)) from None
+
+
+def _parse_records(records, path: Path, columns: ColumnMap):
+    """Outcome, time and affected lists of a header record and its data records."""
+    try:
+        header = next(records)
+    except StopIteration:
+        raise EmptyFileError(f"{path}: file is empty") from None
+    header = [name.strip() for name in header]
+    names = (columns.outcome_column, columns.time_column, columns.affected_column)
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise MissingColumnError(missing)
+    y_pos, t_pos, a_pos = (header.index(name) for name in names)
+
+    y, time, affected = [], [], []
+    for row_index, row in enumerate(records, start=1):
+        if len(row) != len(header):
+            raise MalformedRowError(row_index, f"expected {len(header)} fields, got {len(row)}")
+        y.append(_parse_outcome(row[y_pos], columns.outcome_column, row_index))
+        time.append(_parse_label(row[t_pos], columns.time_column, row_index))
+        affected.append(_parse_label(row[a_pos], columns.affected_column, row_index))
+    return y, time, affected
 
 
 def load_panel(path, columns: ColumnMap = ColumnMap()) -> PanelSample:
@@ -87,7 +109,7 @@ def load_panel(path, columns: ColumnMap = ColumnMap()) -> PanelSample:
 
     The file must be UTF-8 text, and its first row a header containing
     the three mapped columns.  Row indices in errors are 1-based over data
-    rows, with 0 for the header.
+    rows, with 0 for the header; the error names the first faulty row.
 
     Raises
     ------
@@ -109,34 +131,11 @@ def load_panel(path, columns: ColumnMap = ColumnMap()) -> PanelSample:
     # before the header; files without one read as plain UTF-8.
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyFileError(f"{path}: file is empty") from None
-            header = [name.strip() for name in header]
-            missing = [
-                name
-                for name in (columns.outcome_column, columns.time_column, columns.affected_column)
-                if name not in header
-            ]
-            if missing:
-                raise MissingColumnError(missing)
-            y_pos = header.index(columns.outcome_column)
-            t_pos = header.index(columns.time_column)
-            a_pos = header.index(columns.affected_column)
-
-            y, time, affected = [], [], []
-            for row_index, row in enumerate(reader, start=1):
-                if len(row) != len(header):
-                    raise MalformedRowError(
-                        row_index, f"expected {len(header)} fields, got {len(row)}"
-                    )
-                y.append(_parse_outcome(row[y_pos], columns.outcome_column, row_index))
-                time.append(_parse_label(row[t_pos], columns.time_column, row_index))
-                affected.append(_parse_label(row[a_pos], columns.affected_column, row_index))
+            y, time, affected = _parse_records(csv.reader(fh), path, columns)
     except (UnicodeDecodeError, csv.Error):
-        raise _first_fault(path) from None
+        # The decoder reads ahead in chunks, so it can fail before an earlier
+        # row's fault is seen; the same checks on a re-read find the first.
+        y, time, affected = _parse_records(_decoded_records(path), path, columns)
 
     if len(y) < 4:
         raise EmptyFileError(f"{path}: {len(y)} data rows; a 2x2 panel needs at least 4")

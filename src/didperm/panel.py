@@ -12,9 +12,10 @@ Both estimators are provided; for the saturated 2x2 design they agree exactly,
 and the OLS coefficients are solved in closed form from the cell means.
 
 This module also holds the statistic kernel that every DiD value in the
-package goes through, observed or relabeled: `_block_cells` sums the
+package goes through, observed or relabeled: `_cell_means` sums the
 cells of many labelings at once and `_did_from_cells` applies the
-four-means formula to their means.
+four-means formula to their means.  `_block_cells` joins the two into
+the one call from relabeled label blocks to DiD values.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
@@ -146,19 +147,36 @@ class OlsFit:
     residual_sum_squares: float
 
 
-def _block_cells(cells: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row cell counts and sums, each (rows, 4), of a (rows, n) cell-index matrix.
+def _cell_means(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-labeling cell counts and means, each (rows, 4), of (..., n) label arrays.
 
-    Cell index is 2*affected + time.  `weights` holds the outcomes tiled at
-    least `rows` times.  One bincount over the row-offset index
-    4*row + cell visits every row's entries in their own order, so each
-    row's sums are bit-identical to a bincount of that row alone.
+    `affected` and `time` broadcast together; every index of their leading
+    axes is one labeling, rows in C order, with cell index 2*affected + time.
+    One bincount over the row-offset index 4*row + cell visits every row's
+    entries in their own order, so each row's sums are bit-identical to a
+    bincount of that row alone.  An empty cell's mean is 0/0 = NaN.
     """
+    cells = (2 * affected + time).reshape(-1, y.size)
     rows = cells.shape[0]
     idx = (cells + 4 * np.arange(rows)[:, None]).ravel()
     counts = np.bincount(idx, minlength=4 * rows).reshape(rows, 4)
-    sums = np.bincount(idx, weights=weights[: idx.size], minlength=4 * rows).reshape(rows, 4)
-    return counts, sums
+    # One row reads y in place; a copy per call cost 6% per draw at n=10^5 (2 vCPUs).
+    weights = y if rows == 1 else np.tile(y, rows)
+    sums = np.bincount(idx, weights=weights, minlength=4 * rows).reshape(rows, 4)
+    with np.errstate(invalid="ignore"):
+        return counts, sums / counts
+
+
+def _block_cells(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """DiD values of many labelings of `y` at once, and which are estimable.
+
+    The one statistic call behind every relabeled DiD value: label arrays
+    as in `_cell_means` (a `randomize` draw or enumeration block) in,
+    (values, estimable) out, each of length rows.  The value of a row
+    with an empty cell is NaN, and `estimable` is False there.
+    """
+    counts, means = _cell_means(affected, time, y)
+    return _did_from_cells(means), counts.all(axis=1)
 
 
 def _did_from_cells(means: np.ndarray) -> np.ndarray:
@@ -166,7 +184,7 @@ def _did_from_cells(means: np.ndarray) -> np.ndarray:
 
     (treated change) - (control change) = (m3 - m2) - (m1 - m0), with this
     grouping kept explicit.  Every DiD value of the package, observed or
-    relabeled, is this function of `_block_cells` sums, so ties between
+    relabeled, is this function of `_cell_means`, so ties between
     them are exact in floating point for:
 
     * the observed labeling against itself in its own null;
@@ -187,10 +205,7 @@ def compute_cell_means(sample: PanelSample) -> CellMeans:
     Empty cells are represented (count 0, mean NaN) rather than rejected,
     so callers can decide how to treat inestimable relabelings.
     """
-    counts, sums = _block_cells((2 * sample.affected + sample.time)[None, :], sample.y)
-    # An empty cell's sum is 0, so its mean is 0/0 = NaN.
-    with np.errstate(invalid="ignore"):
-        means = sums / counts
+    counts, means = _cell_means(sample.affected, sample.time, sample.y)
     return CellMeans(means=means.reshape(2, 2), counts=counts.reshape(2, 2))
 
 

@@ -1,5 +1,7 @@
 """CLI tests: subcommands, reports, exit codes, reproducibility."""
 
+import contextlib
+import io
 import re
 
 import numpy as np
@@ -161,13 +163,11 @@ class TestCmdTest:
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_output_dir_env_override(self, minimal_csv, tmp_path, monkeypatch):
-        outdir = tmp_path / "results"
-        outdir.mkdir()
-        monkeypatch.setenv("DIDPERM_OUTPUT_DIR", str(outdir))
+    def test_default_report_path_is_in_working_directory(self, minimal_csv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         code = main(["test", "--input", minimal_csv, "--iterations", "50"])
         assert code == 0
-        assert (outdir / "test_report.json").exists()
+        assert (tmp_path / "test_report.json").exists()
 
 
 class TestCmdEnumerate:
@@ -548,6 +548,39 @@ class TestExitCodes:
             path.write_bytes(content)
             assert main(["test", "--input", str(path), "--iterations", "10"]) == EXIT_INGEST
             assert f"row {bad_row}: not valid UTF-8 text" in capsys.readouterr().err
+
+    def test_first_fault_in_row_order_is_named(self, tmp_path, capsys):
+        # The non-UTF-8 byte at row 4 shares a decoder chunk with row 1.
+        path = tmp_path / "faults.csv"
+        path.write_bytes(b"y,time,affected\n1.0,9,0\n2.0,1,0\n3.0,0,1\ncaf\xe9,1,1\n5,0,0\n")
+        assert main(["test", "--input", str(path), "--iterations", "10"]) == EXIT_INGEST
+        assert "row 1: column 'time' must be 0 or 1" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        rows=st.integers(1000, 4000),
+        faults=st.lists(
+            st.tuples(st.integers(1, 4000), st.sampled_from([b"2", b"x1", b"caf\xe9"])),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_long_file_names_its_first_faulty_row(self, tmp_path_factory, rows, faults):
+        # Thousands of rows span several 8 KB decoder chunks, so the faults
+        # land before, inside and after the chunk that fails to decode.
+        records = [[b"%d.5" % k, b"%d" % (k % 2), b"%d" % (k // 2 % 2)] for k in range(rows)]
+        for row, token in faults:
+            row = (row - 1) % rows
+            # a bad label goes in the time column, any other token in y
+            records[row][1 if token == b"2" else 0] = token
+        path = tmp_path_factory.mktemp("long") / "panel.csv"
+        path.write_bytes(b"y,time,affected\n" + b"".join(b",".join(r) + b"\n" for r in records))
+        first = min((row - 1) % rows for row, _ in faults) + 1
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["test", "--input", str(path), "--iterations", "10"])
+        assert code == EXIT_INGEST
+        assert f"input error: row {first}:" in err.getvalue()
 
     def test_over_long_field_names_its_row(self, tmp_path, capsys):
         path = tmp_path / "long.csv"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import didperm.inference as inference
+import didperm.randomize as randomize
 from didperm import (
     EmptyCellError,
     Margins,
@@ -243,7 +244,7 @@ class TestEnumerateNull:
         )
         baselines = [enumerate_null(s, scheme) for scheme in ALL_SCHEMES]
         for budget in (100, 1000):
-            monkeypatch.setattr(inference, "_ENUM_ENTRIES", budget)
+            monkeypatch.setattr(randomize, "_ENUM_ENTRIES", budget)
             for scheme, baseline in zip(ALL_SCHEMES, baselines):
                 blocked = enumerate_null(s, scheme)
                 assert np.array_equal(baseline.values, blocked.values)
@@ -542,6 +543,23 @@ class TestExactnessAudit:
     def test_impossible_margin_raises(self):
         with pytest.raises(ValueError):
             exactness_audit(4, 1, 2, AFFECTED_FIXED, outcome_seed=0)
+
+    @pytest.mark.parametrize(
+        "n, n_affected, n_time, scheme, seed",
+        [
+            (6, 3, 3, AFFECTED_FIXED, 5),
+            (7, 3, 3, AFFECTED_FIXED, 11),
+            (8, 3, 4, AFFECTED_FIXED, 3),
+            (6, 2, 3, DUAL_FIXED, 9),
+            (5, 2, 2, RandomizationScheme(Margins.AFFECTED_ONLY, Mode.BERNOULLI), 4),
+            (8, 4, 4, DUAL_FIXED, 0),
+            (5, 2, 2, DUAL_BERNOULLI, 0),
+        ],
+    )
+    def test_worst_violation_is_the_loop_over_levels(self, n, n_affected, n_time, scheme, seed):
+        report = exactness_audit(n, n_affected, n_time, scheme, outcome_seed=seed)
+        loop = max(report.rejection_rate(a) - a for a in np.unique(report.p_values))
+        assert report.worst_violation() == loop
 
     @pytest.mark.xfail(
         strict=True,

@@ -35,7 +35,7 @@ def affected_row(labels, scheme, seed):
 
 
 class TestSeedContract:
-    def test_same_seedspec_reproduces_everything(self):
+    def test_same_stream_reproduces_every_draw(self):
         seed = (99, 123)
         labels = [0, 1, 1, 0, 1]
         assert np.array_equal(
@@ -59,7 +59,7 @@ class TestSeedContract:
         }
         assert len(draws) == 16
 
-    def test_seedspec_validation(self):
+    def test_generator_for_rejects_out_of_range_keys(self):
         with pytest.raises(ValueError):
             generator_for(-1)
         with pytest.raises(ValueError):
