@@ -175,8 +175,7 @@ def _scheme(args) -> RandomizationScheme:
     return RandomizationScheme(margins=Margins(args.scheme), mode=Mode(args.mode))
 
 
-def _emit_report(args, sample, dist, default_name: str) -> None:
-    observed = did_value(sample)
+def _emit_report(args, sample, observed: float, dist, default_name: str) -> None:
     result = test_significance(observed, dist, args.alpha)
     report = Report(
         dataset_id=Path(args.input).stem,
@@ -206,6 +205,7 @@ def _emit_report(args, sample, dist, default_name: str) -> None:
 
 def cmd_test(args) -> int:
     sample = load_panel(args.input, _columns(args))
+    observed = did_value(sample)  # an inestimable sample fails before the null is built
     dist = simulate_null(
         sample,
         _scheme(args),
@@ -213,14 +213,15 @@ def cmd_test(args) -> int:
         master_seed=args.seed,
         workers=args.workers,
     )
-    _emit_report(args, sample, dist, "test_report.json")
+    _emit_report(args, sample, observed, dist, "test_report.json")
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
     sample = load_panel(args.input, _columns(args))
+    observed = did_value(sample)
     dist = enumerate_null(sample, _scheme(args))
-    _emit_report(args, sample, dist, "enumerate_report.json")
+    _emit_report(args, sample, observed, dist, "enumerate_report.json")
     return EXIT_OK
 
 

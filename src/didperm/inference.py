@@ -168,7 +168,7 @@ def simulate_null(
 ) -> NullDistribution:
     """Monte Carlo null distribution of the DiD coefficient.
 
-    Iterations are drawn in blocks of B = `stream_block_rows(sample.n)` rows.
+    Iterations are drawn in blocks of B = max(1, 8192 // sample.n) rows.
     Block b (0-based) holds iterations b*B + 1 .. min((b + 1)*B, iterations)
     and reads the stream `generator_for(master_seed, b)`: first the affected
     label matrix, then the time matrix (dual scheme), one row per
@@ -306,6 +306,8 @@ def randomization_p_value(observed: float, dist: NullDistribution) -> tuple[floa
     """
     if dist.iterations_retained == 0:
         raise ValueError("null distribution is empty")
+    if not math.isfinite(observed):
+        raise ValueError(f"observed value must be finite, got {observed}")
     count = int(np.count_nonzero(np.abs(dist.values) >= abs(observed)))
     m = dist.iterations_retained
     return count / m, (1 + count) / (m + 1)
@@ -321,7 +323,7 @@ def test_significance(observed: float, dist: NullDistribution, alpha: float = 0.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    raw, corrected = randomization_p_value(observed, dist)  # raises if dist is empty
+    raw, corrected = randomization_p_value(observed, dist)  # checks dist and observed
     # Two scalar calls: one call with both levels can differ in the last bit.
     lower = float(np.quantile(dist.values, alpha / 2.0))
     upper = float(np.quantile(dist.values, 1.0 - alpha / 2.0))

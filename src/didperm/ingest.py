@@ -9,7 +9,6 @@ of wrong DiD signs, so anything else is an error.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -64,15 +63,11 @@ def _parse_outcome(token: str, column: str, row: int) -> float:
     return value
 
 
-def _decoded_records(path: Path):
-    """The CSV records of `path`, raising at the first non-UTF-8 byte or over-long field.
-
-    Each undecodable byte reads as a surrogate.  Rows count from 0 = header.
-    """
-    text = path.read_bytes().decode("utf-8-sig", errors="surrogateescape")
+def _checked_records(records):
+    """`records`, raising at the first non-UTF-8 byte or over-long field; row 0 is the header."""
     row = 0
     try:
-        for record in csv.reader(io.StringIO(text, newline="")):
+        for record in records:
             if any(_UNDECODED.search(field) for field in record):
                 raise MalformedRowError(row, "not valid UTF-8 text")
             yield record
@@ -132,10 +127,12 @@ def load_panel(path, columns: ColumnMap = ColumnMap()) -> PanelSample:
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             y, time, affected = _parse_records(csv.reader(fh), path, columns)
-    except (UnicodeDecodeError, csv.Error):
+    except (UnicodeDecodeError, csv.Error) as exc:
         # The decoder reads ahead in chunks, so it can fail before an earlier
         # row's fault is seen; the same checks on a re-read find the first.
-        y, time, affected = _parse_records(_decoded_records(path), path, columns)
+        exc.__traceback__ = None  # frees the first read's rows before the re-read
+        with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+            y, time, affected = _parse_records(_checked_records(csv.reader(fh)), path, columns)
 
     if len(y) < 4:
         raise EmptyFileError(f"{path}: {len(y)} data rows; a 2x2 panel needs at least 4")

@@ -15,13 +15,13 @@ relabeling space and walks it in canonical order, in label blocks of the
 same form.  Both feed the statistic kernel `panel._block_cells`.
 
 Randomness is counter-based.  Simulation iterations are drawn in blocks of
-B = `stream_block_rows(n)` rows: iteration k (1-based) is row (k - 1) mod B
-of block (k - 1) // B, and block b reads the Philox stream
-`generator_for(master_seed, b)`.  A block draws its whole affected matrix
-first, then its time matrix (dual scheme); degenerate rows are redrawn from
-the same stream after that main draw, in row order.  No shared mutable
-generator exists anywhere, so blocks can be produced concurrently and in
-any order with identical results.
+B = `stream_block_rows(n)` = max(1, 8192 // n) rows: iteration k (1-based)
+is row (k - 1) mod B of block (k - 1) // B, and block b reads the Philox
+stream `generator_for(master_seed, b)`.  A block draws its whole affected
+matrix first, then its time matrix (dual scheme); degenerate rows are
+redrawn from the same stream after that main draw, in row order.  No shared
+mutable generator exists anywhere, so blocks can be produced concurrently
+and in any order with identical results.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ BERNOULLI_P = 0.5
 # arrays are short-lived but set the peak memory of short runs: 2**17 was
 # no faster and raised it by about 14%.
 _BLOCK_ENTRIES = 2**13
-_MAX_BLOCK_ROWS = 4096
 
 # Label entries per block during enumeration (see `enumerate_relabelings`).
 # At n=12 dual/fixed, 2**13 and 2**14 were 1.5x and 1.25x slower, and 2**17
@@ -119,13 +118,13 @@ def derive_seed(master_seed: int, *indices: int) -> int:
 
 
 def stream_block_rows(n: int) -> int:
-    """Iterations per stream block for an n-observation panel.
+    """Iterations per stream block for an n-observation panel: B = max(1, 8192 // n).
 
     Holds a block near 2**13 label entries per margin, so block memory
     stays bounded for every n; it depends on n alone, never on worker
     count or iteration count.
     """
-    return max(1, min(_MAX_BLOCK_ROWS, _BLOCK_ENTRIES // n))
+    return max(1, _BLOCK_ENTRIES // n)
 
 
 def _draw_margin(

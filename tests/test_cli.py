@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import re
 
 import numpy as np
@@ -11,7 +12,12 @@ from hypothesis import strategies as st
 
 from didperm import (
     BRAND_SEARCH,
+    ENUMERATION_CAP,
     INPRESS,
+    EmptyCellError,
+    EmptyFileError,
+    MalformedRowError,
+    MissingColumnError,
     Margins,
     Mode,
     RandomizationScheme,
@@ -34,16 +40,6 @@ from didperm.cli import (
     main,
 )
 
-DOCUMENTED_EXITS = {
-    EXIT_OK,
-    EXIT_USAGE,
-    EXIT_INGEST,
-    EXIT_ESTIMATION,
-    EXIT_SPACE,
-    EXIT_DEGENERATE,
-    EXIT_IO,
-}
-
 MINIMAL = "y,time,affected\n1,0,0\n2,1,0\n3,0,1\n5,1,1\n"
 # Bytes a spreadsheet export or a damaged file can hold: invalid UTF-8, a
 # Latin-1 e-acute, NUL, a bare carriage return, a byte-order mark.
@@ -57,6 +53,20 @@ def _spliced(edits):
         position %= len(data) + 1
         data = data[:position] + piece + data[position:]
     return data
+
+
+def _predicted_exits(path):
+    """The (test, enumerate) exit codes of `path`, from the library calls behind them."""
+    try:
+        sample = load_panel(path)
+    except (EmptyFileError, MalformedRowError, MissingColumnError):
+        return EXIT_INGEST, EXIT_INGEST
+    try:
+        did_value(sample)
+    except EmptyCellError:
+        return EXIT_ESTIMATION, EXIT_ESTIMATION
+    size = math.comb(sample.n, sample.n_affected) * math.comb(sample.n, sample.n_time)
+    return EXIT_OK, EXIT_SPACE if size > ENUMERATION_CAP else EXIT_OK
 
 
 @pytest.fixture()
@@ -475,6 +485,20 @@ class TestExitCodes:
                 assert main(argv) == EXIT_INGEST
             assert f"row {bad_row}:" in capsys.readouterr().err
 
+    def test_inestimable_sample_fails_before_the_null_is_built(self, tmp_path, capsys):
+        # time == affected empties cells (0, 1) and (1, 0); the relabeling
+        # space, C(24, 12)**2, is far above the enumeration cap
+        path = tmp_path / "diagonal.csv"
+        rows = "".join(f"{k}.5,{k % 2},{k % 2}\n" for k in range(24))
+        path.write_text("y,time,affected\n" + rows)
+        out = str(tmp_path / "r.json")
+        for argv in (
+            ["test", "--input", str(path), "--iterations", "10", "--output", out],
+            ["enumerate", "--input", str(path), "--output", out],
+        ):
+            assert main(argv) == EXIT_ESTIMATION
+            assert "didperm: estimation error:" in capsys.readouterr().err
+
     def test_invalid_margins_are_usage_errors(self, capsys):
         for argv in (
             ["audit", "--n", "4", "--n-affected", "5", "--n-time", "2"],
@@ -513,11 +537,10 @@ class TestExitCodes:
         path = work / "panel.csv"
         path.write_text("y,time,affected\n" + "".join(",".join(row) + "\n" for row in rows))
         out = str(work / "r.json")
-        for argv in (
-            ["test", "--input", str(path), "--iterations", "20", "--output", out],
-            ["enumerate", "--input", str(path), "--output", out],
-        ):
-            assert main(argv) in DOCUMENTED_EXITS
+        test_exit, enumerate_exit = _predicted_exits(path)
+        argv = ["--input", str(path), "--output", out]
+        assert main(["test", *argv, "--iterations", "20"]) == test_exit
+        assert main(["enumerate", *argv]) == enumerate_exit
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(
@@ -531,11 +554,10 @@ class TestExitCodes:
         path = work / "panel.csv"
         path.write_bytes(content)
         out = str(work / "r.json")
-        for argv in (
-            ["test", "--input", str(path), "--iterations", "20", "--output", out],
-            ["enumerate", "--input", str(path), "--output", out],
-        ):
-            assert main(argv) in DOCUMENTED_EXITS
+        test_exit, enumerate_exit = _predicted_exits(path)
+        argv = ["--input", str(path), "--output", out]
+        assert main(["test", *argv, "--iterations", "20"]) == test_exit
+        assert main(["enumerate", *argv]) == enumerate_exit
 
     def test_non_utf8_byte_names_its_row(self, tmp_path, capsys):
         # Rows 1-2000 fill several decoder chunks before the Latin-1 byte.

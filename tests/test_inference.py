@@ -378,6 +378,12 @@ class TestPValues:
         raw, _ = randomization_p_value(0.0, mock_distribution(rng.normal(size=64)))
         assert raw == 1.0
 
+    def test_non_finite_observed_is_rejected(self):
+        dist = mock_distribution([-2.0, -1.0, 1.0, 2.0])
+        for observed in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                randomization_p_value(observed, dist)
+
     def test_monte_carlo_converges_to_exact(self):
         rng = np.random.default_rng(74)
         s = PanelSample(
@@ -424,6 +430,13 @@ class TestTestSignificance:
         for alpha in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 significance_test(0.0, dist, alpha=alpha)
+
+    def test_non_finite_observed_is_rejected(self):
+        # NaN used to give p = 0 together with "not rejected"
+        dist = mock_distribution(np.arange(1.0, 102.0))
+        for observed in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                significance_test(observed, dist)
 
     def test_decision_affine_invariance(self):
         rng = np.random.default_rng(75)

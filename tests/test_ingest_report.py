@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ class TestLoadPanel:
         with pytest.raises(EmptyFileError):
             load_panel(write_csv(tmp_path, "y,time,affected\n"))
 
-    def test_bool_words_only_behind_flag(self, tmp_path):
+    def test_bool_words_are_rejected(self, tmp_path):
         text = "y,time,affected\n1,0,false\n2,1,False\n3,0,TRUE\n5,1,true\n"
         with pytest.raises(MalformedRowError):
             load_panel(write_csv(tmp_path, text))
@@ -108,6 +109,26 @@ class TestLoadPanel:
         text = "y,time,affected\n1,0,0\n2,1.0,0\n3,0,1\n5,1,1\n"
         with pytest.raises(MalformedRowError):
             load_panel(write_csv(tmp_path, text))
+
+    def test_error_path_streams_the_file(self, tmp_path, monkeypatch):
+        # Rows 1-2000 fill several decoder chunks before the Latin-1 byte.
+        rows = "".join(f"{k},{k % 2},{k // 2 % 2}\n" for k in range(2000))
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(("y,time,affected\n" + rows).encode() + b"caf\xe9,0,0\n")
+        wide = write_csv(tmp_path, MINIMAL.replace("3,0,1", "3" * 131_073 + ",0,1"), "wide.csv")
+
+        def read_whole(*args, **kwargs):
+            raise AssertionError("the file was read whole")
+
+        monkeypatch.setattr(Path, "read_bytes", read_whole)
+        monkeypatch.setattr(Path, "read_text", read_whole)
+        for path, row, message in (
+            (latin1, 2001, "not valid UTF-8 text"),
+            (wide, 3, "field larger than field limit"),
+        ):
+            with pytest.raises(MalformedRowError, match=f"row {row}: {message}") as err:
+                load_panel(path)
+            assert err.value.row == row
 
     def test_fixture_round_trip_reproduces_reference_means(self, tmp_path):
         path = write_fixture_csv(tmp_path / "inpress.csv", make_fixture(INPRESS))
