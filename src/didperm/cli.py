@@ -164,11 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _columns(args) -> ColumnMap:
-    return ColumnMap(
-        outcome_column=args.outcome_col,
-        time_column=args.time_col,
-        affected_column=args.affected_col,
-    )
+    try:
+        return ColumnMap(
+            outcome_column=args.outcome_col,
+            time_column=args.time_col,
+            affected_column=args.affected_col,
+        )
+    except ValueError as exc:  # two flags name the same column
+        raise _UsageError(str(exc)) from None
 
 
 def _scheme(args) -> RandomizationScheme:
@@ -287,16 +290,19 @@ def cmd_audit(args) -> int:
 
 
 def cmd_power(args) -> int:
-    result = run_power_study(
-        cell_n=args.cell_n,
-        delta=args.delta,
-        noise_sd=args.noise_sd,
-        replications=args.reps,
-        alpha=args.alpha,
-        iterations=args.iterations,
-        mode=Mode(args.mode),
-        master_seed=args.seed,
-    )
+    try:
+        result = run_power_study(
+            cell_n=args.cell_n,
+            delta=args.delta,
+            noise_sd=args.noise_sd,
+            replications=args.reps,
+            alpha=args.alpha,
+            iterations=args.iterations,
+            mode=Mode(args.mode),
+            master_seed=args.seed,
+        )
+    except ValueError as exc:  # a non-finite delta or noise_sd, or outcomes that overflow
+        raise _UsageError(str(exc)) from None
     if args.reps == 1:
         print("warning: a single replication yields a 0-or-1 rejection rate", file=sys.stderr)
     print(result.render())
@@ -318,7 +324,8 @@ def main(argv=None) -> int:
         print(f"didperm: estimation error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
     except SpaceTooLargeError as exc:
-        print(f"didperm: {exc}; try `didperm test`", file=sys.stderr)
+        hint = "; try `didperm test`" if args.command == "enumerate" else ""
+        print(f"didperm: {exc}{hint}", file=sys.stderr)
         return EXIT_SPACE
     except TooManyDegenerateDrawsError as exc:
         print(f"didperm: {exc}", file=sys.stderr)

@@ -63,39 +63,38 @@ def _parse_outcome(token: str, column: str, row: int) -> float:
     return value
 
 
-def _checked_records(records):
-    """`records`, raising at the first non-UTF-8 byte or over-long field; row 0 is the header."""
-    row = 0
-    try:
-        for record in records:
-            if any(_UNDECODED.search(field) for field in record):
-                raise MalformedRowError(row, "not valid UTF-8 text")
-            yield record
-            row += 1
-    except csv.Error as exc:  # the field size limit
-        raise MalformedRowError(row, str(exc)) from None
+def _utf8_lines(lines):
+    """`lines`, raising csv.Error at the first that holds a byte that is not UTF-8."""
+    for line in lines:
+        if not line.isascii() and _UNDECODED.search(line):
+            raise csv.Error("not valid UTF-8 text")
+        yield line
 
 
 def _parse_records(records, path: Path, columns: ColumnMap):
     """Outcome, time and affected lists of a header record and its data records."""
-    try:
-        header = next(records)
-    except StopIteration:
-        raise EmptyFileError(f"{path}: file is empty") from None
-    header = [name.strip() for name in header]
-    names = (columns.outcome_column, columns.time_column, columns.affected_column)
-    missing = [name for name in names if name not in header]
-    if missing:
-        raise MissingColumnError(missing)
-    y_pos, t_pos, a_pos = (header.index(name) for name in names)
-
+    header = None
     y, time, affected = [], [], []
-    for row_index, row in enumerate(records, start=1):
-        if len(row) != len(header):
-            raise MalformedRowError(row_index, f"expected {len(header)} fields, got {len(row)}")
-        y.append(_parse_outcome(row[y_pos], columns.outcome_column, row_index))
-        time.append(_parse_label(row[t_pos], columns.time_column, row_index))
-        affected.append(_parse_label(row[a_pos], columns.affected_column, row_index))
+    try:
+        header = next(records, None)
+        if header is None:
+            raise EmptyFileError(f"{path}: file is empty")
+        header = [name.strip() for name in header]
+        names = (columns.outcome_column, columns.time_column, columns.affected_column)
+        missing = [name for name in names if name not in header]
+        if missing:
+            raise MissingColumnError(missing)
+        y_pos, t_pos, a_pos = (header.index(name) for name in names)
+
+        for row_index, row in enumerate(records, start=1):
+            if len(row) != len(header):
+                raise MalformedRowError(row_index, f"expected {len(header)} fields, got {len(row)}")
+            y.append(_parse_outcome(row[y_pos], columns.outcome_column, row_index))
+            time.append(_parse_label(row[t_pos], columns.time_column, row_index))
+            affected.append(_parse_label(row[a_pos], columns.affected_column, row_index))
+    except csv.Error as exc:
+        # csv reads one line at a time, so the reader is still on the faulty record.
+        raise MalformedRowError(0 if header is None else len(y) + 1, str(exc)) from None
     return y, time, affected
 
 
@@ -103,8 +102,12 @@ def load_panel(path, columns: ColumnMap = ColumnMap()) -> PanelSample:
     """Load a comma-separated panel file into a PanelSample.
 
     The file must be UTF-8 text, and its first row a header containing
-    the three mapped columns.  Row indices in errors are 1-based over data
-    rows, with 0 for the header; the error names the first faulty row.
+    the three mapped columns.  It is read once, as a stream, and the error
+    names the first faulty row.  Rows count records, not lines (a quoted
+    field may span lines): 1-based over data rows, with 0 for the header.
+    Each line is checked for bytes that are not UTF-8 before csv splits
+    it, so a line holding both such a byte and an over-long field is
+    named for the byte.
 
     Raises
     ------
@@ -123,16 +126,10 @@ def load_panel(path, columns: ColumnMap = ColumnMap()) -> PanelSample:
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheet exports put
-    # before the header; files without one read as plain UTF-8.
-    try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            y, time, affected = _parse_records(csv.reader(fh), path, columns)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        # The decoder reads ahead in chunks, so it can fail before an earlier
-        # row's fault is seen; the same checks on a re-read find the first.
-        exc.__traceback__ = None  # frees the first read's rows before the re-read
-        with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-            y, time, affected = _parse_records(_checked_records(csv.reader(fh)), path, columns)
+    # before the header; files without one read as plain UTF-8.  A byte
+    # that is not UTF-8 decodes to a lone surrogate for _utf8_lines to name.
+    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        y, time, affected = _parse_records(csv.reader(_utf8_lines(fh)), path, columns)
 
     if len(y) < 4:
         raise EmptyFileError(f"{path}: {len(y)} data rows; a 2x2 panel needs at least 4")

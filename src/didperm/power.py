@@ -72,10 +72,11 @@ class PowerStudyResult:
 
 def _synthetic_panel(cell_n: int, delta: float, noise_sd: float, rng) -> PanelSample:
     n = 4 * cell_n
-    y = noise_sd * rng.standard_normal(n)
     time = np.tile(np.repeat([0, 1], cell_n), 2)
     affected = np.repeat([0, 1], 2 * cell_n)
-    y[(time == 1) & (affected == 1)] += delta
+    with np.errstate(over="ignore"):  # an overflowed outcome fails PanelSample's finiteness check
+        y = noise_sd * rng.standard_normal(n)
+        y[(time == 1) & (affected == 1)] += delta
     return PanelSample(y=y, time=time, affected=affected)
 
 

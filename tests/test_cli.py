@@ -289,11 +289,12 @@ class TestCmdAudit:
     def test_missing_flags(self):
         assert main(["audit", "--n", "6"]) == EXIT_USAGE
 
-    def test_space_cap(self):
+    def test_space_cap(self, capsys):
         code = main(
             ["audit", "--n", "64", "--n-affected", "32", "--n-time", "32", "--scheme", "dual"]
         )
         assert code == EXIT_SPACE
+        assert "didperm test" not in capsys.readouterr().err
 
 
 class TestCmdPower:
@@ -454,6 +455,25 @@ class TestExitCodes:
             with pytest.raises(SystemExit) as err:
                 main(argv)
             assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "--time-col", "y"],
+            ["enumerate", "--affected-col", "time"],
+            ["space", "--outcome-col", "affected"],
+            ["power", "--delta", "nan"],
+            ["power", "--noise-sd", "inf"],
+            ["power", "--delta", "1e308", "--noise-sd", "1e308"],
+        ],
+    )
+    def test_flags_the_library_rejects_are_usage_errors(self, argv, minimal_csv, capsys):
+        if argv[0] == "power":
+            argv = argv + ["--reps", "1", "--iterations", "9"]
+        else:
+            argv = argv + ["--input", minimal_csv]
+        assert main(argv) == EXIT_USAGE
+        assert "didperm: usage error:" in capsys.readouterr().err
 
     def test_too_few_rows_is_an_input_error(self, tmp_path):
         path = tmp_path / "short.csv"

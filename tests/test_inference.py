@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import didperm.inference as inference
 import didperm.randomize as randomize
+import didperm.spaces as spaces
 from didperm import (
     EmptyCellError,
     Margins,
@@ -320,6 +321,21 @@ class TestEnumerateNull:
             enumerate_null(sample, DUAL_FIXED)
         expected_log = 2 * math.log(math.comb(40, 20))
         assert err.value.log_size == pytest.approx(expected_log, rel=1e-12)
+
+    def test_far_over_cap_space_is_not_sized_in_big_integers(self, monkeypatch):
+        comb = math.comb
+
+        def small_comb(n, k):
+            assert n < 10**5, "the exact size of a space far past the cap was computed"
+            return comb(n, k)
+
+        monkeypatch.setattr(math, "comb", small_comb)
+        n = 10**6
+        positions = np.arange(n)
+        sample = PanelSample(y=positions % 7, time=positions % 2, affected=positions // 2 % 2)
+        with pytest.raises(SpaceTooLargeError) as err:
+            enumerate_null(sample, DUAL_FIXED)
+        assert err.value.log_size == pytest.approx(2 * spaces.log_binomial(n, n // 2), rel=1e-12)
 
     def test_counts_match_space_stats_exponentials(self):
         from didperm import space_stats

@@ -44,6 +44,8 @@ def write_csv(tmp_path, text, name="panel.csv"):
 
 
 MINIMAL = "y,time,affected\n1,0,0\n2,1,0\n3,0,1\n5,1,1\n"
+# An unmapped quoted `note` column; record 2 spans two lines.
+NOTED = 'y,time,affected,note\n1,0,0,a\n2,1,0,"two\nlines"\n3,0,1,"c"\n5,1,1,"d"\n'
 
 
 class TestLoadPanel:
@@ -129,6 +131,49 @@ class TestLoadPanel:
             with pytest.raises(MalformedRowError, match=f"row {row}: {message}") as err:
                 load_panel(path)
             assert err.value.row == row
+
+    def test_each_file_is_opened_once(self, tmp_path, monkeypatch):
+        rows = "".join(f"{k},{k % 2},{k // 2 % 2}\n" for k in range(2000))
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(("y,time,affected\n" + rows).encode() + b"caf\xe9,0,0\n")
+        wide = write_csv(tmp_path, MINIMAL.replace("3,0,1", "3" * 131_073 + ",0,1"), "wide.csv")
+        minimal = write_csv(tmp_path, MINIMAL)
+        opened = []
+        real_open = Path.open
+
+        def spy(self, *args, **kwargs):
+            opened.append(self)
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", spy)
+        for path in (minimal, latin1, wide):
+            opened.clear()
+            try:
+                load_panel(path)
+            except MalformedRowError:
+                pass
+            assert opened == [path]
+
+    def test_bad_byte_on_a_later_line_of_a_record_names_that_record(self, tmp_path):
+        path = tmp_path / "noted.csv"
+        path.write_bytes(NOTED.replace('"c"', '"first\ncaf\xe9"').encode("latin-1"))
+        with pytest.raises(MalformedRowError, match="row 3: not valid UTF-8 text") as err:
+            load_panel(path)
+        assert err.value.row == 3
+
+    def test_rows_count_records_not_lines(self, tmp_path):
+        path = write_csv(tmp_path, NOTED.replace("5,1,1", "5,1,2"))
+        with pytest.raises(MalformedRowError, match="row 4: column 'affected'") as err:
+            load_panel(path)
+        assert err.value.row == 4
+
+    def test_bad_byte_is_named_before_an_over_long_field_on_its_line(self, tmp_path):
+        path = tmp_path / "noted.csv"
+        note = '"' + "z" * 131_073 + ' caf\xe9"'
+        path.write_bytes(NOTED.replace('"c"', note).encode("latin-1"))
+        with pytest.raises(MalformedRowError, match="row 3: not valid UTF-8 text") as err:
+            load_panel(path)
+        assert err.value.row == 3
 
     def test_fixture_round_trip_reproduces_reference_means(self, tmp_path):
         path = write_fixture_csv(tmp_path / "inpress.csv", make_fixture(INPRESS))
