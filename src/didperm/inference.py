@@ -176,6 +176,12 @@ def simulate_null(
     (sample, scheme, iterations, master_seed) and is bit-identical for
     every `workers` value.
 
+    The stream contract fixes how each row is drawn (`randomize`).  Up to
+    n = 4096 (block-v1) a fixed-margin row is a shuffle of the labels.
+    Past it (block-v2, where B = 1) it is one `Generator.choice` of the
+    positions of the rarer label.  So fixed-margin values at n > 4096
+    differ from those of block-v1 releases; Bernoulli values do not.
+
     Parameters
     ----------
     sample : PanelSample

@@ -9,6 +9,7 @@ of wrong DiD signs, so anything else is an error.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -43,6 +44,9 @@ class ColumnMap:
 # Undecodable bytes under errors="surrogateescape".
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
+# Size hint of one `readlines` batch for the UTF-8 check.
+_BATCH_CHARS = 2**16
+
 
 def _parse_label(token: str, column: str, row: int) -> int:
     text = token.strip()
@@ -63,12 +67,19 @@ def _parse_outcome(token: str, column: str, row: int) -> float:
     return value
 
 
-def _utf8_lines(lines):
-    """`lines`, raising csv.Error at the first that holds a byte that is not UTF-8."""
-    for line in lines:
-        if not line.isascii() and _UNDECODED.search(line):
+def _utf8_batches(fh):
+    """Batches of the lines of `fh`, raising csv.Error at the first line that is not UTF-8.
+
+    A batch (about 64 KB, `readlines`) is checked in one pass.  One that
+    holds such a line is cut before it and raises when the next batch is
+    asked for, so csv.reader, fed line by line, is on that line's record.
+    """
+    while batch := fh.readlines(_BATCH_CHARS):
+        text = "".join(batch)
+        if not text.isascii() and _UNDECODED.search(text):
+            yield list(itertools.takewhile(lambda line: not _UNDECODED.search(line), batch))
             raise csv.Error("not valid UTF-8 text")
-        yield line
+        yield batch
 
 
 def _parse_records(records, path: Path, columns: ColumnMap):
@@ -127,9 +138,10 @@ def load_panel(path, columns: ColumnMap = ColumnMap()) -> PanelSample:
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheet exports put
     # before the header; files without one read as plain UTF-8.  A byte
-    # that is not UTF-8 decodes to a lone surrogate for _utf8_lines to name.
+    # that is not UTF-8 decodes to a lone surrogate for _utf8_batches to name.
     with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        y, time, affected = _parse_records(csv.reader(_utf8_lines(fh)), path, columns)
+        lines = itertools.chain.from_iterable(_utf8_batches(fh))
+        y, time, affected = _parse_records(csv.reader(lines), path, columns)
 
     if len(y) < 4:
         raise EmptyFileError(f"{path}: {len(y)} data rows; a 2x2 panel needs at least 4")

@@ -23,6 +23,14 @@ matrix first, then its time matrix (dual scheme); degenerate rows are
 redrawn from the same stream after that main draw, in row order.  No shared
 mutable generator exists anywhere, so blocks can be produced concurrently
 and in any order with identical results.
+
+How a fixed-margin row is drawn is part of that contract and depends on
+n alone.  Up to n = 4096 (B > 1, contract block-v1) a row is a shuffle of
+the labels.  Past it (B = 1, contract block-v2) a row is a uniform subset
+of the positions of the rarer label, `Generator.choice(n, m,
+replace=False, shuffle=False)`, which is cheaper than a shuffle of all n
+labels (see `_draw_margin`).  Bernoulli rows are `random(n) < 1/2` at
+every n.
 """
 
 from __future__ import annotations
@@ -138,17 +146,36 @@ def stream_block_rows(n: int) -> int:
 def _draw_margin(
     rng: np.random.Generator, labels: np.ndarray, mode: Mode, rows: int
 ) -> np.ndarray:
-    """`rows` independent relabelings of the int64 vector `labels`, one per row.
+    """`rows` independent relabelings of the 0/1 vector `labels`, one per row.
 
     FIXED_MARGINS rows are uniformly random rearrangements of `labels`, so
     each keeps its count of ones exactly; BERNOULLI rows are n independent
     Bernoulli(BERNOULLI_P) labels and read only the length of `labels`.
     Rows are drawn from `rng` in row order.
+
+    How a fixed-margin row is drawn depends on n alone.  While
+    `stream_block_rows(n)` > 1, a row is a shuffle of int64 `labels`
+    (`Generator.permuted`).  Once it is 1 (n > 4096, stream contract
+    block-v2), a row is one `Generator.choice(n, m, replace=False,
+    shuffle=False)` of the m = min(ones, n - ones) positions of the rarer
+    label, which is then scattered into an int8 row of the other label.
+    At a tie the drawn positions take the label of observation 0.  Either
+    way `1 - labels` draws the same positions, so flipping a margin's
+    labels flips every row.  On that path Bernoulli rows are int8 too.
     """
-    if mode is Mode.FIXED_MARGINS:
+    n = labels.size
+    one_row = stream_block_rows(n) == 1
+    if mode is Mode.BERNOULLI:
+        return (rng.random((rows, n)) < BERNOULLI_P).astype(np.int8 if one_row else np.int64)
+    if not one_row:
         out = np.tile(labels, (rows, 1))
         return rng.permuted(out, axis=1, out=out)
-    return (rng.random((rows, labels.size)) < BERNOULLI_P).astype(np.int64)
+    ones = int(labels.sum())
+    drawn = int(labels[0]) if 2 * ones == n else int(2 * ones < n)
+    out = np.full((rows, n), 1 - drawn, dtype=np.int8)
+    for row in out:
+        row[rng.choice(n, min(ones, n - ones), replace=False, shuffle=False)] = drawn
+    return out
 
 
 def draw_relabelings(
@@ -161,11 +188,13 @@ def draw_relabelings(
     """(affected, time) label matrices of `rows` relabelings drawn from `rng`.
 
     The affected matrix is drawn first, then the time matrix in the dual
-    scheme; under AFFECTED_ONLY every time row is `time` itself.
+    scheme; under AFFECTED_ONLY every time row is `time` itself, in the
+    dtype of the affected rows.
     """
     new_affected = _draw_margin(rng, affected, scheme.mode, rows)
     if scheme.margins is Margins.DUAL:
         return new_affected, _draw_margin(rng, time, scheme.mode, rows)
+    time = time.astype(new_affected.dtype, copy=False)
     return new_affected, np.broadcast_to(time, (rows, time.size))
 
 

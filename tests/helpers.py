@@ -145,9 +145,28 @@ def documented_block_rows(n):
 
 
 def _replay_margin(rng, labels, fixed):
-    if fixed:
+    """One relabeling of `labels` drawn from `rng` as the stream contract documents.
+
+    Up to n = 4096 (multi-row blocks) a fixed-margin row is a shuffle.
+    Past it (one-row blocks, block-v2) it is a `choice` of the m positions
+    of the rarer label (at a tie, the label of observation 0) with the
+    other label everywhere else.
+    """
+    n = len(labels)
+    if not fixed:
+        return (rng.random(n) < 0.5).astype(np.int64)
+    if documented_block_rows(n) > 1:
         return rng.permutation(labels)
-    return (rng.random(len(labels)) < 0.5).astype(np.int64)
+    ones = int(np.sum(labels))
+    if 2 * ones == n:
+        rare = int(labels[0])
+    else:
+        rare = 1 if 2 * ones < n else 0
+    positions = rng.choice(n, min(ones, n - ones), replace=False, shuffle=False)
+    row = [1 - rare] * n
+    for pos in positions.tolist():
+        row[pos] = rare
+    return np.array(row, dtype=np.int64)
 
 
 def replay_block(sample, dual, fixed, master_seed, block, rows, max_attempts=1000):

@@ -1,0 +1,70 @@
+"""Committed SHA-256 pins of `simulate_null` runs: the stream contract, held fixed.
+
+The replay tests compare `simulate_null` with an oracle that draws from
+the same numpy `Generator`, so a numpy release that changed `permuted`,
+`choice`, `random` or Philox would move both sides alike and leave them
+agreeing.  These pins would not move with it.
+
+Each pin is the SHA-256 of a run's values (little-endian float64 bytes)
+and its discard count, for the four schemes on one deterministic panel
+per n, over 2B + 5 iterations (three stream blocks).  n = 5, 80 and
+4096 take multi-row blocks; their pins, and every Bernoulli pin, predate
+the block-v2 subset draw and are unchanged by it.  The fixed-margin
+pins at n = 5000 (one-row blocks) pin block-v2 itself.  The n = 5 panel
+discards thousands of degenerate draws, so its pins cover the redraw
+order too.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from didperm import Margins, Mode, PanelSample, RandomizationScheme, simulate_null
+from helpers import documented_block_rows
+
+MASTER_SEED = 11
+
+# (n, margins, mode) -> (SHA-256 of the values, degenerate draws discarded)
+PINS = {
+    (5, "affected", "fixed"): ("08c7f0a53b85c702c0085892dd8c6deceba953d261afd4ddf04ba68469041d7c", 2089),
+    (5, "affected", "bernoulli"): ("7a077bedb16410cf886962b1e4204142b2b5d04fbfa1b3655a599ecf0d876bba", 5631),
+    (5, "dual", "fixed"): ("fef2dc6c9b3d1251a79e539981b8a8e7cce6e75b9a6d5b7c7df393f8d7a808a6", 2211),
+    (5, "dual", "bernoulli"): ("c219b1c3f47b2f2d17121b094dc794fc9da117294fc4809aa4f29979beacd562", 10797),
+    (80, "affected", "fixed"): ("f6f029778c13355546eb050d42f6b31975a3f62a6cb904a83dfdd94f4d299794", 0),
+    (80, "affected", "bernoulli"): ("f495e16950dbc2f575aeca34e0392d51484936096a40be70dc90d4283b9ea980", 0),
+    (80, "dual", "fixed"): ("edc68f2699595d52c6b1665f3e992c5f6fdca543553c45bf4779d9792bb43cdb", 0),
+    (80, "dual", "bernoulli"): ("d052b48c99df227aefcd6dd0f24e0ed969ca694fc5c9612a2616069854b16841", 0),
+    (4096, "affected", "fixed"): ("0225d07aec050785aeb3e3afeb626a196b1994b741f16f49aab452dc10e92825", 0),
+    (4096, "affected", "bernoulli"): ("427b7113c43d9b2308f54d7753f6912521783879c6a1fbf64c33e460a9f890bd", 0),
+    (4096, "dual", "fixed"): ("2a0ee1635c63a9061a95de12c5c956be54b768778ac1294333f97dfb36e4f880", 0),
+    (4096, "dual", "bernoulli"): ("a89d0e41a79600e0e24ca90b4f7ff0c35c66686460e3096290fe7838f83b2652", 0),
+    (5000, "affected", "fixed"): ("829184d3cd3979c68159b871f164baf48e3c9ac8dec510474b678bf6598239f4", 0),
+    (5000, "affected", "bernoulli"): ("b630e1fa2df81ec6cad0eb6a82fafa3c4763d4c2b1c58aa384ec7d8f3bd84c61", 0),
+    (5000, "dual", "fixed"): ("05599492f27482880df62397c5fb5d69bbf8307fb4594f0af262b3801ab339a6", 0),
+    (5000, "dual", "bernoulli"): ("67c5f01c47f3f01e0bc628b6354de0132da6e97587f438d0e0008d4ba9758325", 0),
+}
+
+
+def digest_panel(n):
+    """A panel built from integer arithmetic alone, so it needs no random stream.
+
+    Margins: affected holds ceil(n/3) ones, time floor(n/2), so at even n
+    the time margin is a tie.
+    """
+    i = np.arange(n)
+    y = (i * 7919 % 1009) / 101.0 - 5.0
+    return PanelSample(y=y, time=i % 2, affected=(i % 3 == 0).astype(int))
+
+
+@pytest.mark.parametrize("n, margins, mode", sorted(PINS))
+def test_simulate_null_digest(n, margins, mode):
+    iterations = 2 * documented_block_rows(n) + 5
+    scheme = RandomizationScheme(Margins(margins), Mode(mode))
+    dist = simulate_null(digest_panel(n), scheme, iterations=iterations, master_seed=MASTER_SEED)
+    digest = hashlib.sha256(dist.values.astype("<f8").tobytes()).hexdigest()
+    assert (digest, dist.degenerate_draws_discarded) == PINS[n, margins, mode], (
+        f"the simulate_null stream for n={n}, {margins}/{mode} changed under "
+        f"numpy {np.__version__}; the pins hold the documented stream contract "
+        "(block-v1 up to n = 4096, block-v2 past it)"
+    )

@@ -100,23 +100,29 @@ class TestSimulateNull:
     def test_matches_independent_stream_replay(self, scheme):
         # Reference: replay each block's stream row by row with the
         # documented draw order (affected rows, then time rows, then
-        # redraws of degenerate rows), across two block boundaries.
-        iterations = 2 * documented_block_rows(FOUR_POINT.n) + 60
-        dist = simulate_null(FOUR_POINT, scheme, iterations=iterations, master_seed=21)
-        blocks = replay_run(
-            FOUR_POINT,
-            scheme.margins is Margins.DUAL,
-            scheme.mode is Mode.FIXED_MARGINS,
-            21,
-            iterations,
+        # redraws of degenerate rows).  The four-point panel crosses two
+        # block boundaries.  At n = 5000 every block is one row (block-v2
+        # subset draws); with an affected margin of 2, about half of the
+        # fixed-margin draws are degenerate, so one-row redraws run too.
+        rng = np.random.default_rng(22)
+        large = PanelSample(
+            y=rng.normal(size=5000), time=rng.integers(0, 2, 5000), affected=[0, 1] * 2500
         )
-        labels = [pair for block_labels, _ in blocks for pair in block_labels]
-        brute = [brute_force_did(FOUR_POINT.y, t, a) for a, t in labels]
-        kernel = [kernel_stat(FOUR_POINT.y, t, a) for a, t in labels]
-        assert len(blocks) == 3
-        assert np.allclose(dist.values, brute, rtol=1e-12, atol=0)
-        assert dist.values.tobytes() == np.array(kernel, dtype=np.float64).tobytes()
-        assert dist.degenerate_draws_discarded == sum(d for _, d in blocks)
+        sparse = PanelSample(y=large.y, time=large.time, affected=[1, 1] + [0] * 4998)
+        fixed = scheme.mode is Mode.FIXED_MARGINS
+        runs = [(FOUR_POINT, 2 * documented_block_rows(FOUR_POINT.n) + 60, 3), (large, 3, 3), (sparse, 6, 6)]
+        for sample, iterations, block_count in runs:
+            dist = simulate_null(sample, scheme, iterations=iterations, master_seed=21)
+            blocks = replay_run(sample, scheme.margins is Margins.DUAL, fixed, 21, iterations)
+            labels = [pair for block_labels, _ in blocks for pair in block_labels]
+            brute = [brute_force_did(sample.y, t, a) for a, t in labels]
+            kernel = [kernel_stat(sample.y, t, a) for a, t in labels]
+            assert len(blocks) == block_count
+            assert np.allclose(dist.values, brute, rtol=1e-12, atol=0)
+            assert dist.values.tobytes() == np.array(kernel, dtype=np.float64).tobytes()
+            assert dist.degenerate_draws_discarded == sum(d for _, d in blocks)
+            if sample is sparse and fixed:
+                assert dist.degenerate_draws_discarded > 0
 
     def test_rejects_inestimable_sample(self):
         s = PanelSample(y=[1, 2, 3, 4], time=[0, 0, 1, 1], affected=[0, 0, 1, 1])
@@ -175,8 +181,14 @@ class TestLabelSwap:
         iterations = data.draw(st.integers(1, 400))
         seed = data.draw(st.integers(0, 2**64 - 1))
         assert did_value(swapped) == -did_value(sample)
-        base = simulate_null(sample, scheme, iterations=iterations, master_seed=seed)
-        flipped = simulate_null(swapped, scheme, iterations=iterations, master_seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            # One-row blocks (block-v2) draw the positions of the rarer
+            # label, or at a tie of observation 0's label, so 1 - labels
+            # draws the same positions there too.
+            if data.draw(st.booleans(), label="one-row blocks"):
+                patch.setattr(randomize, "_BLOCK_ENTRIES", 1)
+            base = simulate_null(sample, scheme, iterations=iterations, master_seed=seed)
+            flipped = simulate_null(swapped, scheme, iterations=iterations, master_seed=seed)
         assert np.array_equal(flipped.values, -base.values)
         assert flipped.degenerate_draws_discarded == base.degenerate_draws_discarded
 
@@ -501,6 +513,26 @@ class TestOracleConvergence:
         mc = simulate_null(FOUR_POINT, DUAL_FIXED, iterations=50000, master_seed=17)
         # DKW at 99% for 50000 draws is ~0.0073; allow 0.01
         assert sup_cdf_distance(mc.values, exact.values) <= 0.01
+
+
+class TestOneRowBlockLaw:
+    """The block-v2 subset draw, run at n = 8 by shrinking the block budget."""
+
+    @pytest.mark.parametrize("scheme", [AFFECTED_FIXED, DUAL_FIXED, DUAL_BERNOULLI])
+    @pytest.mark.parametrize("k", [4, 3])
+    def test_matches_exact_law(self, monkeypatch, scheme, k):
+        # Both margins hold k of 8: a tie at k = 4.  DKW at 99% for 20000
+        # draws bounds the sup distance between CDFs by about 0.0115.
+        monkeypatch.setattr(randomize, "_BLOCK_ENTRIES", 8)
+        assert randomize.stream_block_rows(8) == 1
+        sample = PanelSample(
+            y=generator_for(81).standard_normal(8),
+            time=[1] + [0] * (k - 1) + [1] * (k - 1) + [0] * (9 - 2 * k),
+            affected=[1] * k + [0] * (8 - k),
+        )
+        exact = enumerate_null(sample, scheme)
+        mc = simulate_null(sample, scheme, iterations=20000, master_seed=k)
+        assert sup_cdf_distance(mc.values, exact.values) <= 0.0115
 
 
 class TestExactnessAudit:

@@ -154,6 +154,21 @@ class TestLoadPanel:
                 pass
             assert opened == [path]
 
+    def test_long_file_names_its_first_fault_past_the_first_batch(self, tmp_path):
+        # About 180 KB, so lines are checked in several batches.  An earlier
+        # fault in the batch that holds the Latin-1 byte is named first.
+        rows = [f"{k},{k % 2},{k // 2 % 2}\n".encode() for k in range(12_000)]
+        rows[9_000] = b"caf\xe9,0,0\n"
+        header = b"y,time,affected\n"
+        path = tmp_path / "long.csv"
+        path.write_bytes(header + b"".join(rows))
+        with pytest.raises(MalformedRowError, match="row 9001: not valid UTF-8 text"):
+            load_panel(path)
+        rows[8_990] = b"1,9,0\n"
+        path.write_bytes(header + b"".join(rows))
+        with pytest.raises(MalformedRowError, match="row 8991: column 'time'"):
+            load_panel(path)
+
     def test_bad_byte_on_a_later_line_of_a_record_names_that_record(self, tmp_path):
         path = tmp_path / "noted.csv"
         path.write_bytes(NOTED.replace('"c"', '"first\ncaf\xe9"').encode("latin-1"))

@@ -7,7 +7,13 @@ import pytest
 
 from didperm import (
     BITS_PER_NAT,
+    Margins,
+    Mode,
+    PanelSample,
+    RandomizationScheme,
     binary_entropy,
+    enumerate_null,
+    generator_for,
     log_binomial,
     space_stats,
     stirling_log_binomial,
@@ -172,3 +178,21 @@ class TestAsymptotics:
         deviations = [abs(r - 1.0) for r in ratios]
         assert deviations == sorted(deviations, reverse=True)
         assert deviations[-1] < 0.01
+
+
+class TestBalancedDualSupport:
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_distinct_magnitudes_follow_the_agreement_set_law(self, n):
+        # At n_A = n_T = n/2 the dual DiD depends on the labels only through
+        # the agreement set D = {i : affected_i = time_i}, of even size 2c
+        # with 0 < c < n/2, and D and its complement give negated values.
+        # So of the C(n, n/2)**2 relabelings only 2**(n-2) - 1 distinct |DiD|
+        # remain, about sqrt(pi n / 8) times the affected-only count.
+        half = [1] * (n // 2) + [0] * (n // 2)
+        sample = PanelSample(y=generator_for(0).standard_normal(n), time=[1, 0] * (n // 2), affected=half)
+        dual = enumerate_null(sample, RandomizationScheme(Margins.DUAL, Mode.FIXED_MARGINS))
+        magnitudes = np.sort(np.abs(dual.values))
+        tol = 1e-9 * magnitudes[-1]
+        distinct = 1 + int(np.count_nonzero(np.diff(magnitudes) > tol))
+        assert dual.iterations_requested == math.comb(n, n // 2) ** 2
+        assert distinct == 2 ** (n - 2) - 1
