@@ -110,7 +110,8 @@ class TestSimulateNull:
         )
         sparse = PanelSample(y=large.y, time=large.time, affected=[1, 1] + [0] * 4998)
         fixed = scheme.mode is Mode.FIXED_MARGINS
-        runs = [(FOUR_POINT, 2 * documented_block_rows(FOUR_POINT.n) + 60, 3), (large, 3, 3), (sparse, 6, 6)]
+        four_point_iterations = 2 * documented_block_rows(FOUR_POINT.n) + 60
+        runs = [(FOUR_POINT, four_point_iterations, 3), (large, 3, 3), (sparse, 6, 6)]
         for sample, iterations, block_count in runs:
             dist = simulate_null(sample, scheme, iterations=iterations, master_seed=21)
             blocks = replay_run(sample, scheme.margins is Margins.DUAL, fixed, 21, iterations)
