@@ -69,7 +69,7 @@ class BenchmarkDataset:
 
     def did_from_cell_means(self) -> float:
         """Four-means DiD implied by the rounded cell means."""
-        return float(_did_from_cells(np.array(self.cell_means).reshape(4)))
+        return float(_did_from_cells(*np.array(self.cell_means).reshape(4)))
 
 
 INPRESS = BenchmarkDataset(

@@ -4,9 +4,12 @@ The null distribution of the DiD coefficient is built by relabeling the
 indicator vectors while holding outcomes fixed, either by Monte Carlo
 sampling (`simulate_null`) or by exact enumeration of every admissible
 relabeling (`enumerate_null`, for small spaces).  `randomize` owns the
-relabeling space (its draws, its size and its enumeration) and
-`panel._block_cells` turns each block of labels into DiD values, so both
-builders read: label blocks, one kernel call, keep or redraw.
+relabeling space (its draws, its size and its enumeration).
+`panel._block_cells` turns each block of drawn labels into DiD values and
+`panel._product_cells` each pair of enumerated label blocks, so both
+builders read: label blocks, one kernel call, keep or redraw.  Both
+record the one tie tolerance of their panel (`NullDistribution`), which
+the p-values use to count ties.
 `test_significance` turns a distribution into a two-sided quantile
 decision plus p-values, and `exactness_audit` verifies the finite-sample
 validity guarantee P(p <= alpha) <= alpha exhaustively on enumerable
@@ -24,14 +27,13 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import TooManyDegenerateDrawsError
-from .panel import PanelSample, _block_cells, did_value
+from .panel import PanelSample, _block_cells, _product_cells, did_value
 from .randomize import (
     ENUMERATION_CAP,
     RandomizationScheme,
@@ -60,6 +62,18 @@ DEFAULT_ITERATIONS = 15_000
 MAX_RETRY_ATTEMPTS = 1_000
 
 
+def _tie_tolerance(y: np.ndarray) -> float:
+    """tol = 8*n*eps*max|y|, the distance within which two DiD values tie.
+
+    A cell sum adds at most n outcomes no larger than max|y|, so the
+    orders in which the two kernels sum move a value by a small multiple
+    of n*eps*max|y| (eps the float64 machine epsilon); 8 is the stated
+    margin on it.  Distinct values of continuous outcomes almost surely
+    lie much further apart.  Rescaling y rescales tol with the values.
+    """
+    return 8 * y.size * float(np.finfo(np.float64).eps) * float(np.max(np.abs(y)))
+
+
 class Source(Enum):
     """Provenance of a null distribution."""
 
@@ -75,6 +89,12 @@ class NullDistribution:
     space size for exact enumeration.  `iterations_retained` is
     len(values); it falls short of the space size exactly when degenerate
     (empty-cell) relabelings were discarded.
+
+    `tie_tolerance` is how far below |observed| a value |v| may fall and
+    still count as at least as extreme (`randomization_p_value`).
+    `simulate_null` and `enumerate_null` set it to tol = 8*n*eps*max|y|
+    of their panel (eps the float64 machine epsilon); 0.0, the default,
+    counts bitwise ties only.
     """
 
     values: np.ndarray
@@ -83,6 +103,7 @@ class NullDistribution:
     master_seed: int | None
     degenerate_draws_discarded: int
     source: Source
+    tie_tolerance: float = 0.0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -90,6 +111,9 @@ class NullDistribution:
             raise ValueError("values must be a 1-d vector")
         if not np.isfinite(values).all():
             raise ValueError("null distribution values must all be finite")
+        if not 0.0 <= self.tie_tolerance < math.inf:
+            raise ValueError("tie_tolerance must be finite and >= 0")
+        object.__setattr__(self, "tie_tolerance", float(self.tie_tolerance))
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -106,7 +130,8 @@ class TestResult:
     The null is rejected exactly when `observed` falls outside the open
     interval (lower, upper); equality with either bound rejects.  For
     continuous outcomes such ties have probability zero.  `p_value` is the
-    plain fraction of null draws at least as extreme in absolute value;
+    fraction of null draws at least as extreme in absolute value, ties
+    counted within the distribution's `tie_tolerance`;
     `p_value_corrected` is the add-one Monte Carlo version
     (1 + count) / (retained + 1), never anti-conservative at finite
     sample counts.
@@ -221,6 +246,10 @@ def simulate_null(
     if min(workers, blocks) <= 1:
         values, discarded = run(0, blocks)
     else:
+        # Imported here: most runs never start a pool, and the import is a
+        # tenth of `import didperm`.
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, blocks, num=min(workers, blocks) + 1, dtype=np.int64).tolist()
         with ProcessPoolExecutor(max_workers=len(bounds) - 1) as pool:
             parts = list(pool.map(run, bounds[:-1], bounds[1:]))
@@ -234,6 +263,7 @@ def simulate_null(
         master_seed=master_seed,
         degenerate_draws_discarded=discarded,
         source=Source.MONTE_CARLO,
+        tie_tolerance=_tie_tolerance(sample.y),
     )
 
 
@@ -253,15 +283,17 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
     affected-major for the dual scheme.  Degenerate relabelings are
     counted in `degenerate_draws_discarded` and excluded from the values.
 
-    Every value comes from `panel._block_cells`, the statistic call of
-    `simulate_null`, whose formula `panel._did_from_cells` also gives
-    `did_value`, with each relabeling's cells summed in observation order.
-    So the observed labeling's value is bitwise one of the values, and
-    flipping the 0/1 labels of one margin maps a value to its exact
-    negation; the weak inequality in `randomization_p_value` counts those
-    ties.  Ties that hold only in exact arithmetic, such as the group/time
-    swap in the dual scheme with n_affected = n_time, can round apart
-    (ROADMAP, direction 1).
+    Every value comes from `panel._product_cells`, which forms each block
+    pair's cells from products of its label rows and ends in
+    `panel._did_from_cells`, the formula of `did_value` and
+    `simulate_null`.  Its cell sums are taken in observation order and
+    its values do not depend on how the walk is blocked.  Three of the
+    four cell sums come by inclusion-exclusion, so a value can differ
+    from `did_value` on the same labels in the last bits; ties that hold
+    in exact arithmetic (the observed labeling, the group/time swap of
+    the dual scheme with n_affected = n_time) can round apart too.  The
+    distribution therefore carries tie_tolerance = 8*n*eps*max|y|, and
+    `randomization_p_value` counts |v| >= |observed| - tol.
 
     Raises
     ------
@@ -273,10 +305,10 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
     values = np.empty(size, dtype=np.float64)
     pos = 0
     for affected, time in blocks:
-        drawn, estimable = _block_cells(affected, time, sample.y)
-        kept = drawn[estimable]
-        values[pos : pos + kept.size] = kept
-        pos += kept.size
+        drawn, estimable = _product_cells(affected, time, sample.y)
+        kept = int(np.count_nonzero(estimable))
+        np.compress(estimable, drawn, out=values[pos : pos + kept])
+        pos += kept
 
     return NullDistribution(
         values=values[:pos],
@@ -285,6 +317,7 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
         master_seed=None,
         degenerate_draws_discarded=size - pos,
         source=Source.EXACT_ENUMERATION,
+        tie_tolerance=_tie_tolerance(sample.y),
     )
 
 
@@ -302,14 +335,18 @@ def randomization_p_value(observed: float, dist: NullDistribution) -> tuple[floa
     """Two-sided randomization p-value of `observed` against a null distribution.
 
     Returns (raw, corrected): raw is the fraction of null values v with
-    |v| >= |observed| (the exact p-value when the distribution is a full
-    enumeration); corrected is (1 + count) / (retained + 1).
+    |v| >= |observed| - tol (the exact p-value when the distribution is a
+    full enumeration); corrected is (1 + count) / (retained + 1).  tol is
+    the distribution's `tie_tolerance`, 8*n*eps*max|y| of its panel when
+    `simulate_null` or `enumerate_null` built it: values that tie in
+    exact arithmetic but round apart are counted as ties.  Counting more
+    ties can only raise p, so the test stays valid.
     """
     if dist.iterations_retained == 0:
         raise ValueError("null distribution is empty")
     if not math.isfinite(observed):
         raise ValueError(f"observed value must be finite, got {observed}")
-    count = int(np.count_nonzero(np.abs(dist.values) >= abs(observed)))
+    count = int(np.count_nonzero(np.abs(dist.values) >= abs(observed) - dist.tie_tolerance))
     m = dist.iterations_retained
     return count / m, (1 + count) / (m + 1)
 
@@ -395,12 +432,13 @@ def exactness_audit(
     Outcomes are drawn once from a standard normal stream seeded by
     `outcome_seed` (continuous, so cross-relabeling ties occur only
     through exact symmetries of the space), or taken from `outcomes` when
-    given.  All statistics come from `enumerate_null`, on the one
-    statistic kernel behind every DiD value.  Sign flips of one margin's
-    labels tie exactly in floating point; the group/time swap of the dual
-    scheme with n_affected = n_time does not, so at such margins some
-    p-values differ from their exact-arithmetic law (ROADMAP,
-    direction 1).
+    given.  All statistics come from `enumerate_null`.  Each p-value
+    counts the values v with |v| >= |s| - tol for its own statistic s,
+    with the distribution's tie tolerance tol = 8*n*eps*max|y|, as
+    `randomization_p_value` does.  So relabelings that tie in exact
+    arithmetic (sign flips of one margin, the group/time swap of the dual
+    scheme with n_affected = n_time, equal cell counts) tie here too,
+    and the p-values follow their exact-arithmetic law.
 
     Raises
     ------
@@ -429,7 +467,8 @@ def exactness_audit(
     stats = dist.values
     m = stats.size
     magnitudes = np.sort(np.abs(stats))
-    p_values = (m - np.searchsorted(magnitudes, np.abs(stats), side="left")) / m
+    cut = np.abs(stats) - dist.tie_tolerance
+    p_values = (m - np.searchsorted(magnitudes, cut, side="left")) / m
     return UniformityReport(
         n=n,
         n_affected=n_affected,

@@ -11,11 +11,13 @@ coefficient of the saturated two-way OLS model
 Both estimators are provided; for the saturated 2x2 design they agree exactly,
 and the OLS coefficients are solved in closed form from the cell means.
 
-This module also holds the statistic kernel that every DiD value in the
-package goes through, observed or relabeled: `_cell_means` sums the
-cells of many labelings at once and `_did_from_cells` applies the
-four-means formula to their means.  `_block_cells` joins the two into
-the one call from relabeled label blocks to DiD values.
+This module also holds the statistic kernels.  Every DiD value in the
+package ends in `_did_from_cells`, the four-means formula.  `_cell_means`
+sums the cells of many labelings at once in one pass over their labels,
+for the observed value (`compute_cell_means`) and, through
+`_block_cells`, for every Monte Carlo draw.  `_product_cells` gives the
+DiD values of every (affected row, time row) pair of two label blocks
+from products of the rows, for exact enumeration.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
@@ -170,33 +172,111 @@ def _cell_means(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _block_cells(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """DiD values of many labelings of `y` at once, and which are estimable.
 
-    The one statistic call behind every relabeled DiD value: label arrays
-    as in `_cell_means` (a `randomize` draw or enumeration block) in,
-    (values, estimable) out, each of length rows.  The value of a row
+    The statistic call behind every Monte Carlo draw: label arrays as in
+    `_cell_means` (a `randomize` draw) in, (values, estimable) out, each
+    of length rows.  The value of a row
     with an empty cell is NaN, and `estimable` is False there.
     """
     counts, means = _cell_means(affected, time, y)
-    return _did_from_cells(means), counts.all(axis=1)
+    return _did_from_cells(*means.T), counts.all(axis=1)
 
 
-def _did_from_cells(means: np.ndarray) -> np.ndarray:
-    """The DiD formula on (..., 4) cell means, cell index 2*affected + time.
+def _ordered_sums(p, q, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of `y` over the ones of 0/1 label rows, each in observation order.
+
+    For rows p (rp, n) and q (rq, n), returns (by_p, by_q).  by_p is
+    (rp, rq + 1): column j < rq sums y over the observations where both p_i
+    and q_j hold a one, column rq over those of p_i.  by_q is (rq + 1,):
+    entry j < rq sums over q_j, entry rq over all n.  Each sum starts at
+    0.0 and adds its terms in observation order, whatever rp and rq are.
+    """
+    n = y.size
+    # Row i holds y_i under every q row with a one at i, and y_i last;
+    # row n is zero and pads short rows of `positions`.
+    terms = np.zeros((n + 1, len(q) + 1))
+    np.multiply(q.T, y[:, None], out=terms[:n, :-1])
+    terms[:n, -1] = y
+    width = int(p.sum(axis=1).max(initial=0))
+    positions = np.sort(np.where(p, np.arange(n), n), axis=1)[:, :width]
+    by_p = np.zeros((len(p), len(q) + 1))
+    for column in positions.T:  # the k-th one of every p row, k = 0, 1, ...
+        by_p += terms[column]
+    by_q = np.zeros(len(q) + 1)
+    for row in terms[:n]:
+        by_q += row
+    return by_p, by_q
+
+
+def _product_cells(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values, and estimability, of every (affected row, time row) pair of two label blocks.
+
+    `affected` (ra, n) and `time` (rt, n) hold 0/1 label rows.  The result
+    has ra*rt entries, affected-major, the labelings that `_block_cells`
+    would take on the broadcast of the two blocks.  Only the cells are
+    formed differently:
+
+    * counts: |A & T| is the product of the label rows (integers, so
+      exact in float64 in any order), and the other three cells follow
+      from it, n_A, n_T and n;
+    * sums: the sums of y over A & T, A, T and all n are each taken in
+      observation order from 0.0 (`_ordered_sums`, through the side with
+      fewer rows).  The A & T sum is bitwise the cell-3 sum of
+      `_cell_means`; the other three cell sums follow by
+      inclusion-exclusion.
+
+    No sum of outcomes goes through BLAS or depends on how rows are
+    blocked, so a value does not depend on the block size, thread count
+    or BLAS build.  Inclusion-exclusion rounds differently from
+    `_cell_means`, so a value can differ from `_block_cells`'s in the last
+    bits; see `_did_from_cells` for how ties are counted.  The value of a
+    pair with an empty cell is not finite, and `estimable` is False there.
+    """
+    n = y.size
+    # Step through the ones of the side with fewer rows: each step adds a
+    # whole row of the other side's terms.
+    if len(affected) > len(time):
+        by_t, by_a = _ordered_sums(time, affected, y)
+        s3, s_time = by_t[:, :-1].T, by_t[:, -1]
+        s_affected, total = by_a[:-1, None], by_a[-1]
+    else:
+        by_a, by_t = _ordered_sums(affected, time, y)
+        s3, s_affected = by_a[:, :-1], by_a[:, -1:]
+        s_time, total = by_t[:-1], by_t[-1]
+    a = affected.astype(np.float64)
+    t = time.astype(np.float64)
+    ones = np.ones(n)
+    c3 = a @ t.T
+    c_affected = (a @ ones)[:, None]
+    c2 = c_affected - c3
+    c1 = t @ ones - c3
+    c0 = (n - c_affected) - c1
+    s2 = s_affected - s3
+    s1 = s_time - s3
+    s0 = (total - s_affected) - s1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = _did_from_cells(s0 / c0, s1 / c1, s2 / c2, s3 / c3)
+    estimable = np.minimum(np.minimum(c0, c1), np.minimum(c2, c3)) > 0
+    return values.ravel(), estimable.ravel()
+
+
+def _did_from_cells(m0, m1, m2, m3):
+    """The DiD formula on the four cell means, cell index 2*affected + time.
 
     (treated change) - (control change) = (m3 - m2) - (m1 - m0), with this
     grouping kept explicit.  Every DiD value of the package, observed or
-    relabeled, is this function of `_cell_means`, so ties between
-    them are exact in floating point for:
+    relabeled, is this function of cell means.  The observed value and
+    Monte Carlo draws take them from `_cell_means`, exact enumeration from
+    `_product_cells`, which rounds its cell sums differently.
 
-    * the observed labeling against itself in its own null;
-    * relabelings that flip the 0/1 labels of one margin, which maps
-      every value to its exact negation.
-
-    Ties that hold only in exact arithmetic are not exact here: in the
-    dual scheme with n_affected = n_time, swapping the group and time
-    labels regroups the four means and rounds differently (ROADMAP,
-    direction 1).
+    So ties that hold in exact arithmetic need not hold in floating
+    point: between enumerated values and the observed one, and in the
+    dual scheme with n_affected = n_time, between relabelings that the
+    group/time swap or equal cell counts make equal.  `inference` counts
+    them with one tie tolerance, tol = 8*n*eps*max|y| (eps the float64
+    machine epsilon): a null value v is at least as extreme as observed
+    when |v| >= |observed| - tol.
     """
-    return (means[..., 3] - means[..., 2]) - (means[..., 1] - means[..., 0])
+    return (m3 - m2) - (m1 - m0)
 
 
 def compute_cell_means(sample: PanelSample) -> CellMeans:
@@ -231,7 +311,7 @@ def did_from_means(cells: CellMeans) -> float:
         If the value is not finite.
     """
     _require_four_cells(cells.counts)
-    value = float(_did_from_cells(cells.means.reshape(4)))
+    value = float(_did_from_cells(*cells.means.reshape(4)))
     if not np.isfinite(value):
         raise ValueError("DiD value must be finite")
     return value

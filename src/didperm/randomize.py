@@ -10,10 +10,14 @@ Two axes configure a randomization scheme:
 
 `draw_relabelings` draws a matrix of relabeled affected vectors and one
 of time vectors, a row per relabeling, from a given generator; a single
-relabeling is a one-row draw.  `enumerate_relabelings` sizes the whole
+relabeling is a one-row draw.  Its rows feed the statistic kernel
+`panel._block_cells`.  `enumerate_relabelings` sizes the whole
 relabeling space, refuses one past `ENUMERATION_CAP`, and walks it in
-canonical order, in label blocks of the same form.  Both feed the
-statistic kernel `panel._block_cells`.
+canonical order as pairs of an affected block and a time block, whose
+row products `panel._product_cells` turns into values.  The two kernels
+sum cells in different orders, so a relabeling can get values a few
+ulps apart from the two; `inference` counts ties within
+tol = 8*n*eps*max|y| (see `panel._did_from_cells`).
 
 Randomness is counter-based.  Simulation iterations are drawn in blocks of
 B = `stream_block_rows(n)` = max(1, 8192 // n) rows: iteration k (1-based)
@@ -63,13 +67,14 @@ BERNOULLI_P = 0.5
 _BLOCK_ENTRIES = 2**13
 
 # Largest space `enumerate_relabelings` walks.  9.4M relabelings (n=18,
-# dual, margins 4 and 4) took 2.1 s on a 2-vCPU host with numpy 2.4.
+# dual, margins 4 and 4) took 0.5-0.65 s on a 2-vCPU host with numpy 2.4,
+# and their values alone take 75 MB.
 ENUMERATION_CAP = 10_000_000
 
-# Label entries per block during enumeration (see `enumerate_relabelings`).
-# At n=12 dual/fixed, 2**13 and 2**14 were 1.5x and 1.25x slower, and 2**17
-# was slower and held 2.5 MB more.
-_ENUM_ENTRIES = 2**16
+# Relabelings times n per block during enumeration (see `_space_blocks`).
+# At n=12 dual/fixed, 2**16 and 2**17 were 1.5x and 1.2x slower; 2**19 was
+# 10% faster there but slower at n=9 dual/Bernoulli and n=16 affected-only.
+_ENUM_ENTRIES = 2**18
 
 
 class Margins(Enum):
@@ -221,8 +226,8 @@ def _arrangements(n: int, ones: int, mode: Mode, block_rows: int):
 def _space_blocks(affected: np.ndarray, time: np.ndarray, scheme: RandomizationScheme):
     n = affected.size
     # A block pairs a run of affected arrangements with a run of time
-    # arrangements, about _ENUM_ENTRIES labels in all.  The time side is
-    # split only when one affected row against all of it exceeds that.
+    # arrangements, about _ENUM_ENTRIES // n relabelings in all.  The time
+    # side is split only when one affected row against all of it exceeds that.
     if scheme.margins is Margins.DUAL:
         step = max(1, _ENUM_ENTRIES // n)
         t_blocks = list(_arrangements(n, int(time.sum()), scheme.mode, step))
@@ -232,7 +237,7 @@ def _space_blocks(affected: np.ndarray, time: np.ndarray, scheme: RandomizationS
     a_rows = max(1, _ENUM_ENTRIES // (t_rows * n))
     for a_block in _arrangements(n, int(affected.sum()), scheme.mode, a_rows):
         for t_block in t_blocks:
-            yield a_block[:, None, :], t_block[None, :, :]
+            yield a_block, t_block
 
 
 def enumerate_relabelings(
@@ -242,9 +247,9 @@ def enumerate_relabelings(
 
     Each relabeled margin contributes C(n, ones) arrangements (fixed) or
     2**n vectors (Bernoulli).  The walk yields (affected, time) label
-    blocks of shapes (ra, 1, n) and (1, rt, n), whose broadcast holds
-    ra*rt relabelings; in all it visits the space in the canonical order
-    of `_arrangements`, affected-major.
+    blocks of shapes (ra, n) and (rt, n), whose ra*rt row pairs,
+    affected-major, are relabelings; in all it visits the space in the
+    canonical order of `_arrangements`, affected-major.
 
     Raises SpaceTooLargeError if the size exceeds `ENUMERATION_CAP`.  The
     log-gamma log-size decides first, so a space far past the cap is

@@ -124,6 +124,19 @@ def sup_cdf_distance(sample_values, exact_values):
     return float(max(right.max(), left.max()))
 
 
+def merge_ties(tol, *samples):
+    """Each sample with every value moved to the least value of its tie class.
+
+    The values of all samples, sorted, split into classes wherever two
+    neighbours lie more than `tol` apart; so values that tie within `tol`
+    become one atom, whichever kernel rounded them.
+    """
+    atoms = np.sort(np.concatenate(samples))
+    classes = np.concatenate([[0], np.cumsum(np.diff(atoms) > tol)])
+    least = atoms[np.searchsorted(classes, classes, side="left")]
+    return [least[np.searchsorted(atoms, s, side="left")] for s in samples]
+
+
 def random_estimable_sample(rng, n_min=8, n_max=24):
     """Random PanelSample guaranteed estimable under its original labels."""
     from didperm import PanelSample

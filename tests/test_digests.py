@@ -1,4 +1,7 @@
-"""Committed SHA-256 pins of `simulate_null` runs: the stream contract, held fixed.
+"""Committed SHA-256 pins of `simulate_null` runs and of two CLI reports.
+
+The `simulate_null` pins hold the stream contract fixed; the report pins
+hold the bytes that `didperm enumerate` and `didperm test` write.
 
 The replay tests compare `simulate_null` with an oracle that draws from
 the same numpy `Generator`, so a numpy release that changed `permuted`,
@@ -15,12 +18,24 @@ discards thousands of degenerate draws, so its pins cover the redraw
 order too.
 """
 
+import contextlib
 import hashlib
+import io
 
 import numpy as np
 import pytest
 
-from didperm import Margins, Mode, PanelSample, RandomizationScheme, simulate_null
+from didperm import (
+    INPRESS,
+    Margins,
+    Mode,
+    PanelSample,
+    RandomizationScheme,
+    make_fixture,
+    simulate_null,
+    write_fixture_csv,
+)
+from didperm.cli import main
 from helpers import documented_block_rows
 
 MASTER_SEED = 11
@@ -67,4 +82,36 @@ def test_simulate_null_digest(n, margins, mode):
         f"the simulate_null stream for n={n}, {margins}/{mode} changed under "
         f"numpy {np.__version__}; the pins hold the documented stream contract "
         "(block-v1 up to n = 4096, block-v2 past it)"
+    )
+
+
+# command -> (observations per cell of the INPRESS fixture, flags, SHA-256 of
+# the report bytes).  The enumerate run is n = 12 with both margins 6, so
+# its p-value counts ties within the tie tolerance.
+REPORT_PINS = {
+    "enumerate": (
+        3,
+        ["--scheme", "dual", "--mode", "fixed"],
+        "3e9cbb4cae678bc56f1357139acbbbc6a6789679834e7ec097ba27de6c930d8c",
+    ),
+    "test": (
+        20,
+        ["--iterations", "3000", "--seed", "11"],
+        "021053e654177ef10ce9109374f4434d2c2008876ebea968d2d7133fe5d514a7",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_PINS))
+def test_report_digest(command, tmp_path):
+    per_cell, flags, pin = REPORT_PINS[command]
+    path = write_fixture_csv(tmp_path / "inpress.csv", make_fixture(INPRESS, per_cell=per_cell))
+    out = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--input", str(path), *flags, "--output", str(out)])
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == pin, (
+        f"the didperm {command} report bytes (n = {4 * per_cell}) changed under "
+        f"numpy {np.__version__}"
     )

@@ -12,6 +12,7 @@ from didperm import (
     did_from_ols,
     did_value,
 )
+from didperm.panel import _block_cells, _product_cells
 from helpers import brute_force_did, brute_force_did_fraction, random_estimable_sample
 
 
@@ -137,6 +138,39 @@ class TestDidFromOls:
         s = PanelSample(y=[1, 2, 3, 4], time=[0, 0, 1, 1], affected=[0, 0, 1, 1])
         with pytest.raises(EmptyCellError):
             did_from_ols(s)
+
+
+class TestProductCells:
+    """The enumeration kernel against the Monte Carlo one, on random label blocks."""
+
+    @staticmethod
+    def blocks(seed, n=9, ra=6, rt=4):
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=n) * 1e3 + 50.0
+        affected = (rng.random((ra, n)) < 0.5).astype(np.int8)
+        time = (rng.random((rt, n)) < 0.5).astype(np.int8)
+        return affected, time, y
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_values_do_not_depend_on_which_side_is_gathered(self, seed):
+        # Six affected rows against four time rows are summed along the
+        # time rows' ones; one affected row at a time, along its own ones.
+        affected, time, y = self.blocks(seed)
+        values, estimable = _product_cells(affected, time, y)
+        rows = [_product_cells(affected[i : i + 1], time, y) for i in range(len(affected))]
+        assert np.array_equal(estimable, np.concatenate([e for _, e in rows]))
+        by_row = np.concatenate([v for v, _ in rows])
+        assert values[estimable].tobytes() == by_row[estimable].tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_block_cells_within_tie_tolerance(self, seed):
+        affected, time, y = self.blocks(seed)
+        values, estimable = _product_cells(affected, time, y)
+        expected, expected_estimable = _block_cells(affected[:, None, :], time[None, :, :], y)
+        assert np.array_equal(estimable, expected_estimable)
+        assert not np.isfinite(values[~estimable]).any()
+        tol = 8 * y.size * np.finfo(np.float64).eps * np.abs(y).max()
+        assert np.all(np.abs(values[estimable] - expected[estimable]) <= tol)
 
 
 class TestEstimatorProperties:

@@ -27,7 +27,7 @@ PARAMETERS = {
     "ColumnMap": ["outcome_column", "time_column", "affected_column"],
     "NullDistribution": [
         "values", "iterations_requested", "scheme", "master_seed",
-        "degenerate_draws_discarded", "source",
+        "degenerate_draws_discarded", "source", "tie_tolerance",
     ],
     "OlsFit": ["alpha", "beta", "gamma", "delta", "residual_sum_squares"],
     "PanelSample": ["y", "time", "affected"],
