@@ -8,8 +8,9 @@ relabeling space (its draws, its size and its enumeration).
 `panel._block_cells` turns each block of drawn labels into DiD values and
 `panel._product_cells` each pair of enumerated label blocks, so both
 builders read: label blocks, one kernel call, keep or redraw.  Both
-record the one tie tolerance of their panel (`NullDistribution`), which
-the p-values use to count ties.
+record a tie tolerance sized for their kernel and panel
+(`NullDistribution`, `_tie_tolerance`), which the p-values use to count
+ties.
 `test_significance` turns a distribution into a two-sided quantile
 decision plus p-values, and `exactness_audit` verifies the finite-sample
 validity guarantee P(p <= alpha) <= alpha exhaustively on enumerable
@@ -33,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import TooManyDegenerateDrawsError
-from .panel import PanelSample, _block_cells, _product_cells, did_value
+from .panel import PanelSample, _block_cells, _centred, _product_cells, did_value
 from .randomize import (
     ENUMERATION_CAP,
     RandomizationScheme,
@@ -62,16 +63,38 @@ DEFAULT_ITERATIONS = 15_000
 MAX_RETRY_ATTEMPTS = 1_000
 
 
-def _tie_tolerance(y: np.ndarray) -> float:
-    """tol = 8*n*eps*max|y|, the distance within which two DiD values tie.
+def _tie_tolerance(y: np.ndarray, products: bool = False) -> float:
+    """The distance within which two DiD values of outcomes `y` tie.
 
-    A cell sum adds at most n outcomes no larger than max|y|, so the
-    orders in which the two kernels sum move a value by a small multiple
-    of n*eps*max|y| (eps the float64 machine epsilon); 8 is the stated
-    margin on it.  Distinct values of continuous outcomes almost surely
-    lie much further apart.  Rescaling y rescales tol with the values.
+    A bound on the rounding of the kernel that made the values, with a
+    margin; eps is the float64 machine epsilon and n = len(y).
+
+    * 8*n*eps*max|y| for values from `panel._cell_means`: the observed
+      value and every Monte Carlo draw.  A cell mean adds at most n
+      outcomes one after another, so it rounds by about
+      n_cell*eps/2*max|y|, and a DiD value by at most about
+      n*eps/2*max|y| + 4*eps*max|y| <= 1.5*n*eps*max|y| (n >= 4).  Two
+      values equal in exact arithmetic thus lie within
+      3*n*eps*max|y|.
+    * `products=True` adds 16*n**2*eps*D, D = max|y - c| over the
+      centred outcomes of `panel._product_cells` (exact enumeration).
+      There a cell of one observation can take its sum as a difference
+      of sums over up to n centred outcomes, each rounded by up to
+      n**2*eps/2*D, so a value rounds by at most 6*n**2*eps*D: two
+      enumerated values equal in exact arithmetic lie within
+      12*n**2*eps*D, an enumerated value and the observed one within
+      6*n**2*eps*D + 1.5*n*eps*max|y|.
+
+    Both scale with y.  Distinct values of continuous outcomes almost
+    surely lie much further apart: at n = 12 and unit-scale outcomes the
+    enumeration tolerance is about 1e-12.
     """
-    return 8 * y.size * float(np.finfo(np.float64).eps) * float(np.max(np.abs(y)))
+    eps = float(np.finfo(np.float64).eps)
+    n = y.size
+    tol = 8 * n * eps * float(np.max(np.abs(y)))
+    if products:
+        tol += 16 * n * n * eps * float(np.max(np.abs(_centred(y))))
+    return tol
 
 
 class Source(Enum):
@@ -92,9 +115,11 @@ class NullDistribution:
 
     `tie_tolerance` is how far below |observed| a value |v| may fall and
     still count as at least as extreme (`randomization_p_value`).
-    `simulate_null` and `enumerate_null` set it to tol = 8*n*eps*max|y|
-    of their panel (eps the float64 machine epsilon); 0.0, the default,
-    counts bitwise ties only.
+    `simulate_null` sets it to tol = 8*n*eps*max|y| of its panel (eps
+    the float64 machine epsilon), `enumerate_null` to
+    8*n*eps*max|y| + 16*n**2*eps*max|y - c| (c the midrange of y), each
+    a bound on its kernel's rounding (`_tie_tolerance`); 0.0, the
+    default, counts bitwise ties only.
     """
 
     values: np.ndarray
@@ -289,11 +314,13 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
     `simulate_null`.  Its cell sums are taken in observation order and
     its values do not depend on how the walk is blocked.  Three of the
     four cell sums come by inclusion-exclusion, so a value can differ
-    from `did_value` on the same labels in the last bits; ties that hold
-    in exact arithmetic (the observed labeling, the group/time swap of
-    the dual scheme with n_affected = n_time) can round apart too.  The
-    distribution therefore carries tie_tolerance = 8*n*eps*max|y|, and
-    `randomization_p_value` counts |v| >= |observed| - tol.
+    from `did_value` on the same labels, and ties that hold in exact
+    arithmetic (the observed labeling, the group/time swap of the dual
+    scheme with n_affected = n_time) can round apart, by up to
+    6*n**2*eps*max|y - c| for the midrange c of y.  The distribution
+    therefore carries tie_tolerance
+    tol = 8*n*eps*max|y| + 16*n**2*eps*max|y - c| (`_tie_tolerance`),
+    and `randomization_p_value` counts |v| >= |observed| - tol.
 
     Raises
     ------
@@ -317,7 +344,7 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
         master_seed=None,
         degenerate_draws_discarded=size - pos,
         source=Source.EXACT_ENUMERATION,
-        tie_tolerance=_tie_tolerance(sample.y),
+        tie_tolerance=_tie_tolerance(sample.y, products=True),
     )
 
 
@@ -337,8 +364,8 @@ def randomization_p_value(observed: float, dist: NullDistribution) -> tuple[floa
     Returns (raw, corrected): raw is the fraction of null values v with
     |v| >= |observed| - tol (the exact p-value when the distribution is a
     full enumeration); corrected is (1 + count) / (retained + 1).  tol is
-    the distribution's `tie_tolerance`, 8*n*eps*max|y| of its panel when
-    `simulate_null` or `enumerate_null` built it: values that tie in
+    the distribution's `tie_tolerance`, a bound on the rounding of the
+    kernel that built it (`_tie_tolerance`): values that tie in
     exact arithmetic but round apart are counted as ties.  Counting more
     ties can only raise p, so the test stays valid.
     """
@@ -434,7 +461,8 @@ def exactness_audit(
     through exact symmetries of the space), or taken from `outcomes` when
     given.  All statistics come from `enumerate_null`.  Each p-value
     counts the values v with |v| >= |s| - tol for its own statistic s,
-    with the distribution's tie tolerance tol = 8*n*eps*max|y|, as
+    with the distribution's tie tolerance
+    tol = 8*n*eps*max|y| + 16*n**2*eps*max|y - c| (`enumerate_null`), as
     `randomization_p_value` does.  So relabelings that tie in exact
     arithmetic (sign flips of one margin, the group/time swap of the dual
     scheme with n_affected = n_time, equal cell counts) tie here too,

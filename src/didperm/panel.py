@@ -181,6 +181,16 @@ def _block_cells(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return _did_from_cells(*means.T), counts.all(axis=1)
 
 
+def _centred(y: np.ndarray) -> np.ndarray:
+    """`y` less its midrange c, the outcomes that `_product_cells` sums.
+
+    A DiD value is a contrast of cell means, so shifting every outcome by
+    c leaves it unchanged in exact arithmetic; the rounding of sums of
+    y - c scales with max|y - c|, not with max|y|.
+    """
+    return y - (0.5 * y.max() + 0.5 * y.min())
+
+
 def _ordered_sums(p, q, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sums of `y` over the ones of 0/1 label rows, each in observation order.
 
@@ -218,20 +228,26 @@ def _product_cells(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     * counts: |A & T| is the product of the label rows (integers, so
       exact in float64 in any order), and the other three cells follow
       from it, n_A, n_T and n;
-    * sums: the sums of y over A & T, A, T and all n are each taken in
-      observation order from 0.0 (`_ordered_sums`, through the side with
-      fewer rows).  The A & T sum is bitwise the cell-3 sum of
-      `_cell_means`; the other three cell sums follow by
-      inclusion-exclusion.
+    * sums: the outcomes are first centred (`_centred`), which leaves
+      every DiD value unchanged in exact arithmetic.  Their sums over
+      A & T, A, T and all n are each taken in observation order from 0.0
+      (`_ordered_sums`, through the side with fewer rows), and the other
+      three cell sums follow by inclusion-exclusion.
 
     No sum of outcomes goes through BLAS or depends on how rows are
     blocked, so a value does not depend on the block size, thread count
     or BLAS build.  Inclusion-exclusion rounds differently from
-    `_cell_means`, so a value can differ from `_block_cells`'s in the last
-    bits; see `_did_from_cells` for how ties are counted.  The value of a
-    pair with an empty cell is not finite, and `estimable` is False there.
+    `_cell_means`: a cell of one observation can get its sum as a
+    difference of sums over nearly all n outcomes.  So a value can differ
+    from `_block_cells`'s by far more than a few ulps of it, by at most
+    6*n**2*eps*max|y - c| (c the centre, eps the float64 machine
+    epsilon); centring keeps a common offset of the outcomes out of that
+    bound.  See `_did_from_cells` for how ties are counted.  The value of
+    a pair with an empty cell is not finite, and `estimable` is False
+    there.
     """
     n = y.size
+    y = _centred(y)
     # Step through the ones of the side with fewer rows: each step adds a
     # whole row of the other side's terms.
     if len(affected) > len(time):
@@ -272,9 +288,13 @@ def _did_from_cells(m0, m1, m2, m3):
     point: between enumerated values and the observed one, and in the
     dual scheme with n_affected = n_time, between relabelings that the
     group/time swap or equal cell counts make equal.  `inference` counts
-    them with one tie tolerance, tol = 8*n*eps*max|y| (eps the float64
-    machine epsilon): a null value v is at least as extreme as observed
-    when |v| >= |observed| - tol.
+    them with one rule, a tie tolerance tol sized by a bound on the
+    rounding of the kernel that made the values: a null value v is at
+    least as extreme as observed when |v| >= |observed| - tol.  With eps
+    the float64 machine epsilon, tol = 8*n*eps*max|y| for Monte Carlo
+    values, and tol = 8*n*eps*max|y| + 16*n**2*eps*max|y - c| for
+    enumerated ones (c the centre of `_centred`); `inference._tie_tolerance`
+    derives both.
     """
     return (m3 - m2) - (m1 - m0)
 

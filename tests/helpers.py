@@ -127,14 +127,20 @@ def sup_cdf_distance(sample_values, exact_values):
 def merge_ties(tol, *samples):
     """Each sample with every value moved to the least value of its tie class.
 
-    The values of all samples, sorted, split into classes wherever two
-    neighbours lie more than `tol` apart; so values that tie within `tol`
-    become one atom, whichever kernel rounded them.
+    The values of all samples, sorted, form classes from the least up: a
+    class takes every value within `tol` of its least value, and the next
+    value starts a new class.  So values that tie within `tol` become one
+    atom, whichever kernel rounded them, and no class spans more than
+    `tol` (neighbours do not chain).
     """
-    atoms = np.sort(np.concatenate(samples))
-    classes = np.concatenate([[0], np.cumsum(np.diff(atoms) > tol)])
-    least = atoms[np.searchsorted(classes, classes, side="left")]
-    return [least[np.searchsorted(atoms, s, side="left")] for s in samples]
+    atoms = np.unique(np.concatenate(samples))
+    least = np.empty_like(atoms)
+    anchor = atoms[0]
+    for i, atom in enumerate(atoms):
+        if atom > anchor + tol:
+            anchor = atom
+        least[i] = anchor
+    return [least[np.searchsorted(atoms, s)] for s in samples]
 
 
 def random_estimable_sample(rng, n_min=8, n_max=24):

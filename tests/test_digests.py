@@ -92,7 +92,7 @@ REPORT_PINS = {
     "enumerate": (
         3,
         ["--scheme", "dual", "--mode", "fixed"],
-        "3e9cbb4cae678bc56f1357139acbbbc6a6789679834e7ec097ba27de6c930d8c",
+        "1c6b1f91453f4f53f015c2b5f9e4708b69a514c68ab727f5127b43236db51801",
     ),
     "test": (
         20,

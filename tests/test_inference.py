@@ -32,6 +32,7 @@ from didperm import (
 )
 from didperm import test_significance as significance_test
 from didperm.datasets import INPRESS
+from didperm.panel import _product_cells
 from helpers import (
     brute_force_did,
     canonical_labelings,
@@ -345,6 +346,40 @@ class TestEnumerateNull:
                 raw, _ = randomization_p_value(observed, dist)
                 assert raw >= 1 / dist.iterations_retained
 
+    @pytest.mark.parametrize("outcomes", ["offset", "rounding"])
+    def test_observed_labeling_counted_at_large_n(self, outcomes):
+        # n = 300, time margin n - 2, affected margin 2.  The enumeration
+        # takes the sum of the one-observation cell (neither affected nor
+        # in the time side) by inclusion-exclusion from sums over about n
+        # outcomes.  "offset": y = 1e6 + N(0, 1).  "rounding": after a
+        # climb, outcomes of -1 and +1 keep the time side's partial sums
+        # just below 128 and the whole sample's just above it, so the last
+        # ~170 additions of the two round on grids one ulp apart.  Summed
+        # uncentred, that put the observed labeling's enumerated value
+        # 1.7 times 8*n*eps*max|y| away from the observed value.
+        n = 300
+        if outcomes == "offset":
+            y = 1e6 + generator_for(300).standard_normal(n)
+        else:
+            ulp = 2.0**-52
+            y = np.ones(n)
+            y[0], y[1] = 2.75, 1.5
+            y[126:-1] = np.where(np.arange(n - 127) % 2, 1 + 66 * ulp, -(1 + 32 * ulp))
+        time = np.ones(n, dtype=np.int8)
+        time[[0, -1]] = 0
+        affected = np.zeros(n, dtype=np.int8)
+        affected[[0, 1]] = 1
+        sample = PanelSample(y=y, time=time, affected=affected)
+        observed = did_value(sample)
+        dist = enumerate_null(sample, AFFECTED_FIXED)
+        # Enumerated values do not depend on the blocking, so a one-pair
+        # block gives the observed labeling's value in `dist`.
+        value, estimable = _product_cells(affected[None], time[None], y)
+        assert estimable[0] and value[0] in dist.values
+        assert abs(value[0] - observed) <= dist.tie_tolerance
+        raw, _ = randomization_p_value(observed, dist)
+        assert raw >= 1 / dist.iterations_retained
+
     def test_space_too_large(self):
         sample = make_fixture(INPRESS)  # n = 40, both margins 20
         with pytest.raises(SpaceTooLargeError) as err:
@@ -540,10 +575,7 @@ class TestOneRowBlockLaw:
     @pytest.mark.parametrize("k", [4, 3])
     def test_matches_exact_law(self, monkeypatch, scheme, k):
         # Both margins hold k of 8: a tie at k = 4.  DKW at 99% for 20000
-        # draws bounds the sup distance between CDFs by about 0.0115.  The
-        # two kernels can round one relabeling a few ulps apart, which would
-        # split an atom (1/70 of the affected-only law), so values that tie
-        # within the tolerance are merged first.
+        # draws bounds the sup distance between CDFs by about 0.0115.
         monkeypatch.setattr(randomize, "_BLOCK_ENTRIES", 8)
         assert randomize.stream_block_rows(8) == 1
         sample = PanelSample(
@@ -553,9 +585,14 @@ class TestOneRowBlockLaw:
         )
         exact = enumerate_null(sample, scheme)
         mc = simulate_null(sample, scheme, iterations=20000, master_seed=k)
-        assert mc.tie_tolerance == exact.tie_tolerance
-        merged = merge_ties(exact.tie_tolerance, mc.values, exact.values)
-        assert sup_cdf_distance(*merged) <= 0.0115
+        if scheme == AFFECTED_FIXED:
+            # The affected-only law has atoms of 1/70.  The two kernels can
+            # round one relabeling apart and split an atom, so values that
+            # tie within the enumeration's tolerance are merged first.
+            merged = merge_ties(exact.tie_tolerance, mc.values, exact.values)
+            assert sup_cdf_distance(*merged) <= 0.0115
+        else:
+            assert sup_cdf_distance(mc.values, exact.values) <= 0.0115
 
 
 class TestExactnessAudit:
