@@ -8,9 +8,8 @@ relabeling space (its draws, its size and its enumeration).
 `panel._block_cells` turns each block of drawn labels into DiD values and
 `panel._product_cells` each pair of enumerated label blocks, so both
 builders read: label blocks, one kernel call, keep or redraw.  Both
-record a tie tolerance sized for their kernel and panel
-(`NullDistribution`, `_tie_tolerance`), which the p-values use to count
-ties.
+record the tie tolerance of their kernel, which `randomization_p_value`
+counts ties within.
 `test_significance` turns a distribution into a two-sided quantile
 decision plus p-values, and `exactness_audit` verifies the finite-sample
 validity guarantee P(p <= alpha) <= alpha exhaustively on enumerable
@@ -34,7 +33,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import TooManyDegenerateDrawsError
-from .panel import PanelSample, _block_cells, _centred, _product_cells, did_value
+from .panel import (
+    PanelSample,
+    _block_cells,
+    _cell_means_tolerance,
+    _product_cells,
+    _product_cells_tolerance,
+    did_value,
+)
 from .randomize import (
     ENUMERATION_CAP,
     RandomizationScheme,
@@ -63,40 +69,6 @@ DEFAULT_ITERATIONS = 15_000
 MAX_RETRY_ATTEMPTS = 1_000
 
 
-def _tie_tolerance(y: np.ndarray, products: bool = False) -> float:
-    """The distance within which two DiD values of outcomes `y` tie.
-
-    A bound on the rounding of the kernel that made the values, with a
-    margin; eps is the float64 machine epsilon and n = len(y).
-
-    * 8*n*eps*max|y| for values from `panel._cell_means`: the observed
-      value and every Monte Carlo draw.  A cell mean adds at most n
-      outcomes one after another, so it rounds by about
-      n_cell*eps/2*max|y|, and a DiD value by at most about
-      n*eps/2*max|y| + 4*eps*max|y| <= 1.5*n*eps*max|y| (n >= 4).  Two
-      values equal in exact arithmetic thus lie within
-      3*n*eps*max|y|.
-    * `products=True` adds 16*n**2*eps*D, D = max|y - c| over the
-      centred outcomes of `panel._product_cells` (exact enumeration).
-      There a cell of one observation can take its sum as a difference
-      of sums over up to n centred outcomes, each rounded by up to
-      n**2*eps/2*D, so a value rounds by at most 6*n**2*eps*D: two
-      enumerated values equal in exact arithmetic lie within
-      12*n**2*eps*D, an enumerated value and the observed one within
-      6*n**2*eps*D + 1.5*n*eps*max|y|.
-
-    Both scale with y.  Distinct values of continuous outcomes almost
-    surely lie much further apart: at n = 12 and unit-scale outcomes the
-    enumeration tolerance is about 1e-12.
-    """
-    eps = float(np.finfo(np.float64).eps)
-    n = y.size
-    tol = 8 * n * eps * float(np.max(np.abs(y)))
-    if products:
-        tol += 16 * n * n * eps * float(np.max(np.abs(_centred(y))))
-    return tol
-
-
 class Source(Enum):
     """Provenance of a null distribution."""
 
@@ -113,13 +85,9 @@ class NullDistribution:
     len(values); it falls short of the space size exactly when degenerate
     (empty-cell) relabelings were discarded.
 
-    `tie_tolerance` is how far below |observed| a value |v| may fall and
-    still count as at least as extreme (`randomization_p_value`).
-    `simulate_null` sets it to tol = 8*n*eps*max|y| of its panel (eps
-    the float64 machine epsilon), `enumerate_null` to
-    8*n*eps*max|y| + 16*n**2*eps*max|y - c| (c the midrange of y), each
-    a bound on its kernel's rounding (`_tie_tolerance`); 0.0, the
-    default, counts bitwise ties only.
+    `tie_tolerance` is the bound on the rounding of the kernel that made
+    the values, within which `randomization_p_value` counts ties; 0.0,
+    the default, counts bitwise ties only.
     """
 
     values: np.ndarray
@@ -288,7 +256,7 @@ def simulate_null(
         master_seed=master_seed,
         degenerate_draws_discarded=discarded,
         source=Source.MONTE_CARLO,
-        tie_tolerance=_tie_tolerance(sample.y),
+        tie_tolerance=_cell_means_tolerance(sample.y),
     )
 
 
@@ -311,16 +279,12 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
     Every value comes from `panel._product_cells`, which forms each block
     pair's cells from products of its label rows and ends in
     `panel._did_from_cells`, the formula of `did_value` and
-    `simulate_null`.  Its cell sums are taken in observation order and
-    its values do not depend on how the walk is blocked.  Three of the
-    four cell sums come by inclusion-exclusion, so a value can differ
-    from `did_value` on the same labels, and ties that hold in exact
-    arithmetic (the observed labeling, the group/time swap of the dual
-    scheme with n_affected = n_time) can round apart, by up to
-    6*n**2*eps*max|y - c| for the midrange c of y.  The distribution
-    therefore carries tie_tolerance
-    tol = 8*n*eps*max|y| + 16*n**2*eps*max|y - c| (`_tie_tolerance`),
-    and `randomization_p_value` counts |v| >= |observed| - tol.
+    `simulate_null`.  Its values do not depend on how the walk is
+    blocked, but they can differ from `did_value` on the same labels, so
+    ties that hold in exact arithmetic (the observed labeling, the
+    group/time swap of the dual scheme with n_affected = n_time) can
+    round apart.  The distribution carries `panel._product_cells_tolerance`,
+    within which `randomization_p_value` counts them as ties.
 
     Raises
     ------
@@ -344,7 +308,7 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
         master_seed=None,
         degenerate_draws_discarded=size - pos,
         source=Source.EXACT_ENUMERATION,
-        tie_tolerance=_tie_tolerance(sample.y, products=True),
+        tie_tolerance=_product_cells_tolerance(sample.y),
     )
 
 
@@ -363,11 +327,13 @@ def randomization_p_value(observed: float, dist: NullDistribution) -> tuple[floa
 
     Returns (raw, corrected): raw is the fraction of null values v with
     |v| >= |observed| - tol (the exact p-value when the distribution is a
-    full enumeration); corrected is (1 + count) / (retained + 1).  tol is
-    the distribution's `tie_tolerance`, a bound on the rounding of the
-    kernel that built it (`_tie_tolerance`): values that tie in
-    exact arithmetic but round apart are counted as ties.  Counting more
-    ties can only raise p, so the test stays valid.
+    full enumeration); corrected is (1 + count) / (retained + 1).  This
+    is the package's one tie rule.  tol is the distribution's
+    `tie_tolerance`, the bound on the rounding of the kernel that made
+    its values (`panel._cell_means_tolerance`,
+    `panel._product_cells_tolerance`), so values that tie in exact
+    arithmetic but round apart count as ties.  Counting more ties can
+    only raise p, so the test stays valid.
     """
     if dist.iterations_retained == 0:
         raise ValueError("null distribution is empty")
@@ -459,11 +425,9 @@ def exactness_audit(
     Outcomes are drawn once from a standard normal stream seeded by
     `outcome_seed` (continuous, so cross-relabeling ties occur only
     through exact symmetries of the space), or taken from `outcomes` when
-    given.  All statistics come from `enumerate_null`.  Each p-value
-    counts the values v with |v| >= |s| - tol for its own statistic s,
-    with the distribution's tie tolerance
-    tol = 8*n*eps*max|y| + 16*n**2*eps*max|y - c| (`enumerate_null`), as
-    `randomization_p_value` does.  So relabelings that tie in exact
+    given.  All statistics come from `enumerate_null`, and each
+    p-value is that of `randomization_p_value` for its own statistic,
+    counted by sorting.  So relabelings that tie in exact
     arithmetic (sign flips of one margin, the group/time swap of the dual
     scheme with n_affected = n_time, equal cell counts) tie here too,
     and the p-values follow their exact-arithmetic law.

@@ -17,7 +17,9 @@ sums the cells of many labelings at once in one pass over their labels,
 for the observed value (`compute_cell_means`) and, through
 `_block_cells`, for every Monte Carlo draw.  `_product_cells` gives the
 DiD values of every (affected row, time row) pair of two label blocks
-from products of the rows, for exact enumeration.
+from products of the rows, for exact enumeration.  Beside each kernel
+sits the bound on its rounding (`_cell_means_tolerance`,
+`_product_cells_tolerance`) within which `inference` counts ties.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
@@ -30,6 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCellError
+
+_EPS = float(np.finfo(np.float64).eps)
+_MAX = float(np.finfo(np.float64).max)
 
 __all__ = [
     "PanelSample",
@@ -181,6 +186,18 @@ def _block_cells(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return _did_from_cells(*means.T), counts.all(axis=1)
 
 
+def _cell_means_tolerance(y: np.ndarray) -> float:
+    """8*n*eps*max|y|, the tie tolerance of DiD values from `_cell_means`.
+
+    eps is the float64 machine epsilon.  A cell mean adds at most n
+    outcomes one after another, so it rounds by about n_cell*eps/2*max|y|,
+    and a DiD value by at most about n*eps/2*max|y| + 4*eps*max|y| <=
+    1.5*n*eps*max|y| (n >= 4).  Two values equal in exact arithmetic thus
+    lie within 3*n*eps*max|y|, well inside the tolerance.
+    """
+    return 8 * y.size * _EPS * float(np.max(np.abs(y)))
+
+
 def _centred(y: np.ndarray) -> np.ndarray:
     """`y` less its midrange c, the outcomes that `_product_cells` sums.
 
@@ -237,17 +254,18 @@ def _product_cells(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     No sum of outcomes goes through BLAS or depends on how rows are
     blocked, so a value does not depend on the block size, thread count
     or BLAS build.  Inclusion-exclusion rounds differently from
-    `_cell_means`: a cell of one observation can get its sum as a
-    difference of sums over nearly all n outcomes.  So a value can differ
-    from `_block_cells`'s by far more than a few ulps of it, by at most
-    6*n**2*eps*max|y - c| (c the centre, eps the float64 machine
-    epsilon); centring keeps a common offset of the outcomes out of that
-    bound.  See `_did_from_cells` for how ties are counted.  The value of
-    a pair with an empty cell is not finite, and `estimable` is False
-    there.
+    `_cell_means`, by up to `_product_cells_tolerance`.  The value of a
+    pair with an empty cell is not finite, and `estimable` is False there.
+
+    Sums of centred outcomes reach n*max|y - c|, which can overflow where
+    the sums of raw outcomes that ingest bounds do not.  Where they could,
+    they are taken on (y - c) / 2**k, 2**k > n, and the values multiplied
+    back by 2**k, a power of two: no bit changes in the normal float range.
     """
     n = y.size
     y = _centred(y)
+    scale = 2.0 ** n.bit_length() if n * float(np.max(np.abs(y))) > _MAX / 4 else 1.0
+    y = y / scale
     # Step through the ones of the side with fewer rows: each step adds a
     # whole row of the other side's terms.
     if len(affected) > len(time):
@@ -270,9 +288,26 @@ def _product_cells(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     s1 = s_time - s3
     s0 = (total - s_affected) - s1
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = _did_from_cells(s0 / c0, s1 / c1, s2 / c2, s3 / c3)
+        values = _did_from_cells(s0 / c0, s1 / c1, s2 / c2, s3 / c3) * scale
     estimable = np.minimum(np.minimum(c0, c1), np.minimum(c2, c3)) > 0
     return values.ravel(), estimable.ravel()
+
+
+def _product_cells_tolerance(y: np.ndarray) -> float:
+    """`_cell_means_tolerance` + 16*n**2*eps*D, the tie tolerance of `_product_cells`.
+
+    D = max|y - c| over the centred outcomes (`_centred`).  A cell of one
+    observation can take its sum as a difference of sums over up to n
+    centred outcomes, each rounded by up to n**2*eps/2*D, so a value
+    rounds by at most 6*n**2*eps*D.  Two enumerated values equal in exact
+    arithmetic lie within 12*n**2*eps*D, an enumerated value and the
+    observed one within 6*n**2*eps*D + 1.5*n*eps*max|y|.  Centring keeps
+    a common offset of the outcomes out of D.  At n = 12 and unit-scale
+    outcomes the tolerance is about 1e-12; distinct values of continuous
+    outcomes almost surely lie much further apart.
+    """
+    n = y.size
+    return _cell_means_tolerance(y) + 16 * n * n * _EPS * float(np.max(np.abs(_centred(y))))
 
 
 def _did_from_cells(m0, m1, m2, m3):
@@ -280,21 +315,8 @@ def _did_from_cells(m0, m1, m2, m3):
 
     (treated change) - (control change) = (m3 - m2) - (m1 - m0), with this
     grouping kept explicit.  Every DiD value of the package, observed or
-    relabeled, is this function of cell means.  The observed value and
-    Monte Carlo draws take them from `_cell_means`, exact enumeration from
-    `_product_cells`, which rounds its cell sums differently.
-
-    So ties that hold in exact arithmetic need not hold in floating
-    point: between enumerated values and the observed one, and in the
-    dual scheme with n_affected = n_time, between relabelings that the
-    group/time swap or equal cell counts make equal.  `inference` counts
-    them with one rule, a tie tolerance tol sized by a bound on the
-    rounding of the kernel that made the values: a null value v is at
-    least as extreme as observed when |v| >= |observed| - tol.  With eps
-    the float64 machine epsilon, tol = 8*n*eps*max|y| for Monte Carlo
-    values, and tol = 8*n*eps*max|y| + 16*n**2*eps*max|y - c| for
-    enumerated ones (c the centre of `_centred`); `inference._tie_tolerance`
-    derives both.
+    relabeled, is this function of cell means, from `_cell_means` or
+    `_product_cells`.
     """
     return (m3 - m2) - (m1 - m0)
 

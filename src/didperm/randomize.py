@@ -14,11 +14,7 @@ relabeling is a one-row draw.  Its rows feed the statistic kernel
 `panel._block_cells`.  `enumerate_relabelings` sizes the whole
 relabeling space, refuses one past `ENUMERATION_CAP`, and walks it in
 canonical order as pairs of an affected block and a time block, whose
-row products `panel._product_cells` turns into values.  The two kernels
-sum cells in different orders, so a relabeling can get values that
-differ in the last bits from the two; `inference` counts ties within a
-tolerance that bounds each kernel's rounding (see
-`panel._did_from_cells`).
+row products `panel._product_cells` turns into values.
 
 Randomness is counter-based.  Simulation iterations are drawn in blocks of
 B = `stream_block_rows(n)` = max(1, 8192 // n) rows: iteration k (1-based)

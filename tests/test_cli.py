@@ -216,6 +216,21 @@ class TestCmdEnumerate:
         assert report.iterations == 36
         assert sum(c for _, _, c in report.histogram) == 24
 
+    def test_outcome_near_the_float_range_enumerates(self, tmp_path):
+        # The centred outcomes, 4e307 and seven -4e307, sum past the float
+        # range although 2 * sum|y| is finite, as ingest requires.
+        path = tmp_path / "huge.csv"
+        rows = ["8e307,0,0", "0.0,1,0", "0.0,0,1", "0.0,1,1"]
+        rows += ["0.0,0,0", "0.0,1,0", "0.0,0,1", "0.0,1,1"]
+        path.write_text("y,time,affected\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "report.json"
+        assert main(["enumerate", "--input", str(path), "--output", str(out)]) == EXIT_OK
+        report = read_report(out)
+        edges = [x for lo, hi, _ in report.histogram for x in (lo, hi)]
+        assert np.isfinite([report.lower, report.upper, *edges]).all()
+        assert report.iterations == 4900
+        assert report.p_raw == 11 / 17  # as `_block_cells` gives it on every labeling
+
     def test_space_too_large_exit(self, inpress_csv, tmp_path, capsys):
         code = main(
             [
@@ -556,6 +571,31 @@ class TestExitCodes:
         work = tmp_path_factory.mktemp("fuzz")
         path = work / "panel.csv"
         path.write_text("y,time,affected\n" + "".join(",".join(row) + "\n" for row in rows))
+        out = str(work / "r.json")
+        test_exit, enumerate_exit = _predicted_exits(path)
+        argv = ["--input", str(path), "--output", out]
+        assert main(["test", *argv, "--iterations", "20"]) == test_exit
+        assert main(["enumerate", *argv]) == enumerate_exit
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        # an estimable panel of 8-10 rows, two or more in each cell ...
+        cells=st.lists(st.integers(0, 3), max_size=2).flatmap(
+            lambda extra: st.permutations([0, 1, 2, 3] * 2 + extra)
+        ),
+        outcomes=st.lists(st.sampled_from(["0", "1", "-2.5", "0.5"]), min_size=10, max_size=10),
+        # ... with one outcome near the float range, whose centred sums overflow
+        huge=st.tuples(st.integers(0, 9), st.floats(5e307, 9e307), st.sampled_from(["", "-"])),
+    )
+    def test_any_panel_with_one_huge_outcome_ends_in_a_documented_exit(
+        self, tmp_path_factory, cells, outcomes, huge
+    ):
+        rows = [[y, str(c % 2), str(c // 2)] for y, c in zip(outcomes, cells)]
+        row, magnitude, sign = huge
+        rows[row % len(rows)][0] = sign + repr(magnitude)
+        work = tmp_path_factory.mktemp("huge")
+        path = work / "panel.csv"
+        path.write_text("y,time,affected\n" + "".join(",".join(r) + "\n" for r in rows))
         out = str(work / "r.json")
         test_exit, enumerate_exit = _predicted_exits(path)
         argv = ["--input", str(path), "--output", out]

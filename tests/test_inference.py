@@ -705,6 +705,26 @@ class TestExactnessAudit:
         oracle = [float(p) for p in exact_p_law_fraction(y, pairs)]
         assert np.array_equal(np.sort(report.p_values), oracle)
 
+    @pytest.mark.parametrize(
+        "y",
+        [
+            generator_for(0).standard_normal(8),
+            generator_for(0).standard_normal(8) + 5e3,
+            np.array([8e307] + [0.0] * 7),
+        ],
+        ids=["y", "y+5e3", "huge"],
+    )
+    def test_p_values_are_those_of_randomization_p_value(self, y):
+        # The audit counts the tie rule by sorting, `randomization_p_value`
+        # by a scan; both must count the same values for every statistic.
+        report = exactness_audit(8, 4, 4, DUAL_FIXED, outcomes=y)
+        positions = np.arange(8)
+        sample = PanelSample(y=y, time=positions < 4, affected=positions < 4)
+        dist = enumerate_null(sample, DUAL_FIXED)
+        assert report.statistic_values.tobytes() == dist.values.tobytes()
+        scanned = [randomization_p_value(s, dist)[0] for s in report.statistic_values]
+        assert np.array_equal(report.p_values, scanned)
+
     def test_space_cap_enforced(self):
         with pytest.raises(SpaceTooLargeError):
             exactness_audit(40, 20, 20, DUAL_FIXED, outcome_seed=0)

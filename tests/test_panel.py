@@ -172,6 +172,19 @@ class TestProductCells:
         tol = 8 * y.size * np.finfo(np.float64).eps * np.abs(y).max()
         assert np.all(np.abs(values[estimable] - expected[estimable]) <= tol)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sums_past_the_float_range_are_scaled_exactly(self, seed):
+        # Eleven of twelve outcomes near -2**1021 sum past the float range; the
+        # values are those of the outcomes / 2**1021 times 2**1021, bit for bit.
+        affected, time, _ = self.blocks(seed, n=12)
+        y = np.random.default_rng(seed).uniform(-1.0, -0.9, size=12)
+        y[0], y[1] = 1.0, -1.0
+        values, estimable = _product_cells(affected, time, y)
+        huge, huge_estimable = _product_cells(affected, time, y * 2.0**1021)
+        assert np.array_equal(estimable, huge_estimable)
+        assert np.isfinite(huge[estimable]).all()
+        assert huge[estimable].tobytes() == (values[estimable] * 2.0**1021).tobytes()
+
 
 class TestEstimatorProperties:
     def test_affine_equivariance(self):
