@@ -286,6 +286,12 @@ def cmd_audit(args) -> int:
         rate = report.rejection_rate(alpha)
         print(f"{alpha:>8.2f}{rate:>16.4f}{rate - alpha:>12.4f}")
     print(f"worst-case violation over attainable levels: {report.worst_violation():.3e}")
+    # The exact p-value falls as |DiD| grows and steps at every |DiD| that
+    # the tie rule tells apart, so its distinct values count the support.
+    print(
+        f"support: {len(set(report.p_values.tolist())):,} distinct |DiD| values within the "
+        f"tie tolerance; smallest attainable exact p: {float(report.p_values.min()):.4g}"
+    )
     return EXIT_OK
 
 

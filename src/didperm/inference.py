@@ -7,13 +7,18 @@ relabeling (`enumerate_null`, for small spaces).  `randomize` owns the
 relabeling space (its draws, its size and its enumeration).
 `panel._block_cells` turns each block of drawn labels into DiD values and
 `panel._product_cells` each pair of enumerated label blocks, so both
-builders read: label blocks, one kernel call, keep or redraw.  Both
-record the tie tolerance of their kernel, which `randomization_p_value`
-counts ties within.
+builders read: label blocks, one kernel call, keep or redraw.  Balanced
+dual fixed-margin spaces instead read each value from
+`panel._agreement_cells` by the relabeling's agreement set.  Both
+builders record the tie tolerance of their kernel, which
+`randomization_p_value` counts ties within.
 `test_significance` turns a distribution into a two-sided quantile
 decision plus p-values, and `exactness_audit` verifies the finite-sample
 validity guarantee P(p <= alpha) <= alpha exhaustively on enumerable
-spaces.
+spaces.  All of them, and `report.make_histogram`, read a distribution's
+sorted law (`_Law`: distinct values and cumulative counts), which gives
+the results that numpy's quantile, histogram and counting rules give on
+the values.
 
 Relabelings that empty a cell leave the DiD contrast undefined.  Such
 draws are discarded and, in the Monte Carlo path, redrawn from the same
@@ -35,6 +40,7 @@ import numpy as np
 from .errors import TooManyDegenerateDrawsError
 from .panel import (
     PanelSample,
+    _agreement_cells,
     _block_cells,
     _cell_means_tolerance,
     _product_cells,
@@ -44,6 +50,8 @@ from .panel import (
 from .randomize import (
     ENUMERATION_CAP,
     RandomizationScheme,
+    agreement_counts,
+    agreement_sets,
     draw_relabelings,
     enumerate_relabelings,
     generator_for,
@@ -74,6 +82,69 @@ class Source(Enum):
 
     MONTE_CARLO = "monte_carlo"
     EXACT_ENUMERATION = "exact_enumeration"
+
+
+@dataclass(frozen=True, eq=False)
+class _Law:
+    """The sorted law of a null: its distinct values and how many values lie below each.
+
+    `support` holds the distinct values in increasing order; `below[i]`
+    counts the values less than `support[i]`, and `below[-1]` is the
+    count m of all values.  Every consumer of a null (p-values, quantiles,
+    histogram, exactness audit) reads this law, not the values.
+    """
+
+    support: np.ndarray
+    below: np.ndarray
+
+    @classmethod
+    def of(cls, values: np.ndarray, counts: np.ndarray | None = None) -> "_Law":
+        """The law of `values`, each taken `counts` times (once when omitted)."""
+        if counts is None:
+            ordered = np.sort(values)
+        else:
+            order = np.argsort(values)
+            ordered = values[order]
+        first = np.ones(ordered.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        below = np.append(np.flatnonzero(first), ordered.size)
+        if counts is not None:
+            below = np.concatenate([[0], np.cumsum(counts[order])])[below]
+        return cls(ordered[first], below)
+
+    def order_statistic(self, k: int) -> float:
+        """The k-th smallest value, 0-based."""
+        return float(self.support[np.searchsorted(self.below, k, side="right") - 1])
+
+    def quantile(self, q: float) -> float:
+        """`np.quantile(values, q)` bit for bit: numpy's linear rule on the law.
+
+        numpy takes the virtual index (m - 1)*q.  From m - 1 on it reads
+        the largest value; below, the order statistics at its floor and the
+        next one, between which it interpolates with a two-sided lerp.  The
+        law cannot tell -0.0 from 0.0, so a zero result may differ from
+        numpy's in its sign.
+        """
+        m = int(self.below[-1])
+        virtual = (m - 1) * q
+        if virtual >= m - 1:
+            return float(self.support[-1])
+        lo = math.floor(virtual)
+        gamma = virtual - lo
+        a, b = self.order_statistic(lo), self.order_statistic(lo + 1)
+        diff = b - a
+        return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+    def count_below(self, edges: np.ndarray) -> np.ndarray:
+        """How many values lie below each of `edges`."""
+        return self.below[np.searchsorted(self.support, edges, side="left")]
+
+    def count_abs_at_least(self, cuts):
+        """How many values v have |v| >= cut, for each cut: all m when cut <= 0."""
+        m = self.below[-1]
+        at_least = m - self.count_below(cuts)
+        at_most = self.below[np.searchsorted(self.support, np.negative(cuts), side="right")]
+        return np.where(np.greater(cuts, 0), at_least + at_most, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +185,11 @@ class NullDistribution:
     @property
     def iterations_retained(self) -> int:
         return self.values.size
+
+    @functools.cached_property
+    def _law(self) -> _Law:
+        """The sorted law of `values`; exact enumeration may fill it as it builds them."""
+        return _Law.of(self.values)
 
 
 @dataclass(frozen=True)
@@ -276,7 +352,8 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
     affected-major for the dual scheme.  Degenerate relabelings are
     counted in `degenerate_draws_discarded` and excluded from the values.
 
-    Every value comes from `panel._product_cells`, which forms each block
+    Off the balanced route below, every value comes from
+    `panel._product_cells`, which forms each block
     pair's cells from products of its label rows and ends in
     `panel._did_from_cells`, the formula of `did_value` and
     `simulate_null`.  Its values do not depend on how the walk is
@@ -285,6 +362,18 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
     group/time swap of the dual scheme with n_affected = n_time) can
     round apart.  The distribution carries `panel._product_cells_tolerance`,
     within which `randomization_p_value` counts them as ties.
+
+    One route differs, chosen by the margins alone: under `Margins.DUAL`
+    and `Mode.FIXED_MARGINS` with n_affected = n_time = n/2, a value
+    depends on its relabeling only through the agreement set
+    D = {i : affected_i = time_i} (`randomize.agreement_sets`).  There
+    `panel._agreement_cells` computes the value of every D once, and the
+    walk fills the values block by block, each read from that table by
+    its D, in the same canonical order and with the same discards.  All
+    relabelings of one D get one bitwise-equal value, and the
+    distribution's sorted law comes from the table and the count of
+    relabelings of each D (`randomize.agreement_counts`), without a sort
+    of the values.  Its rounding lies inside the same tie tolerance.
 
     Raises
     ------
@@ -295,13 +384,24 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
     size, blocks = enumerate_relabelings(sample.affected, sample.time, scheme)
     values = np.empty(size, dtype=np.float64)
     pos = 0
-    for affected, time in blocks:
-        drawn, estimable = _product_cells(affected, time, sample.y)
-        kept = int(np.count_nonzero(estimable))
-        np.compress(estimable, drawn, out=values[pos : pos + kept])
-        pos += kept
+    law = None
+    sets = agreement_sets(sample.affected, sample.time, scheme)
+    if sets is not None:
+        by_set, estimable = _agreement_cells(sample.y)
+        for block in sets:
+            kept = block[estimable[block]]
+            np.take(by_set, kept, out=values[pos : pos + kept.size])
+            pos += kept.size
+        counts = agreement_counts(sample.n)
+        law = _Law.of(by_set[estimable], counts[estimable])
+    else:
+        for affected, time in blocks:
+            drawn, estimable = _product_cells(affected, time, sample.y)
+            kept = int(np.count_nonzero(estimable))
+            np.compress(estimable, drawn, out=values[pos : pos + kept])
+            pos += kept
 
-    return NullDistribution(
+    dist = NullDistribution(
         values=values[:pos],
         iterations_requested=size,
         scheme=scheme,
@@ -310,6 +410,9 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
         source=Source.EXACT_ENUMERATION,
         tie_tolerance=_product_cells_tolerance(sample.y),
     )
+    if law is not None:
+        vars(dist)["_law"] = law  # fills the cache of `NullDistribution._law`
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +442,7 @@ def randomization_p_value(observed: float, dist: NullDistribution) -> tuple[floa
         raise ValueError("null distribution is empty")
     if not math.isfinite(observed):
         raise ValueError(f"observed value must be finite, got {observed}")
-    count = int(np.count_nonzero(np.abs(dist.values) >= abs(observed) - dist.tie_tolerance))
+    count = int(dist._law.count_abs_at_least(abs(observed) - dist.tie_tolerance))
     m = dist.iterations_retained
     return count / m, (1 + count) / (m + 1)
 
@@ -350,14 +453,14 @@ def test_significance(observed: float, dist: NullDistribution, alpha: float = 0.
     The bounds are the alpha/2 and 1 - alpha/2 quantiles of the null
     values: on the sorted values of length m, quantile q reads off
     position 1 + q*(m - 1), interpolating linearly between neighbouring
-    order statistics.
+    order statistics.  They are read off the distribution's sorted law
+    and equal `np.quantile` of the values bit for bit.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     raw, corrected = randomization_p_value(observed, dist)  # checks dist and observed
-    # Two scalar calls: one call with both levels can differ in the last bit.
-    lower = float(np.quantile(dist.values, alpha / 2.0))
-    upper = float(np.quantile(dist.values, 1.0 - alpha / 2.0))
+    lower = dist._law.quantile(alpha / 2.0)
+    upper = dist._law.quantile(1.0 - alpha / 2.0)
     return TestResult(
         observed=float(observed),
         lower=lower,
@@ -457,10 +560,9 @@ def exactness_audit(
         raise ValueError("no estimable relabeling exists in this space")
 
     stats = dist.values
-    m = stats.size
-    magnitudes = np.sort(np.abs(stats))
-    cut = np.abs(stats) - dist.tie_tolerance
-    p_values = (m - np.searchsorted(magnitudes, cut, side="left")) / m
+    law = dist._law
+    by_support = law.count_abs_at_least(np.abs(law.support) - dist.tie_tolerance) / stats.size
+    p_values = by_support[np.searchsorted(law.support, stats)]
     return UniformityReport(
         n=n,
         n_affected=n_affected,

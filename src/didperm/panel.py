@@ -11,15 +11,18 @@ coefficient of the saturated two-way OLS model
 Both estimators are provided; for the saturated 2x2 design they agree exactly,
 and the OLS coefficients are solved in closed form from the cell means.
 
-This module also holds the statistic kernels.  Every DiD value in the
-package ends in `_did_from_cells`, the four-means formula.  `_cell_means`
-sums the cells of many labelings at once in one pass over their labels,
-for the observed value (`compute_cell_means`) and, through
-`_block_cells`, for every Monte Carlo draw.  `_product_cells` gives the
-DiD values of every (affected row, time row) pair of two label blocks
-from products of the rows, for exact enumeration.  Beside each kernel
-sits the bound on its rounding (`_cell_means_tolerance`,
-`_product_cells_tolerance`) within which `inference` counts ties.
+This module also holds the three statistic kernels.  `_cell_means` sums
+the cells of many labelings at once in one pass over their labels, for
+the observed value (`compute_cell_means`) and, through `_block_cells`,
+for every Monte Carlo draw.  `_product_cells` gives the DiD values of
+every (affected row, time row) pair of two label blocks from products of
+the rows, for exact enumeration; both end in `_did_from_cells`, the
+four-means formula.  `_agreement_cells` gives, for balanced dual
+fixed-margin enumeration, the DiD of every agreement set of a relabeling
+from one table of subset sums.  Beside the kernels sit the bounds on
+their rounding (`_cell_means_tolerance`, `_product_cells_tolerance`,
+which also covers `_agreement_cells`) within which `inference` counts
+ties.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
@@ -199,13 +202,27 @@ def _cell_means_tolerance(y: np.ndarray) -> float:
 
 
 def _centred(y: np.ndarray) -> np.ndarray:
-    """`y` less its midrange c, the outcomes that `_product_cells` sums.
+    """`y` less its midrange c, the outcomes that the enumeration kernels sum.
 
     A DiD value is a contrast of cell means, so shifting every outcome by
     c leaves it unchanged in exact arithmetic; the rounding of sums of
     y - c scales with max|y - c|, not with max|y|.
     """
     return y - (0.5 * y.max() + 0.5 * y.min())
+
+
+def _scaled(y: np.ndarray) -> tuple[np.ndarray, float]:
+    """The centred outcomes (`_centred`) over a power of two, and that power.
+
+    Sums of centred outcomes reach n*max|y - c|, which can overflow where
+    the sums of raw outcomes that ingest bounds do not.  Where they could,
+    the outcomes are divided by 2**k, 2**k > n, and a kernel multiplies its
+    values back by 2**k: no bit changes in the normal float range.
+    """
+    n = y.size
+    y = _centred(y)
+    scale = 2.0 ** n.bit_length() if n * float(np.max(np.abs(y))) > _MAX / 4 else 1.0
+    return y / scale, scale
 
 
 def _ordered_sums(p, q, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,15 +274,11 @@ def _product_cells(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     `_cell_means`, by up to `_product_cells_tolerance`.  The value of a
     pair with an empty cell is not finite, and `estimable` is False there.
 
-    Sums of centred outcomes reach n*max|y - c|, which can overflow where
-    the sums of raw outcomes that ingest bounds do not.  Where they could,
-    they are taken on (y - c) / 2**k, 2**k > n, and the values multiplied
-    back by 2**k, a power of two: no bit changes in the normal float range.
+    Where sums of centred outcomes could overflow, they are taken on
+    outcomes scaled by a power of two (`_scaled`).
     """
     n = y.size
-    y = _centred(y)
-    scale = 2.0 ** n.bit_length() if n * float(np.max(np.abs(y))) > _MAX / 4 else 1.0
-    y = y / scale
+    y, scale = _scaled(y)
     # Step through the ones of the side with fewer rows: each step adds a
     # whole row of the other side's terms.
     if len(affected) > len(time):
@@ -293,6 +306,60 @@ def _product_cells(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return values.ravel(), estimable.ravel()
 
 
+def _agreement_cells(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values, and estimability, of the balanced dual relabelings of every agreement set.
+
+    At n_affected = n_time = n/2, cells 0 and 3 both hold c = |A & T|
+    observations and cells 1 and 2 both hold n/2 - c.  So the DiD
+    (m3 - m2) - (m1 - m0) is S_D/c - S_{D^c}/(n/2 - c), a function of
+    the agreement set D = {i : affected_i = time_i} of 2c members alone.
+    Both results have 2**n entries, one per D, indexed by its mask
+    (bit i = observation i); `randomize.agreement_sets` gives the mask of
+    every relabeling.  D is estimable when 1 <= c <= n/2 - 1; elsewhere
+    (odd size, or an empty cell) the value is NaN.
+
+    The sums S_D over all 2**n masks are built by doubling: adding
+    observation i appends y_i plus every sum so far, so each sum starts at
+    0.0 and adds its terms in observation order.  The mask of D^c is
+    2**n - 1 minus that of D, so its sum is read from the same table,
+    reversed: no inclusion-exclusion, and D and D^c negate exactly.  The
+    outcomes are centred and, where their sums could overflow, scaled by a
+    power of two, as in `_product_cells`.
+
+    Rounding, with u = eps/2 and D = max|y - c| over the centred
+    outcomes, in the normal float range:
+
+    * centring rounds each outcome by at most u*D, and the DiD weighs the
+      outcomes by 1/c and 1/(n/2 - c), 4 in absolute sum: 2*eps*D;
+    * S_D adds 2c terms of size at most D with 2c - 1 roundings, so S_D/c
+      is off by at most (2c - 1)*eps*D, and S_{D^c}/(n/2 - c) by at most
+      (n - 2c - 1)*eps*D;
+    * the two quotients, each at most 2*D, round by eps*D each, and their
+      difference, at most 4*D, by 2*eps*D.
+
+    So a value rounds by (n + 4)*eps*D to first order, and by at most
+    (n + 5)*eps*D with the higher-order terms.  That lies far inside
+    `_product_cells_tolerance`, which `enumerate_null` keeps for these
+    values too: two of them equal in exact arithmetic lie within
+    2*(n + 5)*eps*D <= 12*n**2*eps*D, one and the observed value within
+    (n + 5)*eps*D + 1.5*n*eps*max|y|.
+    """
+    n = y.size
+    half = n // 2
+    y, scale = _scaled(y)
+    sums = np.zeros(1)
+    sizes = np.zeros(1, dtype=np.intp)
+    for term in y.tolist():
+        sums = np.concatenate([sums, sums + term])
+        sizes = np.concatenate([sizes, sizes + 1])
+    c = sizes // 2
+    estimable = (sizes % 2 == 0) & (c >= 1) & (c <= half - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = (sums / c - sums[::-1] / (half - c)) * scale
+    values[~estimable] = np.nan
+    return values, estimable
+
+
 def _product_cells_tolerance(y: np.ndarray) -> float:
     """`_cell_means_tolerance` + 16*n**2*eps*D, the tie tolerance of `_product_cells`.
 
@@ -314,9 +381,10 @@ def _did_from_cells(m0, m1, m2, m3):
     """The DiD formula on the four cell means, cell index 2*affected + time.
 
     (treated change) - (control change) = (m3 - m2) - (m1 - m0), with this
-    grouping kept explicit.  Every DiD value of the package, observed or
-    relabeled, is this function of cell means, from `_cell_means` or
-    `_product_cells`.
+    grouping kept explicit.  The observed value and every Monte Carlo or
+    product-form value is this function of cell means, from `_cell_means`
+    or `_product_cells`; `_agreement_cells` regroups it as
+    (m3 + m0) - (m1 + m2), which its equal cell counts allow.
     """
     return (m3 - m2) - (m1 - m0)
 

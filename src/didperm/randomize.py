@@ -14,7 +14,10 @@ relabeling is a one-row draw.  Its rows feed the statistic kernel
 `panel._block_cells`.  `enumerate_relabelings` sizes the whole
 relabeling space, refuses one past `ENUMERATION_CAP`, and walks it in
 canonical order as pairs of an affected block and a time block, whose
-row products `panel._product_cells` turns into values.
+row products `panel._product_cells` turns into values.  On a balanced
+dual fixed-margin space, `agreement_sets` walks the same order as blocks
+of agreement-set masks, by which `panel._agreement_cells` values are
+read, and `agreement_counts` gives the relabelings of each set.
 
 Randomness is counter-based.  Simulation iterations are drawn in blocks of
 B = `stream_block_rows(n)` = max(1, 8192 // n) rows: iteration k (1-based)
@@ -200,6 +203,15 @@ def draw_relabelings(
     return new_affected, np.broadcast_to(time, (rows, time.size))
 
 
+def _combinations(n: int, ones: int, block_rows: int):
+    """The C(n, ones) position sets of `ones` ones among n, lexicographic, in (rows, ones) intp blocks."""
+    combos = itertools.chain.from_iterable(itertools.combinations(range(n), ones))
+    total = math.comb(n, ones)
+    for start in range(0, total, block_rows):
+        rows = min(block_rows, total - start)
+        yield np.fromiter(combos, dtype=np.intp, count=rows * ones).reshape(rows, ones)
+
+
 def _arrangements(n: int, ones: int, mode: Mode, block_rows: int):
     """Every relabeling of one margin in canonical order, in int8 blocks of `block_rows` rows.
 
@@ -208,10 +220,9 @@ def _arrangements(n: int, ones: int, mode: Mode, block_rows: int):
     integer order (bit j = observation j).
     """
     if mode is Mode.FIXED_MARGINS:
-        combos = itertools.combinations(range(n), ones)
-        while rows := list(itertools.islice(combos, block_rows)):
-            block = np.zeros((len(rows), n), dtype=np.int8)
-            block[np.arange(len(rows))[:, None], np.array(rows, dtype=np.intp)] = 1
+        for positions in _combinations(n, ones, block_rows):
+            block = np.zeros((len(positions), n), dtype=np.int8)
+            block[np.arange(len(positions))[:, None], positions] = 1
             yield block
         return
     shifts = np.arange(n, dtype=np.uint64)
@@ -235,6 +246,53 @@ def _space_blocks(affected: np.ndarray, time: np.ndarray, scheme: RandomizationS
     for a_block in _arrangements(n, int(affected.sum()), scheme.mode, a_rows):
         for t_block in t_blocks:
             yield a_block, t_block
+
+
+def agreement_sets(affected: np.ndarray, time: np.ndarray, scheme: RandomizationScheme):
+    """The space's agreement sets in canonical order, or None unless the space is balanced dual fixed-margin.
+
+    The rule reads the margins alone: `Margins.DUAL`, `Mode.FIXED_MARGINS`
+    and n_affected = n_time = n/2.  There the DiD depends on a relabeling
+    only through its agreement set D = {i : affected_i = time_i}
+    (`panel._agreement_cells`).  The walk yields (ra, rt) intp blocks of
+    masks of D (bit i = observation i), one per relabeling, in the order
+    of `enumerate_relabelings`: a run of ra affected arrangements against
+    all rt time arrangements, both lexicographic.  D is the complement of
+    A xor T for the masks A and T of the two arrangements.
+    """
+    n = affected.size
+    balanced = 2 * int(affected.sum()) == n == 2 * int(time.sum())
+    if not (balanced and scheme.margins is Margins.DUAL and scheme.mode is Mode.FIXED_MARGINS):
+        return None
+    return _agreement_blocks(n)
+
+
+def _agreement_blocks(n: int):
+    (positions,) = _combinations(n, n // 2, math.comb(n, n // 2))
+    masks = (1 << positions).sum(axis=1)  # distinct bits, so the sum is the union
+    full = (1 << n) - 1
+    step = max(1, _ENUM_ENTRIES // (masks.size * n))
+    for start in range(0, masks.size, step):
+        yield (full ^ masks[start : start + step, None]) ^ masks
+
+
+def agreement_counts(n: int) -> np.ndarray:
+    """Relabelings of the balanced dual fixed-margin space with each agreement set, indexed by its mask.
+
+    A set D of 2c observations is the agreement set of C(2c, c) *
+    C(n - 2c, n/2 - c) relabelings: the affected ones inside D pick c of
+    its members, those outside pick n/2 - c of the rest.  A set of odd
+    size is the agreement set of none.  The counts sum to C(n, n/2)**2.
+    """
+    half = n // 2
+    by_size = [
+        math.comb(size, size // 2) * math.comb(n - size, half - size // 2) if size % 2 == 0 else 0
+        for size in range(n + 1)
+    ]
+    sizes = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        sizes = np.concatenate([sizes, sizes + 1])  # bit i set: one member more
+    return np.array(by_size, dtype=np.int64)[sizes]
 
 
 def enumerate_relabelings(

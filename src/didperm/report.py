@@ -68,7 +68,12 @@ def make_histogram(dist: NullDistribution, bins: int) -> list[tuple[float, float
         raise ValueError("bins must be >= 1")
     if dist.iterations_retained == 0:
         raise ValueError("null distribution is empty")
-    counts, edges = np.histogram(dist.values, bins=bins)
+    law = dist._law
+    # The edges of `np.histogram`, and its counts read off the sorted law:
+    # bin i holds the values v with edges[i] <= v < edges[i + 1].
+    edges = np.histogram_bin_edges(law.support[[0, -1]], bins=bins)
+    below = np.concatenate([[0], law.count_below(edges[1:-1]), law.below[-1:]])
+    counts = np.diff(below)
     return [
         (float(edges[i]), float(edges[i + 1]), int(counts[i]))
         for i in range(len(counts))

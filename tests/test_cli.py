@@ -301,6 +301,19 @@ class TestCmdAudit:
         worst = float(re.search(r"worst-case violation.*?(-?\d+\.\d+e?[-+]?\d*)", out).group(1))
         assert worst <= 0.0
 
+    def test_balanced_dual_support(self, capsys):
+        # 2**(12 - 2) - 1 distinct |DiD|, as `TestBalancedDualSupport` pins.
+        # The smallest p counts the largest |DiD|: an agreement set of 2c
+        # members and its complement, 2*C(2c, c)*C(12 - 2c, 6 - c) of the
+        # 851,928 estimable relabelings.
+        argv = ["audit", "--n", "12", "--n-affected", "6", "--n-time", "6", "--scheme", "dual"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        support = re.search(r"support: ([\d,]+) distinct \|DiD\| values.*exact p: (\S+)", out)
+        assert support.group(1) == "1,023"
+        classes = {2 * math.comb(2 * c, c) * math.comb(12 - 2 * c, 6 - c) for c in range(1, 6)}
+        assert round(float(support.group(2)) * 851_928) in classes
+
     def test_missing_flags(self):
         assert main(["audit", "--n", "6"]) == EXIT_USAGE
 

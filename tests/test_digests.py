@@ -92,7 +92,7 @@ REPORT_PINS = {
     "enumerate": (
         3,
         ["--scheme", "dual", "--mode", "fixed"],
-        "1c6b1f91453f4f53f015c2b5f9e4708b69a514c68ab727f5127b43236db51801",
+        "26f1f49419de16cd9a100df32b1911c5903968b44fa2fbbeaecb055b1689a4f7",
     ),
     "test": (
         20,

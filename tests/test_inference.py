@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import didperm.inference as inference
@@ -32,6 +32,7 @@ from didperm import (
 )
 from didperm import test_significance as significance_test
 from didperm.datasets import INPRESS
+from didperm.inference import _Law
 from didperm.panel import _product_cells
 from helpers import (
     brute_force_did,
@@ -560,6 +561,127 @@ class TestNullDistributionValidation:
             )
 
 
+def product_walk(sample, scheme):
+    """The retained values of the product-form walk over every space, and its discard count."""
+    size, blocks = randomize.enumerate_relabelings(sample.affected, sample.time, scheme)
+    parts = [drawn[kept] for drawn, kept in (_product_cells(a, t, sample.y) for a, t in blocks)]
+    values = np.concatenate(parts)
+    return values, size - values.size
+
+
+def balanced_sample(n, outcomes):
+    rng = generator_for(n)
+    half = np.arange(n) < n // 2
+    y = {
+        "normal": rng.standard_normal(n),
+        "offset": rng.standard_normal(n) + 5e3,
+        "integers": rng.integers(-2, 3, n).astype(float),
+    }[outcomes]
+    return PanelSample(y=y, time=rng.permutation(half), affected=rng.permutation(half))
+
+
+class TestAgreementSetRoute:
+    """Balanced dual fixed-margin spaces enumerate through their agreement sets."""
+
+    @pytest.mark.parametrize("outcomes", ["normal", "offset", "integers"])
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    def test_matches_product_walk(self, n, outcomes):
+        sample = balanced_sample(n, outcomes)
+        assert randomize.agreement_sets(sample.affected, sample.time, DUAL_FIXED) is not None
+        dist = enumerate_null(sample, DUAL_FIXED)
+        values, discarded = product_walk(sample, DUAL_FIXED)
+        assert dist.iterations_requested == math.comb(n, n // 2) ** 2
+        assert_matches_kernel_oracle(dist, values, discarded)
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_law_is_that_of_the_values(self, n):
+        # The route fills the law from its agreement-set table; it must be
+        # the law that `np.unique` gives on the expanded values.
+        dist = enumerate_null(balanced_sample(n, "normal"), DUAL_FIXED)
+        support, counts = np.unique(dist.values, return_counts=True)
+        assert "_law" in vars(dist)
+        assert dist._law.support.tobytes() == support.tobytes()
+        assert np.array_equal(dist._law.below, np.concatenate([[0], np.cumsum(counts)]))
+
+    def test_block_size_does_not_change_values(self, monkeypatch):
+        sample = balanced_sample(8, "normal")
+        baseline = enumerate_null(sample, DUAL_FIXED)
+        for budget in (100, 1000, 10_000):
+            monkeypatch.setattr(randomize, "_ENUM_ENTRIES", budget)
+            blocked = enumerate_null(sample, DUAL_FIXED)
+            assert blocked.values.tobytes() == baseline.values.tobytes()
+            assert blocked.degenerate_draws_discarded == baseline.degenerate_draws_discarded
+
+    @pytest.mark.parametrize(
+        "scheme, ones",
+        [(DUAL_FIXED, (4, 3)), (DUAL_FIXED, (3, 3)), (DUAL_BERNOULLI, (4, 4)), (AFFECTED_FIXED, (4, 4))],
+    )
+    def test_rule_reads_the_margins_alone(self, scheme, ones):
+        positions = np.arange(8)
+        affected, time = positions < ones[0], positions < ones[1]
+        assert randomize.agreement_sets(affected, time, scheme) is None
+
+
+# Heavily tied values: a few atoms, neighbours one ulp apart, and free floats.
+TIED = st.lists(
+    st.one_of(
+        st.sampled_from([-2.5, -1.0, 0.0, 0.3, 0.3 + 2**-54, 1.0, 1.0 + 2**-52, 7.0]),
+        st.floats(-1e3, 1e3).map(lambda v: v + 0.0),  # no -0.0: its sign may differ
+    ),
+    min_size=1,
+    max_size=40,
+)
+LEVELS = st.one_of(
+    st.sampled_from([0.0, 1e-300, 1e-17, 0.025, 0.5 - 2**-53, 0.5, 0.5 + 2**-53, 0.975, 1 - 2**-53, 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestSortedLaw:
+    """Every consumer of a null reads its sorted law; numpy's rules on the values pin it."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(values=TIED, q=LEVELS)
+    # At a weight of exactly 1/2 numpy interpolates down from the upper
+    # neighbour; from the lower one, these round to another float.
+    @example(values=[-2.5, 0.3], q=0.5)
+    @example(values=[7.0, 0.3, -1.0, 0.3, 1.0], q=0.625)
+    def test_quantile_is_numpys_bit_for_bit(self, values, q):
+        dist = mock_distribution(values)
+        expected = np.quantile(dist.values, q)
+        assert np.float64(dist._law.quantile(q)).tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(values=TIED, alpha=st.floats(1e-6, 1 - 1e-6))
+    def test_bounds_are_numpys_quantiles(self, values, alpha):
+        dist = mock_distribution(values)
+        result = significance_test(0.0, dist, alpha)
+        assert result.lower == float(np.quantile(dist.values, alpha / 2.0))
+        assert result.upper == float(np.quantile(dist.values, 1.0 - alpha / 2.0))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        values=TIED,
+        observed=st.one_of(st.sampled_from([0.0, 0.3, -1.0, 2.5, 1e-13]), st.floats(-1e3, 1e3)),
+        tol=st.sampled_from([0.0, 1e-12, 2**-52, 0.7, 3.0]),
+    )
+    def test_p_value_is_the_count_rule(self, values, observed, tol):
+        # Cuts |observed| - tol <= 0 count every value.
+        dist = dataclasses.replace(mock_distribution(values), tie_tolerance=tol)
+        m = dist.iterations_retained
+        count = int(np.count_nonzero(np.abs(dist.values) >= abs(observed) - tol))
+        assert randomization_p_value(observed, dist) == (count / m, (1 + count) / (m + 1))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(values=TIED, data=st.data())
+    def test_weighted_law_is_that_of_the_repeated_values(self, values, data):
+        counts = np.array(data.draw(st.lists(st.integers(1, 5), min_size=len(values), max_size=len(values))))
+        law = _Law.of(np.array(values), counts)
+        expected = _Law.of(np.repeat(values, counts))
+        assert law.support.tobytes() == expected.support.tobytes()
+        assert np.array_equal(law.below, expected.below)
+
+
 class TestOracleConvergence:
     def test_monte_carlo_cdf_tracks_exact_cdf_small_panel(self):
         exact = enumerate_null(FOUR_POINT, DUAL_FIXED)
@@ -585,10 +707,12 @@ class TestOneRowBlockLaw:
         )
         exact = enumerate_null(sample, scheme)
         mc = simulate_null(sample, scheme, iterations=20000, master_seed=k)
-        if scheme == AFFECTED_FIXED:
-            # The affected-only law has atoms of 1/70.  The two kernels can
-            # round one relabeling apart and split an atom, so values that
-            # tie within the enumeration's tolerance are merged first.
+        if scheme == AFFECTED_FIXED or (scheme == DUAL_FIXED and k == 4):
+            # The affected-only law has atoms of 1/70, and at k = 4 the dual
+            # law has one atom per agreement set, whose relabelings all take
+            # one bitwise-equal value.  The two kernels can round one
+            # relabeling apart and split an atom, so values that tie within
+            # the enumeration's tolerance are merged first.
             merged = merge_ties(exact.tie_tolerance, mc.values, exact.values)
             assert sup_cdf_distance(*merged) <= 0.0115
         else:

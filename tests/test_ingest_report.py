@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from didperm import (
     BRAND_SEARCH,
@@ -303,6 +305,22 @@ class TestHistogram:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_histogram(mock_dist([1.0]), bins=0)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        values=st.one_of(
+            # integers put values on the edges; one repeated value is constant
+            st.lists(st.integers(-3, 5).map(float), min_size=1, max_size=40),
+            st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+            st.builds(lambda v, m: [v] * m, st.floats(-1e3, 1e3), st.integers(1, 30)),
+        ),
+        bins=st.integers(1, 60),
+    )
+    def test_matches_numpy_histogram(self, values, bins):
+        hist = make_histogram(mock_dist(values), bins=bins)
+        counts, edges = np.histogram(np.array(values), bins=bins)
+        assert [c for _, _, c in hist] == counts.tolist()
+        assert np.array([lo for lo, _, _ in hist] + [hist[-1][1]]).tobytes() == edges.tobytes()
 
 
 def example_report():

@@ -1,5 +1,7 @@
 """Estimator tests: cell means, four-means DiD, and the closed-form OLS path."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from didperm import (
     did_from_ols,
     did_value,
 )
-from didperm.panel import _block_cells, _product_cells
+from didperm.panel import _agreement_cells, _block_cells, _centred, _product_cells
 from helpers import brute_force_did, brute_force_did_fraction, random_estimable_sample
 
 
@@ -184,6 +186,59 @@ class TestProductCells:
         assert np.array_equal(estimable, huge_estimable)
         assert np.isfinite(huge[estimable]).all()
         assert huge[estimable].tobytes() == (values[estimable] * 2.0**1021).tobytes()
+
+
+def agreement_labels(mask, n):
+    """One balanced (affected, time) relabeling whose agreement set has mask `mask`."""
+    members = [i for i in range(n) if mask >> i & 1]
+    others = [i for i in range(n) if not mask >> i & 1]
+    c, half = len(members) // 2, n // 2
+    affected, time = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    affected[members[:c]] = time[members[:c]] = 1  # c in cell 3, c in cell 0
+    affected[others[: half - c]] = 1  # half - c in cell 2
+    time[others[half - c :]] = 1  # half - c in cell 1
+    return affected, time
+
+
+def adversarial_outcomes(kind, n=20):
+    rng = np.random.default_rng(7)
+    if kind == "offset":
+        return 1e6 + rng.standard_normal(n)
+    if kind == "powers":  # partial sums land on and around powers of two
+        signs = rng.choice([-1.0, 1.0], n)
+        return signs * 2.0 ** rng.integers(-3, 4, n) * (1 + rng.uniform(-1e-9, 1e-9, n))
+    y = rng.standard_normal(n)  # "huge": centred sums pass the float range
+    y[:2] = 8e307, -8e307
+    return y
+
+
+class TestAgreementCells:
+    """The balanced dual kernel at n = 20 against the exact-rational DiD of one relabeling per set."""
+
+    @pytest.mark.parametrize("kind", ["offset", "powers", "huge"])
+    def test_rounding_within_stated_bound(self, kind):
+        n = 20
+        y = adversarial_outcomes(kind, n)
+        values, estimable = _agreement_cells(y)
+        rng = np.random.default_rng(8)
+        masks = rng.integers(0, 1 << n, 400)
+        masks = masks[estimable[masks]][:150]
+        bound = (n + 5) * np.finfo(np.float64).eps * np.abs(_centred(y)).max()
+        for mask in masks.tolist():
+            affected, time = agreement_labels(mask, n)
+            exact = brute_force_did_fraction(y, time, affected)
+            assert np.isfinite(values[mask])
+            assert abs(Fraction(values[mask]) - exact) <= bound
+
+    def test_estimable_sets_and_exact_negation(self):
+        n = 10
+        values, estimable = _agreement_cells(adversarial_outcomes("offset", n))
+        sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])
+        expected = (sizes % 2 == 0) & (sizes >= 2) & (sizes <= n - 2)
+        assert np.array_equal(estimable, expected)
+        assert np.isnan(values[~estimable]).all()
+        # D and its complement 2**n - 1 - D give values negated bit for bit
+        assert values[estimable].tobytes() == (-values[::-1][estimable]).tobytes()
 
 
 class TestEstimatorProperties:

@@ -1,6 +1,7 @@
 """Randomizer tests: determinism, margin preservation, and uniformity laws."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,12 +15,13 @@ from didperm import (
     generator_for,
     simulate_null,
 )
-from didperm.randomize import draw_relabelings
-from helpers import documented_block_rows, kernel_stat, replay_run
+from didperm.randomize import _combinations, agreement_counts, agreement_sets, draw_relabelings
+from helpers import arrangements_fixed, documented_block_rows, kernel_stat, replay_run
 
 SAMPLE = PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=[0, 1, 0, 1], affected=[0, 0, 1, 1])
 AFFECTED_FIXED = RandomizationScheme(Margins.AFFECTED_ONLY, Mode.FIXED_MARGINS)
 AFFECTED_BERNOULLI = RandomizationScheme(Margins.AFFECTED_ONLY, Mode.BERNOULLI)
+DUAL_FIXED = RandomizationScheme(Margins.DUAL, Mode.FIXED_MARGINS)
 
 
 def draw(affected, time, scheme, seed, rows=1):
@@ -215,3 +217,26 @@ class TestRelabel:
         expected = draws / 36
         chi2 = float(((joint - expected) ** 2 / expected).sum())
         assert chi2 < 66.6
+
+
+class TestEnumerationWalk:
+    @pytest.mark.parametrize("n, ones, block_rows", [(7, 3, 4), (6, 0, 3), (8, 4, 70), (8, 4, 1)])
+    def test_combination_blocks_are_lexicographic(self, n, ones, block_rows):
+        blocks = list(_combinations(n, ones, block_rows))
+        assert [len(b) for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tolist() == [list(c) for c in itertools.combinations(range(n), ones)]
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_agreement_sets_and_counts_match_the_labelings(self, n):
+        # Each canonical (affected, time) pair, affected-major, has the
+        # agreement set that the walk gives it; each set is met as often as
+        # `agreement_counts` says.
+        half = np.arange(n) < n // 2
+        rows = np.array(arrangements_fixed(n, n // 2))
+        bits = 1 << np.arange(n)
+        expected = ((rows[:, None, :] == rows[None, :, :]) @ bits).ravel()
+        walk = np.concatenate([block.ravel() for block in agreement_sets(half, half, DUAL_FIXED)])
+        assert np.array_equal(walk, expected)
+        counts = agreement_counts(n)
+        assert np.array_equal(np.bincount(walk, minlength=1 << n), counts)
+        assert counts.sum() == math.comb(n, n // 2) ** 2
