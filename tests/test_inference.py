@@ -616,7 +616,7 @@ class TestAgreementSetRoute:
         "scheme, ones",
         [(DUAL_FIXED, (4, 3)), (DUAL_FIXED, (3, 3)), (DUAL_BERNOULLI, (4, 4)), (AFFECTED_FIXED, (4, 4))],
     )
-    def test_rule_reads_the_margins_alone(self, scheme, ones):
+    def test_no_route_off_balanced_dual_fixed_margins(self, scheme, ones):
         positions = np.arange(8)
         affected, time = positions < ones[0], positions < ones[1]
         assert randomize.agreement_sets(affected, time, scheme) is None
@@ -646,6 +646,7 @@ class TestSortedLaw:
     # neighbour; from the lower one, these round to another float.
     @example(values=[-2.5, 0.3], q=0.5)
     @example(values=[7.0, 0.3, -1.0, 0.3, 1.0], q=0.625)
+    @example(values=[0.3], q=0.5)
     def test_quantile_is_numpys_bit_for_bit(self, values, q):
         dist = mock_distribution(values)
         expected = np.quantile(dist.values, q)
@@ -665,6 +666,7 @@ class TestSortedLaw:
         observed=st.one_of(st.sampled_from([0.0, 0.3, -1.0, 2.5, 1e-13]), st.floats(-1e3, 1e3)),
         tol=st.sampled_from([0.0, 1e-12, 2**-52, 0.7, 3.0]),
     )
+    @example(values=[0.3], observed=0.3, tol=0.7)
     def test_p_value_is_the_count_rule(self, values, observed, tol):
         # Cuts |observed| - tol <= 0 count every value.
         dist = dataclasses.replace(mock_distribution(values), tie_tolerance=tol)

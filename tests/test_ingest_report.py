@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from didperm import (
@@ -316,6 +316,7 @@ class TestHistogram:
         ),
         bins=st.integers(1, 60),
     )
+    @example(values=[0.3], bins=3)
     def test_matches_numpy_histogram(self, values, bins):
         hist = make_histogram(mock_dist(values), bins=bins)
         counts, edges = np.histogram(np.array(values), bins=bins)
