@@ -8,10 +8,11 @@ relabeling space (its draws, its size and its enumeration).
 `panel._block_cells` turns each block of drawn labels into DiD values and
 `panel._product_cells` each pair of enumerated label blocks, so both
 builders read: label blocks, one kernel call, keep or redraw.  Balanced
-dual fixed-margin spaces instead read each value from
-`panel._agreement_cells` by the relabeling's agreement set.  Both
-builders record the tie tolerance of their kernel, which
-`randomization_p_value` counts ties within.
+dual fixed-margin spaces instead take their law from
+`panel._agreement_cells`, one value per agreement set.  Both builders
+record the tie tolerance of their kernel, which `randomization_p_value`
+counts ties within.  An exact null is its law: its values are the
+distinct values repeated by their counts, in increasing order.
 `test_significance` turns a distribution into a two-sided quantile
 decision plus p-values, and `exactness_audit` verifies the finite-sample
 validity guarantee P(p <= alpha) <= alpha exhaustively on enumerable
@@ -49,12 +50,14 @@ from .panel import (
 )
 from .randomize import (
     ENUMERATION_CAP,
+    Margins,
+    Mode,
     RandomizationScheme,
     agreement_counts,
-    agreement_sets,
     draw_relabelings,
     enumerate_relabelings,
     generator_for,
+    space_size,
     stream_block_rows,
 )
 
@@ -98,19 +101,13 @@ class _Law:
     below: np.ndarray
 
     @classmethod
-    def of(cls, values: np.ndarray, counts: np.ndarray | None = None) -> "_Law":
-        """The law of `values`, each taken `counts` times (once when omitted)."""
-        if counts is None:
-            ordered = np.sort(values)
-        else:
-            order = np.argsort(values)
-            ordered = values[order]
-        first = np.ones(ordered.size, dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        below = np.append(np.flatnonzero(first), ordered.size)
-        if counts is not None:
-            below = np.concatenate([[0], np.cumsum(counts[order])])[below]
-        return cls(ordered[first], below)
+    def of(cls, ordered: np.ndarray, counts: np.ndarray | None = None) -> "_Law":
+        """The law of the non-decreasing `ordered`, each taken `counts` times (once when omitted)."""
+        edge = np.ones(ordered.size + 1, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=edge[1:-1])
+        starts = np.flatnonzero(edge)  # where each distinct value starts, then the end
+        below = starts if counts is None else np.concatenate([[0], np.cumsum(counts)])[starts]
+        return cls(ordered[starts[:-1]], below)
 
     def order_statistic(self, k: int) -> float:
         """The k-th smallest value, 0-based."""
@@ -159,6 +156,9 @@ class NullDistribution:
     `tie_tolerance` is the bound on the rounding of the kernel that made
     the values, within which `randomization_p_value` counts ties; 0.0,
     the default, counts bitwise ties only.
+
+    `values` is held read-only: a read-only array that owns its memory is
+    kept as it is, any other input is copied.
     """
 
     values: np.ndarray
@@ -178,8 +178,9 @@ class NullDistribution:
         if not 0.0 <= self.tie_tolerance < math.inf:
             raise ValueError("tie_tolerance must be finite and >= 0")
         object.__setattr__(self, "tie_tolerance", float(self.tie_tolerance))
-        values = values.copy()
-        values.flags.writeable = False
+        if values.flags.writeable or not values.flags.owndata:
+            values = values.copy()
+            values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
@@ -188,8 +189,8 @@ class NullDistribution:
 
     @functools.cached_property
     def _law(self) -> _Law:
-        """The sorted law of `values`; exact enumeration may fill it as it builds them."""
-        return _Law.of(self.values)
+        """The sorted law of `values`; exact enumeration fills it as it builds them."""
+        return _Law.of(np.sort(self.values))
 
 
 @dataclass(frozen=True)
@@ -347,33 +348,29 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
     `randomize.enumerate_relabelings` sizes the space and walks it: the
     C(n, ones) arrangements of each relabeled vector under fixed margins,
     all 2**n binary vectors per margin under Bernoulli, both margins for
-    the dual scheme.  The values vector keeps its canonical order:
-    arrangements in lexicographic (fixed) or integer (Bernoulli) order,
-    affected-major for the dual scheme.  Degenerate relabelings are
-    counted in `degenerate_draws_discarded` and excluded from the values.
+    the dual scheme.  Degenerate relabelings are counted in
+    `degenerate_draws_discarded` and excluded from the values.  The
+    values are in increasing order, and the distribution's sorted law is
+    filled as they are built.
 
-    Off the balanced route below, every value comes from
-    `panel._product_cells`, which forms each block
+    Every value comes from `panel._product_cells`, which forms each block
     pair's cells from products of its label rows and ends in
     `panel._did_from_cells`, the formula of `did_value` and
-    `simulate_null`.  Its values do not depend on how the walk is
-    blocked, but they can differ from `did_value` on the same labels, so
-    ties that hold in exact arithmetic (the observed labeling, the
-    group/time swap of the dual scheme with n_affected = n_time) can
-    round apart.  The distribution carries `panel._product_cells_tolerance`,
-    within which `randomization_p_value` counts them as ties.
+    `simulate_null`.  Its values can differ from `did_value` on the same
+    labels, so ties that hold in exact arithmetic (the observed labeling,
+    the group/time swap of the dual scheme with n_affected = n_time) can
+    round apart.  The distribution carries
+    `panel._product_cells_tolerance`, within which `randomization_p_value`
+    counts them as ties.
 
     One route differs, chosen by the margins alone: under `Margins.DUAL`
     and `Mode.FIXED_MARGINS` with n_affected = n_time = n/2, a value
     depends on its relabeling only through the agreement set
-    D = {i : affected_i = time_i} (`randomize.agreement_sets`).  There
-    `panel._agreement_cells` computes the value of every D once, and the
-    walk fills the values block by block, each read from that table by
-    its D, in the same canonical order and with the same discards.  All
-    relabelings of one D get one bitwise-equal value, and the
-    distribution's sorted law comes from the table and the count of
-    relabelings of each D (`randomize.agreement_counts`), without a sort
-    of the values.  Its rounding lies inside the same tie tolerance.
+    D = {i : affected_i = time_i}.  There `panel._agreement_cells`
+    computes the value of every D once, and the law weighs each by its
+    count of relabelings (`randomize.agreement_counts`), with no walk
+    over the relabelings.  All relabelings of one D share one value, and
+    its rounding lies inside the same tie tolerance.
 
     Raises
     ------
@@ -382,36 +379,35 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
         instead.
     """
     size, blocks = enumerate_relabelings(sample.affected, sample.time, scheme)
-    values = np.empty(size, dtype=np.float64)
-    pos = 0
-    law = None
-    sets = agreement_sets(sample.affected, sample.time, scheme)
-    if sets is not None:
+    balanced = 2 * int(sample.affected.sum()) == sample.n == 2 * int(sample.time.sum())
+    if balanced and scheme.margins is Margins.DUAL and scheme.mode is Mode.FIXED_MARGINS:
         by_set, estimable = _agreement_cells(sample.y)
-        for block in sets:
-            kept = block[estimable[block]]
-            np.take(by_set, kept, out=values[pos : pos + kept.size])
-            pos += kept.size
-        counts = agreement_counts(sample.n)
-        law = _Law.of(by_set[estimable], counts[estimable])
+        table, counts = by_set[estimable], agreement_counts(sample.n)[estimable]
+        order = np.argsort(table)
+        law = _Law.of(table[order], counts[order])
+        values = np.repeat(law.support, np.diff(law.below))
     else:
+        values = np.empty(size, dtype=np.float64)
+        pos = 0
         for affected, time in blocks:
             drawn, estimable = _product_cells(affected, time, sample.y)
             kept = int(np.count_nonzero(estimable))
             np.compress(estimable, drawn, out=values[pos : pos + kept])
             pos += kept
-
+        values.resize(pos, refcheck=False)  # in place: no view of the buffer is left
+        values.sort()
+        law = _Law.of(values)
+    values.flags.writeable = False  # so the distribution keeps it without a copy
     dist = NullDistribution(
-        values=values[:pos],
+        values=values,
         iterations_requested=size,
         scheme=scheme,
         master_seed=None,
-        degenerate_draws_discarded=size - pos,
+        degenerate_draws_discarded=size - values.size,
         source=Source.EXACT_ENUMERATION,
         tie_tolerance=_product_cells_tolerance(sample.y),
     )
-    if law is not None:
-        vars(dist)["_law"] = law  # fills the cache of `NullDistribution._law`
+    vars(dist)["_law"] = law  # fills the cache of `NullDistribution._law`
     return dist
 
 
@@ -528,9 +524,10 @@ def exactness_audit(
     Outcomes are drawn once from a standard normal stream seeded by
     `outcome_seed` (continuous, so cross-relabeling ties occur only
     through exact symmetries of the space), or taken from `outcomes` when
-    given.  All statistics come from `enumerate_null`, and each
-    p-value is that of `randomization_p_value` for its own statistic,
-    counted by sorting.  So relabelings that tie in exact
+    given.  The statistics are the values of `enumerate_null`, in
+    increasing order, and each p-value is that of `randomization_p_value`
+    for its own statistic, read off the null's law once per distinct
+    value.  So relabelings that tie in exact
     arithmetic (sign flips of one margin, the group/time swap of the dual
     scheme with n_affected = n_time, equal cell counts) tie here too,
     and the p-values follow their exact-arithmetic law.
@@ -546,6 +543,7 @@ def exactness_audit(
         raise ValueError("need 0 < n_affected < n")
     if not 0 < n_time < n:
         raise ValueError("need 0 < n_time < n")
+    space_size(n, n_affected, n_time, scheme)  # refuses a space past the cap before any draw
     if outcomes is None:
         y = generator_for(outcome_seed).standard_normal(n)
     else:
@@ -559,16 +557,14 @@ def exactness_audit(
     if dist.iterations_retained == 0:
         raise ValueError("no estimable relabeling exists in this space")
 
-    stats = dist.values
     law = dist._law
-    by_support = law.count_abs_at_least(np.abs(law.support) - dist.tie_tolerance) / stats.size
-    p_values = by_support[np.searchsorted(law.support, stats)]
+    by_support = law.count_abs_at_least(np.abs(law.support) - dist.tie_tolerance) / law.below[-1]
     return UniformityReport(
         n=n,
         n_affected=n_affected,
         n_time=n_time,
         scheme=scheme,
         total_relabelings=dist.iterations_requested,
-        statistic_values=stats,
-        p_values=p_values,
+        statistic_values=dist.values,
+        p_values=np.repeat(by_support, np.diff(law.below)),
     )

@@ -18,11 +18,11 @@ for every Monte Carlo draw.  `_product_cells` gives the DiD values of
 every (affected row, time row) pair of two label blocks from products of
 the rows, for exact enumeration; both end in `_did_from_cells`, the
 four-means formula.  `_agreement_cells` gives, for balanced dual
-fixed-margin enumeration, the DiD of every agreement set of a relabeling
-from one table of subset sums.  Beside the kernels sit the bounds on
-their rounding (`_cell_means_tolerance`, `_product_cells_tolerance`,
-which also covers `_agreement_cells`) within which `inference` counts
-ties.
+fixed-margin enumeration, the DiD of every agreement set from one table
+of subset sums; weighed by the relabelings of each set, they are the
+exact null's law.  Beside the kernels sit the bounds on their rounding
+(`_cell_means_tolerance`, `_product_cells_tolerance`, which also covers
+`_agreement_cells`) within which `inference` counts ties.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
@@ -314,9 +314,9 @@ def _agreement_cells(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (m3 - m2) - (m1 - m0) is S_D/c - S_{D^c}/(n/2 - c), a function of
     the agreement set D = {i : affected_i = time_i} of 2c members alone.
     Both results have 2**n entries, one per D, indexed by its mask
-    (bit i = observation i); `randomize.agreement_sets` gives the mask of
-    every relabeling.  D is estimable when 1 <= c <= n/2 - 1; elsewhere
-    (odd size, or an empty cell) the value is NaN.
+    (bit i = observation i); `randomize.agreement_counts` gives the
+    relabelings of every mask.  D is estimable when 1 <= c <= n/2 - 1;
+    elsewhere (odd size, or an empty cell) the value is NaN.
 
     The sums S_D over all 2**n masks are built by doubling: adding
     observation i appends y_i plus every sum so far, so each sum starts at

@@ -11,13 +11,13 @@ Two axes configure a randomization scheme:
 `draw_relabelings` draws a matrix of relabeled affected vectors and one
 of time vectors, a row per relabeling, from a given generator; a single
 relabeling is a one-row draw.  Its rows feed the statistic kernel
-`panel._block_cells`.  `enumerate_relabelings` sizes the whole
-relabeling space, refuses one past `ENUMERATION_CAP`, and walks it in
-canonical order as pairs of an affected block and a time block, whose
-row products `panel._product_cells` turns into values.  On a balanced
-dual fixed-margin space, `agreement_sets` walks the same order as blocks
-of agreement-set masks, by which `panel._agreement_cells` values are
-read, and `agreement_counts` gives the relabelings of each set.
+`panel._block_cells`.  `space_size` sizes the whole relabeling space
+from its margins and refuses one past `ENUMERATION_CAP`;
+`enumerate_relabelings` also walks it, as pairs of an affected block and
+a time block whose row products `panel._product_cells` turns into
+values.  On a balanced dual fixed-margin space `agreement_counts` gives
+the relabelings of each agreement set, the weights of the values of
+`panel._agreement_cells`.
 
 Randomness is counter-based.  Simulation iterations are drawn in blocks of
 B = `stream_block_rows(n)` = max(1, 8192 // n) rows: iteration k (1-based)
@@ -248,34 +248,6 @@ def _space_blocks(affected: np.ndarray, time: np.ndarray, scheme: RandomizationS
             yield a_block, t_block
 
 
-def agreement_sets(affected: np.ndarray, time: np.ndarray, scheme: RandomizationScheme):
-    """The space's agreement sets in canonical order, or None unless the space is balanced dual fixed-margin.
-
-    The rule reads the margins alone: `Margins.DUAL`, `Mode.FIXED_MARGINS`
-    and n_affected = n_time = n/2.  There the DiD depends on a relabeling
-    only through its agreement set D = {i : affected_i = time_i}
-    (`panel._agreement_cells`).  The walk yields (ra, rt) intp blocks of
-    masks of D (bit i = observation i), one per relabeling, in the order
-    of `enumerate_relabelings`: a run of ra affected arrangements against
-    all rt time arrangements, both lexicographic.  D is the complement of
-    A xor T for the masks A and T of the two arrangements.
-    """
-    n = affected.size
-    balanced = 2 * int(affected.sum()) == n == 2 * int(time.sum())
-    if not (balanced and scheme.margins is Margins.DUAL and scheme.mode is Mode.FIXED_MARGINS):
-        return None
-    return _agreement_blocks(n)
-
-
-def _agreement_blocks(n: int):
-    (positions,) = _combinations(n, n // 2, math.comb(n, n // 2))
-    masks = (1 << positions).sum(axis=1)  # distinct bits, so the sum is the union
-    full = (1 << n) - 1
-    step = max(1, _ENUM_ENTRIES // (masks.size * n))
-    for start in range(0, masks.size, step):
-        yield (full ^ masks[start : start + step, None]) ^ masks
-
-
 def agreement_counts(n: int) -> np.ndarray:
     """Relabelings of the balanced dual fixed-margin space with each agreement set, indexed by its mask.
 
@@ -300,24 +272,31 @@ def enumerate_relabelings(
 ) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """Size of the space `draw_relabelings` draws from, and a lazy walk over all of it.
 
-    Each relabeled margin contributes C(n, ones) arrangements (fixed) or
-    2**n vectors (Bernoulli).  The walk yields (affected, time) label
-    blocks of shapes (ra, n) and (rt, n), whose ra*rt row pairs,
-    affected-major, are relabelings; in all it visits the space in the
-    canonical order of `_arrangements`, affected-major.
+    The size is `space_size` of the labels' margins.  The walk yields
+    (affected, time) label blocks of shapes (ra, n) and (rt, n), whose
+    ra*rt row pairs, affected-major, are relabelings; in all it visits
+    the space in the canonical order of `_arrangements`, affected-major.
 
-    Raises SpaceTooLargeError if the size exceeds `ENUMERATION_CAP`.  The
-    log-gamma log-size decides first, so a space far past the cap is
-    never sized in big integers.
+    Raises SpaceTooLargeError if the size exceeds `ENUMERATION_CAP`.
     """
-    n = affected.size
-    relabeled = (affected, time) if scheme.margins is Margins.DUAL else (affected,)
-    ones = [int(m.sum()) for m in relabeled]
+    size = space_size(affected.size, int(affected.sum()), int(time.sum()), scheme)
+    return size, _space_blocks(affected, time, scheme)
+
+
+def space_size(n: int, n_affected: int, n_time: int, scheme: RandomizationScheme) -> int:
+    """Relabelings of n observations with margins (n_affected, n_time) under `scheme`.
+
+    Each relabeled margin contributes C(n, ones) arrangements (fixed) or
+    2**n vectors (Bernoulli).  Raises SpaceTooLargeError if the size
+    exceeds `ENUMERATION_CAP`.  The log-gamma log-size decides first, so
+    a space far past the cap is never sized in big integers.
+    """
+    ones = (n_affected, n_time) if scheme.margins is Margins.DUAL else (n_affected,)
     fixed = scheme.mode is Mode.FIXED_MARGINS
     log_size = sum(log_binomial(n, k) if fixed else n * LN2 for k in ones)
     if log_size < math.log(ENUMERATION_CAP) + 1:  # near the cap: settle it exactly
         size = math.prod(math.comb(n, k) if fixed else 1 << n for k in ones)
         if size <= ENUMERATION_CAP:
-            return size, _space_blocks(affected, time, scheme)
+            return size
         log_size = math.log(size)
     raise SpaceTooLargeError(log_size=log_size, cap=ENUMERATION_CAP)

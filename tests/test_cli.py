@@ -4,12 +4,14 @@ import contextlib
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import didperm.inference as inference
 from didperm import (
     BRAND_SEARCH,
     ENUMERATION_CAP,
@@ -323,6 +325,23 @@ class TestCmdAudit:
         )
         assert code == EXIT_SPACE
         assert "didperm test" not in capsys.readouterr().err
+
+    def test_space_is_sized_before_any_draw(self, monkeypatch):
+        # The margins alone refuse this space; its 2,000,000 outcomes
+        # would take 16 MB before it was sized.
+        def no_draw(*args):
+            raise AssertionError("outcomes drawn before the space was sized")
+
+        monkeypatch.setattr(inference, "generator_for", no_draw)
+        argv = ["audit", "--n", "2000000", "--n-affected", "1000000", "--n-time", "1000000"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_SPACE
+        assert peak < 2**20
 
 
 class TestCmdPower:

@@ -33,7 +33,7 @@ from didperm import (
 from didperm import test_significance as significance_test
 from didperm.datasets import INPRESS
 from didperm.inference import _Law
-from didperm.panel import _product_cells
+from didperm.panel import _agreement_cells, _product_cells
 from helpers import (
     brute_force_did,
     canonical_labelings,
@@ -55,15 +55,16 @@ FOUR_POINT = PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=[0, 1, 0, 1], affected=[0,
 AFFECTED_FIXED = RandomizationScheme(Margins.AFFECTED_ONLY, Mode.FIXED_MARGINS)
 DUAL_FIXED = RandomizationScheme(Margins.DUAL, Mode.FIXED_MARGINS)
 DUAL_BERNOULLI = RandomizationScheme(Margins.DUAL, Mode.BERNOULLI)
+AFFECTED_BERNOULLI = RandomizationScheme(Margins.AFFECTED_ONLY, Mode.BERNOULLI)
 ALL_SCHEMES = [RandomizationScheme(margins, mode) for margins in Margins for mode in Mode]
 
 
 def assert_matches_kernel_oracle(dist, oracle, degenerate):
-    """Same discards as the scalar oracle, every value within the tie
-    tolerance of its `kernel_stat`, and the same exact p-value for each
-    oracle value taken as the observed one."""
+    """Same discards as the scalar oracle, the sorted values each within
+    the tie tolerance of the sorted `kernel_stat` values, and the same
+    exact p-value for each oracle value taken as the observed one."""
     assert dist.degenerate_draws_discarded == degenerate
-    assert np.all(np.abs(dist.values - oracle) <= dist.tie_tolerance)
+    assert np.all(np.abs(np.sort(dist.values) - np.sort(oracle)) <= dist.tie_tolerance)
     exact = dataclasses.replace(dist, values=oracle)
     for observed in np.unique(np.abs(oracle)).tolist():
         assert randomization_p_value(observed, dist) == randomization_p_value(observed, exact)
@@ -211,14 +212,14 @@ class TestLabelSwap:
 
 class TestEnumerateNull:
     def test_affected_only_hand_tabulated_values(self):
-        # All C(4,2) = 6 affected arrangements of the 4-point panel, in
-        # lexicographic order of the positions of the ones:
-        # {0,1} -> -1, {0,2} -> empty cell, {0,3} -> 5, {1,2} -> -5,
-        # {1,3} -> empty cell, {2,3} -> 1 (the observed labeling).
+        # All C(4,2) = 6 affected arrangements of the 4-point panel, by
+        # the positions of their ones: {0,1} -> -1, {0,2} -> empty cell,
+        # {0,3} -> 5, {1,2} -> -5, {1,3} -> empty cell, {2,3} -> 1 (the
+        # observed labeling).  The values come in increasing order.
         dist = enumerate_null(FOUR_POINT, AFFECTED_FIXED)
         assert dist.iterations_requested == 6
         assert dist.degenerate_draws_discarded == 2
-        assert np.array_equal(dist.values, [-1.0, 5.0, -5.0, 1.0])
+        assert np.array_equal(dist.values, [-5.0, -1.0, 1.0, 5.0])
         assert dist.source is Source.EXACT_ENUMERATION
 
     def test_dual_visits_all_pairs(self):
@@ -252,7 +253,7 @@ class TestEnumerateNull:
         kept = [v for v in reference if v is not None]
         assert dist.iterations_requested == len(reference)
         assert dist.degenerate_draws_discarded == reference.count(None)
-        assert np.allclose(dist.values, kept, rtol=1e-10, atol=1e-12)
+        assert np.allclose(dist.values, np.sort(kept), rtol=1e-10, atol=1e-12)
 
     def test_dual_bernoulli_small_space(self):
         s = PanelSample(y=[0.3, -1.2, 0.7, 2.2], time=[0, 1, 0, 1], affected=[0, 0, 1, 1])
@@ -260,7 +261,7 @@ class TestEnumerateNull:
         assert dist.iterations_requested == 256
         reference = enumerate_brute_force(s.y, s.time, s.affected, dual=True, fixed=False)
         kept = [v for v in reference if v is not None]
-        assert np.allclose(dist.values, kept, rtol=1e-10, atol=1e-12)
+        assert np.allclose(dist.values, np.sort(kept), rtol=1e-10, atol=1e-12)
 
     def test_block_size_does_not_change_values(self, monkeypatch):
         # The default budget takes each space but dual/Bernoulli (uneven
@@ -560,6 +561,21 @@ class TestNullDistributionValidation:
                 source=Source.MONTE_CARLO,
             )
 
+    def test_values_are_held_read_only(self):
+        # A writeable array or a view is copied; a read-only array that
+        # owns its memory, such as the values of another distribution, is
+        # kept as it is.
+        source = np.array([2.0, 1.0, 3.0])
+        dist = mock_distribution(source)
+        source[0] = 9.0
+        assert dist.values.tolist() == [2.0, 1.0, 3.0]
+        assert not dist.values.flags.writeable
+        view = mock_distribution(dist.values[1:]).values
+        assert not view.flags.writeable and not np.shares_memory(view, dist.values)
+        assert mock_distribution(dist.values).values is dist.values
+        exact = enumerate_null(FOUR_POINT, DUAL_FIXED)
+        assert not exact.values.flags.writeable and exact.values.flags.owndata
+
 
 def product_walk(sample, scheme):
     """The retained values of the product-form walk over every space, and its discard count."""
@@ -580,46 +596,68 @@ def balanced_sample(n, outcomes):
     return PanelSample(y=y, time=rng.permutation(half), affected=rng.permutation(half))
 
 
+def route_calls(monkeypatch):
+    """The sizes of the outcome vectors that `enumerate_null` hands the agreement-set kernel."""
+    calls = []
+
+    def spy(y):
+        calls.append(y.size)
+        return _agreement_cells(y)
+
+    monkeypatch.setattr(inference, "_agreement_cells", spy)
+    return calls
+
+
 class TestAgreementSetRoute:
-    """Balanced dual fixed-margin spaces enumerate through their agreement sets."""
+    """Balanced dual fixed-margin spaces take their law from their agreement sets."""
 
     @pytest.mark.parametrize("outcomes", ["normal", "offset", "integers"])
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
-    def test_matches_product_walk(self, n, outcomes):
+    def test_matches_product_walk(self, monkeypatch, n, outcomes):
         sample = balanced_sample(n, outcomes)
-        assert randomize.agreement_sets(sample.affected, sample.time, DUAL_FIXED) is not None
+        calls = route_calls(monkeypatch)
         dist = enumerate_null(sample, DUAL_FIXED)
+        assert calls == [n]
         values, discarded = product_walk(sample, DUAL_FIXED)
         assert dist.iterations_requested == math.comb(n, n // 2) ** 2
         assert_matches_kernel_oracle(dist, values, discarded)
 
-    @pytest.mark.parametrize("n", [4, 8, 12])
-    def test_law_is_that_of_the_values(self, n):
-        # The route fills the law from its agreement-set table; it must be
-        # the law that `np.unique` gives on the expanded values.
-        dist = enumerate_null(balanced_sample(n, "normal"), DUAL_FIXED)
+    @pytest.mark.parametrize(
+        "n, scheme, outcomes",
+        [
+            pytest.param(4, DUAL_FIXED, "normal", id="4"),
+            pytest.param(8, DUAL_FIXED, "normal", id="8"),
+            pytest.param(12, DUAL_FIXED, "normal", id="12"),
+            pytest.param(8, DUAL_FIXED, "integers", id="8-integers"),
+            pytest.param(9, DUAL_FIXED, "integers", id="9-dual-fixed"),
+            pytest.param(7, DUAL_BERNOULLI, "integers", id="7-dual-bernoulli"),
+            pytest.param(9, AFFECTED_FIXED, "integers", id="9-affected-fixed"),
+            pytest.param(9, AFFECTED_BERNOULLI, "normal", id="9-affected-bernoulli"),
+        ],
+    )
+    def test_law_is_that_of_the_values(self, n, scheme, outcomes):
+        # Every exact null is its law: the values are non-decreasing, and
+        # the law that `enumerate_null` fills as it builds them is the one
+        # `np.unique` gives on them.
+        dist = enumerate_null(balanced_sample(n, outcomes), scheme)
+        assert np.all(dist.values[1:] >= dist.values[:-1])
         support, counts = np.unique(dist.values, return_counts=True)
         assert "_law" in vars(dist)
         assert dist._law.support.tobytes() == support.tobytes()
         assert np.array_equal(dist._law.below, np.concatenate([[0], np.cumsum(counts)]))
 
-    def test_block_size_does_not_change_values(self, monkeypatch):
-        sample = balanced_sample(8, "normal")
-        baseline = enumerate_null(sample, DUAL_FIXED)
-        for budget in (100, 1000, 10_000):
-            monkeypatch.setattr(randomize, "_ENUM_ENTRIES", budget)
-            blocked = enumerate_null(sample, DUAL_FIXED)
-            assert blocked.values.tobytes() == baseline.values.tobytes()
-            assert blocked.degenerate_draws_discarded == baseline.degenerate_draws_discarded
-
     @pytest.mark.parametrize(
         "scheme, ones",
         [(DUAL_FIXED, (4, 3)), (DUAL_FIXED, (3, 3)), (DUAL_BERNOULLI, (4, 4)), (AFFECTED_FIXED, (4, 4))],
     )
-    def test_no_route_off_balanced_dual_fixed_margins(self, scheme, ones):
+    def test_no_route_off_balanced_dual_fixed_margins(self, monkeypatch, scheme, ones):
         positions = np.arange(8)
-        affected, time = positions < ones[0], positions < ones[1]
-        assert randomize.agreement_sets(affected, time, scheme) is None
+        sample = PanelSample(
+            y=generator_for(8).standard_normal(8), time=positions < ones[1], affected=positions < ones[0]
+        )
+        calls = route_calls(monkeypatch)
+        enumerate_null(sample, scheme)
+        assert calls == []
 
 
 # Heavily tied values: a few atoms, neighbours one ulp apart, and free floats.
@@ -678,10 +716,11 @@ class TestSortedLaw:
     @given(values=TIED, data=st.data())
     def test_weighted_law_is_that_of_the_repeated_values(self, values, data):
         counts = np.array(data.draw(st.lists(st.integers(1, 5), min_size=len(values), max_size=len(values))))
-        law = _Law.of(np.array(values), counts)
-        expected = _Law.of(np.repeat(values, counts))
-        assert law.support.tobytes() == expected.support.tobytes()
-        assert np.array_equal(law.below, expected.below)
+        order = np.argsort(values)
+        law = _Law.of(np.array(values)[order], counts[order])
+        support, repeats = np.unique(np.repeat(values, counts), return_counts=True)
+        assert law.support.tobytes() == support.tobytes()
+        assert np.array_equal(law.below, np.concatenate([[0], np.cumsum(repeats)]))
 
 
 class TestOracleConvergence:
