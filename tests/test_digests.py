@@ -16,6 +16,11 @@ the block-v2 subset draw and are unchanged by it.  The fixed-margin
 pins at n = 5000 (one-row blocks) pin block-v2 itself.  The n = 5 panel
 discards thousands of degenerate draws, so its pins cover the redraw
 order too.
+
+`digest_panel` has n/3 affected, so none of those pins has both margins
+at n/2.  `BALANCED_PINS` pin dual fixed-margin runs on a panel with both
+margins at n/2, at n = 80 (multi-row blocks) and n = 5000 (one-row
+blocks), the same way.
 """
 
 import contextlib
@@ -61,6 +66,13 @@ PINS = {
 }
 
 
+# n -> (SHA-256 of the values, degenerate draws discarded), dual fixed margins
+BALANCED_PINS = {
+    80: ("032ee1d5708f3bc797af22cf2a3f09f8f7a2164601fa655a9e2b729c0c9f2fb4", 0),
+    5000: ("fcb65177796f81057dbb3920eeb2cae4ab95cc6ce65ed14625aca3b2004c5681", 0),
+}
+
+
 def digest_panel(n):
     """A panel built from integer arithmetic alone, so it needs no random stream.
 
@@ -72,16 +84,37 @@ def digest_panel(n):
     return PanelSample(y=y, time=i % 2, affected=(i % 3 == 0).astype(int))
 
 
+def balanced_digest_panel(n):
+    """`digest_panel`'s outcomes with both margins at n/2 (n even) and every cell n/4 or so."""
+    i = np.arange(n)
+    y = (i * 7919 % 1009) / 101.0 - 5.0
+    return PanelSample(y=y, time=i % 2, affected=(i // 2) % 2)
+
+
+def run_digest(sample, scheme):
+    """SHA-256 of the values of a 2B + 5 iteration run, and its discard count."""
+    iterations = 2 * documented_block_rows(sample.n) + 5
+    dist = simulate_null(sample, scheme, iterations=iterations, master_seed=MASTER_SEED)
+    digest = hashlib.sha256(dist.values.astype("<f8").tobytes()).hexdigest()
+    return digest, dist.degenerate_draws_discarded
+
+
 @pytest.mark.parametrize("n, margins, mode", sorted(PINS))
 def test_simulate_null_digest(n, margins, mode):
-    iterations = 2 * documented_block_rows(n) + 5
     scheme = RandomizationScheme(Margins(margins), Mode(mode))
-    dist = simulate_null(digest_panel(n), scheme, iterations=iterations, master_seed=MASTER_SEED)
-    digest = hashlib.sha256(dist.values.astype("<f8").tobytes()).hexdigest()
-    assert (digest, dist.degenerate_draws_discarded) == PINS[n, margins, mode], (
+    assert run_digest(digest_panel(n), scheme) == PINS[n, margins, mode], (
         f"the simulate_null stream for n={n}, {margins}/{mode} changed under "
         f"numpy {np.__version__}; the pins hold the documented stream contract "
         "(block-v1 up to n = 4096, block-v2 past it)"
+    )
+
+
+@pytest.mark.parametrize("n", sorted(BALANCED_PINS))
+def test_balanced_dual_fixed_digest(n):
+    scheme = RandomizationScheme(Margins.DUAL, Mode.FIXED_MARGINS)
+    assert run_digest(balanced_digest_panel(n), scheme) == BALANCED_PINS[n], (
+        f"the simulate_null stream for n={n}, dual/fixed with both margins n/2, "
+        f"changed under numpy {np.__version__}"
     )
 
 
