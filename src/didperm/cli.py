@@ -32,7 +32,7 @@ from .inference import (
 from .ingest import ColumnMap, load_panel
 from .panel import did_value
 from .power import run_power_study
-from .randomize import Margins, Mode, RandomizationScheme
+from .randomize import Margins, Mode, RandomizationScheme, _stream_contract
 from .report import DECISION_NOT_REJECTED, DECISION_REJECTED, Report, make_histogram, write_report
 from .spaces import PermutationSpaceStats, space_stats, stirling_log_binomial
 
@@ -180,7 +180,8 @@ def _scheme(args) -> RandomizationScheme:
     return RandomizationScheme(margins=Margins(args.scheme), mode=Mode(args.mode))
 
 
-def _emit_report(args, sample, observed: float, dist, default_name: str) -> None:
+def _emit_report(args, sample, observed: float, dist, default_name: str, tail: str = "") -> None:
+    """Write the report of `dist` and print the one-line verdict, ending in `tail`."""
     result = test_significance(observed, dist, args.alpha)
     report = Report(
         dataset_id=Path(args.input).stem,
@@ -204,7 +205,7 @@ def _emit_report(args, sample, observed: float, dist, default_name: str) -> None
         f"H0 {verdict} at alpha={result.alpha:g}: observed DiD {result.observed:.6g}, "
         f"null interval ({result.lower:.6g}, {result.upper:.6g}), "
         f"p={result.p_value:.4g} (corrected {result.p_value_corrected:.4g}); "
-        f"report: {path}"
+        f"report: {path}{tail}"
     )
 
 
@@ -218,7 +219,8 @@ def cmd_test(args) -> int:
         master_seed=args.seed,
         workers=args.workers,
     )
-    _emit_report(args, sample, observed, dist, "test_report.json")
+    contract = _stream_contract(sample.n, sample.n_affected, sample.n_time, dist.scheme)
+    _emit_report(args, sample, observed, dist, "test_report.json", f"; stream contract {contract}")
     return EXIT_OK
 
 

@@ -8,7 +8,8 @@ relabeling space (its draws, its size and its enumeration).
 `panel._block_cells` turns each block of drawn labels into DiD values and
 `panel._product_cells` each pair of enumerated label blocks, so both
 builders read: label blocks, one kernel call, keep or redraw.  Balanced
-dual fixed-margin spaces instead take their law from
+dual fixed-margin spaces instead draw agreement sets, whose values
+`panel._agreement_draws` gives, and take their exact law from
 `panel._agreement_cells`, one value per agreement set.  Both builders
 record the tie tolerance of their kernel, which `randomization_p_value`
 counts ties within.  An exact null is its law: its values are the
@@ -42,21 +43,23 @@ from .errors import TooManyDegenerateDrawsError
 from .panel import (
     PanelSample,
     _agreement_cells,
+    _agreement_draws,
     _block_cells,
     _cell_means_tolerance,
     _product_cells,
     _product_cells_tolerance,
+    _scaled,
     did_value,
 )
 from .randomize import (
     ENUMERATION_CAP,
-    Margins,
-    Mode,
     RandomizationScheme,
     agreement_counts,
+    draw_agreement_sets,
     draw_relabelings,
     enumerate_relabelings,
     generator_for,
+    is_balanced_dual_fixed,
     space_size,
     stream_block_rows,
 )
@@ -224,23 +227,43 @@ class TestResult:
 def _simulate_chunk(
     y, time, affected, scheme, master_seed, iterations, first_block, stop_block
 ) -> tuple[np.ndarray, int]:
-    """Values and discard count of blocks [first_block, stop_block) of a run."""
-    # np.bincount copies read-only weights such as `PanelSample.y` on every
-    # kernel call; one writeable copy per run spares the one-row blocks that.
-    y = np.array(y)
-    per_block = stream_block_rows(y.size)
+    """Values and discard count of blocks [first_block, stop_block) of a run.
+
+    `relabel(rng, rows)` draws `rows` relabelings and returns their
+    values and estimability from one kernel call: agreement sets and
+    `panel._agreement_draws` where the margins allow (block-v3), label
+    matrices and `panel._block_cells` elsewhere.
+    """
+    n = y.size
+    if is_balanced_dual_fixed(n, int(affected.sum()), int(time.sum()), scheme):
+        outcomes, scale = _scaled(y)
+        total = float(np.sum(outcomes))
+        # Where observation 0's labels differ, each drawn set is the
+        # disagreement set, whose value is the negation.
+        scale = scale if affected[0] == time[0] else -scale
+
+        def relabel(rng, rows):
+            return _agreement_draws(*draw_agreement_sets(rng, n, rows), outcomes, scale, total)
+
+    else:
+        # np.bincount copies read-only weights such as `PanelSample.y` on every
+        # kernel call; one writeable copy per run spares the one-row blocks that.
+        y = np.array(y)
+
+        def relabel(rng, rows):
+            return _block_cells(*draw_relabelings(rng, affected, time, scheme, rows), y)
+
+    per_block = stream_block_rows(n)
     attempts = MAX_RETRY_ATTEMPTS
     parts = []
     discarded = 0
     for block in range(first_block, stop_block):
         lo = block * per_block
         rng = generator_for(master_seed, block)
-        labels = draw_relabelings(rng, affected, time, scheme, min(per_block, iterations - lo))
-        values, estimable = _block_cells(*labels, y)
+        values, estimable = relabel(rng, min(per_block, iterations - lo))
         for row in np.flatnonzero(~estimable).tolist():
             for attempt in range(1, attempts):
-                labels = draw_relabelings(rng, affected, time, scheme, 1)
-                redrawn, estimable = _block_cells(*labels, y)
+                redrawn, estimable = relabel(rng, 1)
                 if estimable[0]:
                     values[row] = redrawn[0]
                     discarded += attempt
@@ -276,6 +299,15 @@ def simulate_null(
     Past it (block-v2, where B = 1) it is one `Generator.choice` of the
     positions of the rarer label.  So fixed-margin values at n > 4096
     differ from those of block-v1 releases; Bernoulli values do not.
+
+    Under dual fixed margins with n_affected = n_time = n/2 (block-v3, at
+    every n) a row is not a pair of label vectors: the block draws c =
+    |A & T| for all its rows, then each row's agreement set of 2c members
+    (`randomize.draw_agreement_sets`), and `panel._agreement_draws` gives
+    its value; a degenerate row (c = 0 or n/2) redraws one count and one
+    set.  On multi-row blocks each value is bit for bit the one
+    `enumerate_null` gives its set.  These values differ from those of
+    block-v1 and block-v2 releases; the law is the same.
 
     Parameters
     ----------
@@ -379,8 +411,7 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
         instead.
     """
     size, blocks = enumerate_relabelings(sample.affected, sample.time, scheme)
-    balanced = 2 * int(sample.affected.sum()) == sample.n == 2 * int(sample.time.sum())
-    if balanced and scheme.margins is Margins.DUAL and scheme.mode is Mode.FIXED_MARGINS:
+    if is_balanced_dual_fixed(sample.n, sample.n_affected, sample.n_time, scheme):
         by_set, estimable = _agreement_cells(sample.y)
         table, counts = by_set[estimable], agreement_counts(sample.n)[estimable]
         order = np.argsort(table)

@@ -20,9 +20,12 @@ the rows, for exact enumeration; both end in `_did_from_cells`, the
 four-means formula.  `_agreement_cells` gives, for balanced dual
 fixed-margin enumeration, the DiD of every agreement set from one table
 of subset sums; weighed by the relabelings of each set, they are the
-exact null's law.  Beside the kernels sit the bounds on their rounding
-(`_cell_means_tolerance`, `_product_cells_tolerance`, which also covers
-`_agreement_cells`) within which `inference` counts ties.
+exact null's law.  `_agreement_draws` gives the same formula's values
+for the agreement sets that Monte Carlo draws at those margins.  Beside
+the kernels sit the bounds on their rounding (`_cell_means_tolerance`,
+which also covers `_agreement_draws`, and `_product_cells_tolerance`,
+which also covers `_agreement_cells`) within which `inference` counts
+ties.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
@@ -354,8 +357,81 @@ def _agreement_cells(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sizes = np.concatenate([sizes, sizes + 1])
     c = sizes // 2
     estimable = (sizes % 2 == 0) & (c >= 1) & (c <= half - 1)
+    values = _agreement_did(sums, sums[::-1], c, half, scale)
+    values[~estimable] = np.nan
+    return values, estimable
+
+
+def _agreement_did(inside, outside, c, half: int, scale: float) -> np.ndarray:
+    """(S_D/c - S_{D^c}/(half - c)) * scale, the DiD of agreement sets D from their sums.
+
+    `inside` and `outside` hold S_D and S_{D^c}.  Multiplying by the power
+    of two `scale`, or by its negative, rounds nothing in the normal float
+    range; an empty cell (c = 0 or half) gives a value that is not finite.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = (sums / c - sums[::-1] / (half - c)) * scale
+        return (inside / c - outside / (half - c)) * scale
+
+
+def _agreement_draws(c, drawn, y: np.ndarray, scale: float, total: float):
+    """Values, and estimability, of the balanced dual relabelings of drawn agreement sets.
+
+    `c` and `drawn` are a `randomize.draw_agreement_sets` draw: for row r,
+    c[r] = |A & T| and a set G_r of 2c[r] observations.  `y` holds the
+    outcomes centred and scaled by `_scaled`, `total` their sum, and
+    `scale` is the power of two of `_scaled`, negated when the drawn sets
+    are the complements of the agreement sets, whose values are the
+    negations.  A row's value is then that of `_agreement_cells` for
+    D = G_r, S_D/c - S_{D^c}/(n/2 - c) (`_agreement_did`); a row with c = 0
+    or n/2 has an empty cell, the value NaN and `estimable` False.
+
+    * A (rows, n) indicator `drawn` (multi-row blocks): S_D and S_{D^c} of
+      every row start at 0.0 and add their terms in observation order, in
+      one bincount over the row-offset index 2*row + indicator, as in
+      `_cell_means`.  So a value is bit for bit the `_agreement_cells`
+      value of its set, and within `_cell_means_tolerance` as derived there.
+    * A 1-d `drawn` (one-row blocks) holds the m positions of the smaller
+      of G and its complement.  Their outcomes are gathered and summed in
+      any order, and the sum of the other side is `total` less that sum.
+
+    Rounding of the one-row route, with u = eps/2, M = max|y - mid| over
+    the outcomes centred on their midrange, h = n/2 and m <= h, in the
+    normal float range:
+
+    * centring rounds the value by at most 2*eps*M (`_agreement_cells`);
+    * the gathered sum adds m terms of size at most M, in any order, so it
+      is off by at most (m - 1)*u*m*M, and its quotient by its cell count
+      m/2 by (m - 1)*eps*M <= (h - 1)*eps*M;
+    * `total` is off by at most (n - 1)*u*n*M, and so the other side's sum
+      by that, the gathered sum's error and u*(n - m)*M.  Its cell count
+      is (n - m)/2 >= n/4, so its quotient is off by at most
+      (2*(n - 1) + (h - 1) + 1)*eps*M: the side formed by subtraction is
+      always the larger one;
+    * the two quotients, each at most 2*M, round by eps*M each, and their
+      difference, at most 4*M, by 2*eps*M.
+
+    So a value rounds by (3n + 3)*eps*M to first order, and by at most
+    (3n + 4)*eps*M.  M <= max|y| for the raw outcomes, so two values equal
+    in exact arithmetic lie within (6n + 8)*eps*max|y| <= 8*n*eps*max|y|
+    (n >= 4), and one and the observed value within (3n + 4)*eps*max|y| +
+    1.5*n*eps*max|y|: both inside `_cell_means_tolerance`, which the Monte
+    Carlo null keeps.  Had the larger side been gathered instead, a cell of
+    one pair would divide the error of `total`, n**2*u*M, by 1.
+    """
+    half = y.size // 2
+    if drawn.ndim == 2:
+        rows = drawn.shape[0]
+        idx = (drawn + 2 * np.arange(rows)[:, None]).ravel()
+        weights = y if rows == 1 else np.tile(y, rows)
+        sums = np.bincount(idx, weights=weights, minlength=2 * rows).reshape(rows, 2)
+        inside, outside = sums[:, 1], sums[:, 0]
+    else:
+        gathered = float(np.sum(y[drawn]))
+        inside, outside = gathered, total - gathered
+        if 4 * int(c[0]) > y.size:  # the positions are the complement of G
+            inside, outside = outside, inside
+    estimable = (c >= 1) & (c <= half - 1)
+    values = _agreement_did(inside, outside, c, half, scale)
     values[~estimable] = np.nan
     return values, estimable
 
@@ -383,8 +459,10 @@ def _did_from_cells(m0, m1, m2, m3):
     (treated change) - (control change) = (m3 - m2) - (m1 - m0), with this
     grouping kept explicit.  The observed value and every Monte Carlo or
     product-form value is this function of cell means, from `_cell_means`
-    or `_product_cells`; `_agreement_cells` regroups it as
-    (m3 + m0) - (m1 + m2), which its equal cell counts allow.
+    or `_product_cells`, except at dual fixed margins with n_affected =
+    n_time = n/2.  There `_agreement_cells` (enumeration) and
+    `_agreement_draws` (Monte Carlo) regroup it as (m3 + m0) - (m1 + m2),
+    which the equal cell counts allow (`_agreement_did`).
     """
     return (m3 - m2) - (m1 - m0)
 

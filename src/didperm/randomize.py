@@ -11,8 +11,11 @@ Two axes configure a randomization scheme:
 `draw_relabelings` draws a matrix of relabeled affected vectors and one
 of time vectors, a row per relabeling, from a given generator; a single
 relabeling is a one-row draw.  Its rows feed the statistic kernel
-`panel._block_cells`.  `space_size` sizes the whole relabeling space
-from its margins and refuses one past `ENUMERATION_CAP`;
+`panel._block_cells`.  On a balanced dual fixed-margin space
+(`is_balanced_dual_fixed`) a relabeling's DiD depends on it only through
+its agreement set, and `draw_agreement_sets` draws that set directly for
+the kernel `panel._agreement_draws`.  `space_size` sizes the whole
+relabeling space from its margins and refuses one past `ENUMERATION_CAP`;
 `enumerate_relabelings` also walks it, as pairs of an affected block and
 a time block whose row products `panel._product_cells` turns into
 values.  On a balanced dual fixed-margin space `agreement_counts` gives
@@ -28,13 +31,16 @@ redrawn from the same stream after that main draw, in row order.  No shared
 mutable generator exists anywhere, so blocks can be produced concurrently
 and in any order with identical results.
 
-How a fixed-margin row is drawn is part of that contract and depends on
-n alone.  Up to n = 4096 (B > 1, contract block-v1) a row is a shuffle of
-the labels.  Past it (B = 1, contract block-v2) a row is a uniform subset
-of the positions of the rarer label, `Generator.choice(n, m,
-replace=False, shuffle=False)`, which is cheaper than a shuffle of all n
-labels (see `_draw_margin`).  Bernoulli rows are `random(n) < 1/2` at
-every n.
+How a row is drawn is part of that contract, named by
+`_stream_contract`.  Up to n = 4096 (B > 1, contract block-v1) a
+fixed-margin row is a shuffle of the labels.  Past it (B = 1, contract
+block-v2) a row is a uniform subset of the positions of the rarer label,
+`Generator.choice(n, m, replace=False, shuffle=False)`, which is cheaper
+than a shuffle of all n labels (see `_draw_margin`).  Bernoulli rows are
+`random(n) < 1/2` at every n.  Dual fixed margins with n_affected =
+n_time = n/2 take contract block-v3 at every n: a block draws c = |A & T|
+for all its rows, then one agreement set of 2c members per row, and no
+label matrix (see `draw_agreement_sets`).
 """
 
 from __future__ import annotations
@@ -201,6 +207,65 @@ def draw_relabelings(
         return new_affected, _draw_margin(rng, time, scheme.mode, rows)
     time = time.astype(new_affected.dtype, copy=False)
     return new_affected, np.broadcast_to(time, (rows, time.size))
+
+
+def is_balanced_dual_fixed(n: int, n_affected: int, n_time: int, scheme: RandomizationScheme) -> bool:
+    """Whether a relabeling's DiD depends on it only through its agreement set.
+
+    That holds under dual fixed margins with n_affected = n_time = n/2:
+    cells 0 and 3 then both hold c = |A & T| observations and cells 1 and
+    2 both hold n/2 - c (`panel._agreement_cells`).
+    """
+    balanced = 2 * n_affected == n == 2 * n_time
+    return balanced and scheme.margins is Margins.DUAL and scheme.mode is Mode.FIXED_MARGINS
+
+
+def _stream_contract(n: int, n_affected: int, n_time: int, scheme: RandomizationScheme) -> str:
+    """The name of the rules by which `simulate_null` draws a run's rows.
+
+    block-v3 at balanced dual fixed margins (`draw_agreement_sets`);
+    otherwise block-v1 while blocks hold several rows (n <= 4096) and
+    block-v2 once they hold one (`_draw_margin`), whose Bernoulli rows
+    equal block-v1's.
+    """
+    if is_balanced_dual_fixed(n, n_affected, n_time, scheme):
+        return "block-v3"
+    return "block-v1" if stream_block_rows(n) > 1 else "block-v2"
+
+
+def draw_agreement_sets(
+    rng: np.random.Generator, n: int, rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """c = |A & T| of `rows` balanced dual fixed-margin relabelings and a set G of 2c members for each.
+
+    At n_affected = n_time = n/2 the count c of a uniform relabeling is
+    hypergeometric (n/2 good, n/2 bad, n/2 drawn), and given c its
+    agreement set is a uniform 2c-subset of the n observations, by
+    exchangeability.  So a block first draws c for all its rows, with one
+    `Generator.hypergeometric(n/2, n/2, n/2, size=rows)`, then G row by
+    row (stream contract block-v3):
+
+    * while `stream_block_rows(n)` > 1, G is given by its (rows, n) bool
+      indicator rank < 2c, rank one `Generator.permuted` row of 0..n-1 per
+      relabeling;
+    * once it is 1 (n > 4096, so `rows` is 1), by the positions of the
+      smaller of G and its complement: one `Generator.choice(n, m,
+      replace=False, shuffle=False)` of m = min(2c, n - 2c) positions,
+      which are G itself when 4c <= n.
+
+    Rows with c = 0 or c = n/2 empty two cells.  G is the agreement set
+    when observation 0's observed labels agree (affected_0 = time_0),
+    and its complement, of the same law, when they differ
+    (`inference._simulate_chunk`); so swapping the labels of one margin
+    negates every value.
+    """
+    half = n // 2
+    c = rng.hypergeometric(half, half, half, size=rows)
+    if stream_block_rows(n) > 1:
+        ranks = rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
+        return c, ranks < 2 * c[:, None]
+    (size,) = (2 * c).tolist()
+    return c, rng.choice(n, min(size, n - size), replace=False, shuffle=False)
 
 
 def _combinations(n: int, ones: int, block_rows: int):

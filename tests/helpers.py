@@ -143,6 +143,29 @@ def merge_ties(tol, *samples):
     return [least[np.searchsorted(atoms, s)] for s in samples]
 
 
+def adversarial_outcomes(kind, n=20):
+    """Outcomes that stress a kernel's rounding.
+
+    "offset": a large common offset; "powers": partial sums on and around
+    powers of two; "huge": centred sums past the float range.
+    """
+    rng = np.random.default_rng(7)
+    if kind == "offset":
+        return 1e6 + rng.standard_normal(n)
+    if kind == "powers":  # partial sums land on and around powers of two
+        signs = rng.choice([-1.0, 1.0], n)
+        return signs * 2.0 ** rng.integers(-3, 4, n) * (1 + rng.uniform(-1e-9, 1e-9, n))
+    y = rng.standard_normal(n)  # "huge": centred sums pass the float range
+    y[:2] = 8e307, -8e307
+    return y
+
+
+def range_outcomes(n):
+    """Outcomes near the largest that ingest accepts: twice the sum of their |y| just finite."""
+    rng = np.random.default_rng(9)
+    return rng.choice([-1.0, 1.0], n) * rng.uniform(0.9, 0.999, n) * (np.finfo(np.float64).max / (2 * n))
+
+
 def random_estimable_sample(rng, n_min=8, n_max=24):
     """Random PanelSample guaranteed estimable under its original labels."""
     from didperm import PanelSample
@@ -188,13 +211,101 @@ def _replay_margin(rng, labels, fixed):
     return np.array(row, dtype=np.int64)
 
 
+def balanced_dual_fixed(sample, dual, fixed):
+    """Whether a run of `sample` takes stream contract block-v3: dual fixed margins, both n/2."""
+    n = len(sample.y)
+    return dual and fixed and 2 * int(np.sum(sample.affected)) == n == 2 * int(np.sum(sample.time))
+
+
+def labeling_of(agreement, c):
+    """A relabeling whose agreement set is `agreement` (2c members) and |A & T| = c.
+
+    A & T takes the first c members of the set in observation order, and
+    A & not T the first n/2 - c of the others; so both margins are n/2.
+    """
+    n = len(agreement)
+    inside = [i for i in range(n) if agreement[i]]
+    outside = [i for i in range(n) if not agreement[i]]
+    affected, time = [0] * n, [0] * n
+    for i in inside[:c]:
+        affected[i] = time[i] = 1
+    for i in outside[: n // 2 - c]:
+        affected[i] = 1
+    for i in outside[n // 2 - c :]:
+        time[i] = 1
+    return np.array(affected), np.array(time)
+
+
+def agreement_did_fraction(y, affected, time):
+    """S_D/c - S_(not D)/(n/2 - c) in exact rationals, D = {i : affected_i = time_i}, c = |A & T|.
+
+    The DiD of a labeling with both margins n/2; None when a cell is empty.
+    """
+    n = len(y)
+    c = sum(int(a) & int(t) for a, t in zip(affected, time))
+    if not 0 < c < n // 2:
+        return None
+    inside = sum(Fraction(float(v)) for v, a, t in zip(y, affected, time) if a == t)
+    outside = sum(Fraction(float(v)) for v, a, t in zip(y, affected, time) if a != t)
+    return inside / c - outside / (n // 2 - c)
+
+
+def agreement_draws_bound(y):
+    """(3n + 4)*eps*max|y - c|, c the midrange: the rounding bound of a block-v3 value.
+
+    `panel._agreement_draws` derives it for one-row blocks; multi-row
+    values round as `panel._agreement_cells` does, by at most
+    (n + 5)*eps*max|y - c|.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    spread = float(np.max(np.abs(y - (0.5 * y.max() + 0.5 * y.min()))))
+    return (3 * y.size + 4) * float(np.finfo(np.float64).eps) * spread
+
+
+def _replay_agreement_set(rng, n, c, agrees):
+    """The agreement set of one block-v3 row with count c, as a 0/1 list.
+
+    Multi-row blocks: G = {i : perm_i < 2c} for one permutation of
+    0..n-1.  One-row blocks: a `choice` of min(2c, n - 2c) positions,
+    which are G when 4c <= n and its complement otherwise.  The agreement
+    set is G when observation 0's observed labels agree, else not G.
+    """
+    if documented_block_rows(n) > 1:
+        perm = rng.permutation(n).tolist()
+        inside = [int(rank < 2 * c) for rank in perm]
+    else:
+        positions = rng.choice(n, min(2 * c, n - 2 * c), replace=False, shuffle=False)
+        inside = [0] * n
+        for pos in positions.tolist():
+            inside[pos] = 1
+        if 4 * c > n:
+            inside = [1 - bit for bit in inside]
+    return inside if agrees else [1 - bit for bit in inside]
+
+
+def _replay_agreement_rows(rng, sample, rows):
+    """`rows` block-v3 relabelings from `rng`: every count c first, then each row's set."""
+    n = len(sample.y)
+    half = n // 2
+    counts = rng.hypergeometric(half, half, half, size=rows).tolist()
+    agrees = int(sample.affected[0]) == int(sample.time[0])
+    out = []
+    for c in counts:
+        agreement = _replay_agreement_set(rng, n, c, agrees)
+        out.append(labeling_of(agreement, c if agrees else half - c))
+    return out
+
+
 def replay_block(sample, dual, fixed, master_seed, block, rows, max_attempts=1000):
     """Replay one simulation block row by row from its documented draw order.
 
     Block `block` reads generator_for(master_seed, block): the
     affected labels of all `rows` rows, then (dual) the time labels of all
     rows; then each degenerate row, in row order, redraws affected and
-    (dual) time from the same stream until estimable.  Returns
+    (dual) time from the same stream until estimable.  Under block-v3
+    (`balanced_dual_fixed`) the main draw is each row's count c = |A & T|,
+    then each row's agreement set, and a redraw is one count and one set;
+    a row is given as the relabeling `labeling_of` its set.  Returns
     (labels, discarded, failed_row): `labels` lists the final
     (affected, time) pair per row, and `failed_row` is the first row that
     exhausted `max_attempts` (None when every row is estimable).
@@ -202,23 +313,34 @@ def replay_block(sample, dual, fixed, master_seed, block, rows, max_attempts=100
     from didperm import generator_for
 
     rng = generator_for(master_seed, block)
-    affected = [_replay_margin(rng, sample.affected, fixed) for _ in range(rows)]
-    if dual:
-        time = [_replay_margin(rng, sample.time, fixed) for _ in range(rows)]
+    if balanced_dual_fixed(sample, dual, fixed):
+        pairs = _replay_agreement_rows(rng, sample, rows)
+
+        def redraw():
+            return _replay_agreement_rows(rng, sample, 1)[0]
+
     else:
-        time = [sample.time] * rows
+        affected = [_replay_margin(rng, sample.affected, fixed) for _ in range(rows)]
+        if dual:
+            time = [_replay_margin(rng, sample.time, fixed) for _ in range(rows)]
+        else:
+            time = [sample.time] * rows
+        pairs = list(zip(affected, time))
+
+        def redraw():
+            a = _replay_margin(rng, sample.affected, fixed)
+            return a, _replay_margin(rng, sample.time, fixed) if dual else sample.time
+
     discarded = 0
     for row in range(rows):
         attempts = 1
-        while brute_force_did(sample.y, time[row], affected[row]) is None:
+        while brute_force_did(sample.y, pairs[row][1], pairs[row][0]) is None:
             if attempts == max_attempts:
-                return list(zip(affected, time)), discarded, row
-            affected[row] = _replay_margin(rng, sample.affected, fixed)
-            if dual:
-                time[row] = _replay_margin(rng, sample.time, fixed)
+                return pairs, discarded, row
+            pairs[row] = redraw()
             attempts += 1
         discarded += attempts - 1
-    return list(zip(affected, time)), discarded, None
+    return pairs, discarded, None
 
 
 def kernel_stat(y, time, affected):

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import didperm.inference as inference
@@ -174,6 +174,20 @@ class TestCmdTest:
             assert code == 0
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_summary_names_the_stream_contract(self, inpress_csv, minimal_csv, tmp_path, capsys):
+        # INPRESS has both margins n/2 = 40; the minimal panel both at 2.
+        out = str(tmp_path / "report.json")
+        for path, flags, contract in (
+            (inpress_csv, [], "block-v3"),
+            (minimal_csv, [], "block-v3"),
+            (inpress_csv, ["--scheme", "affected"], "block-v1"),
+            (inpress_csv, ["--mode", "bernoulli"], "block-v1"),
+        ):
+            code = main(["test", "--input", path, "--iterations", "50", "--output", out, *flags])
+            assert code == 0
+            line = capsys.readouterr().out.strip()
+            assert line.endswith(f"report: {out}; stream contract {contract}")
 
     def test_default_report_path_is_in_working_directory(self, minimal_csv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -593,6 +607,10 @@ class TestExitCodes:
             st.sampled_from(["0", "1", "true", "nan", "1e308", "-1.7e308", "x", ""]),
         ),
     )
+    # Both margins n/2, so `test` draws agreement sets (block-v3); observation
+    # 0's labels agree in the first and differ in the second.
+    @example(cells=[0, 1, 2, 3], outcomes=["4e307", "0", "1", "-2.5", "0", "0"], dropped=0, edit=None)
+    @example(cells=[1, 0, 3, 2], outcomes=["-2.5", "4e307", "0", "4e307", "0", "0"], dropped=0, edit=None)
     def test_any_short_file_ends_in_a_documented_exit(
         self, tmp_path_factory, cells, outcomes, dropped, edit
     ):
@@ -619,6 +637,9 @@ class TestExitCodes:
         # ... with one outcome near the float range, whose centred sums overflow
         huge=st.tuples(st.integers(0, 9), st.floats(5e307, 9e307), st.sampled_from(["", "-"])),
     )
+    # Both margins n/2 = 4: block-v3, observation 0 agreeing, then differing.
+    @example(cells=[0, 1, 2, 3] * 2, outcomes=["0", "1", "-2.5", "0.5"] * 2 + ["0"] * 2, huge=(0, 8.5e307, "-"))
+    @example(cells=[1, 0, 3, 2] * 2, outcomes=["0", "1", "-2.5", "0.5"] * 2 + ["0"] * 2, huge=(5, 8.5e307, ""))
     def test_any_panel_with_one_huge_outcome_ends_in_a_documented_exit(
         self, tmp_path_factory, cells, outcomes, huge
     ):

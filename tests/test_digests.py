@@ -5,8 +5,8 @@ hold the bytes that `didperm enumerate` and `didperm test` write.
 
 The replay tests compare `simulate_null` with an oracle that draws from
 the same numpy `Generator`, so a numpy release that changed `permuted`,
-`choice`, `random` or Philox would move both sides alike and leave them
-agreeing.  These pins would not move with it.
+`choice`, `hypergeometric`, `random` or Philox would move both sides
+alike and leave them agreeing.  These pins would not move with it.
 
 Each pin is the SHA-256 of a run's values (little-endian float64 bytes)
 and its discard count, for the four schemes on one deterministic panel
@@ -17,10 +17,12 @@ pins at n = 5000 (one-row blocks) pin block-v2 itself.  The n = 5 panel
 discards thousands of degenerate draws, so its pins cover the redraw
 order too.
 
-`digest_panel` has n/3 affected, so none of those pins has both margins
-at n/2.  `BALANCED_PINS` pin dual fixed-margin runs on a panel with both
-margins at n/2, at n = 80 (multi-row blocks) and n = 5000 (one-row
-blocks), the same way.
+`digest_panel` has n/3 affected, so none of those pins reaches stream
+contract block-v3, which draws agreement sets at dual fixed margins with
+both margins n/2.  `BALANCED_PINS` pin block-v3 the same way, at n = 80
+(multi-row blocks) and n = 5000 (one-row blocks), on a panel with both
+margins n/2.  The `test` report pin (INPRESS, 20 observations per cell,
+dual fixed margins) is balanced too, so it also pins block-v3.
 """
 
 import contextlib
@@ -68,8 +70,8 @@ PINS = {
 
 # n -> (SHA-256 of the values, degenerate draws discarded), dual fixed margins
 BALANCED_PINS = {
-    80: ("032ee1d5708f3bc797af22cf2a3f09f8f7a2164601fa655a9e2b729c0c9f2fb4", 0),
-    5000: ("fcb65177796f81057dbb3920eeb2cae4ab95cc6ce65ed14625aca3b2004c5681", 0),
+    80: ("f82446cced54ea5b72962f2430f853f14e4634ecdbabd178a3d4a42cfa1c0a65", 0),
+    5000: ("cbd526fc400414f152a23478fb2012754989fbd6728dae315ebb8657e0d01517", 0),
 }
 
 
@@ -114,7 +116,7 @@ def test_balanced_dual_fixed_digest(n):
     scheme = RandomizationScheme(Margins.DUAL, Mode.FIXED_MARGINS)
     assert run_digest(balanced_digest_panel(n), scheme) == BALANCED_PINS[n], (
         f"the simulate_null stream for n={n}, dual/fixed with both margins n/2, "
-        f"changed under numpy {np.__version__}"
+        f"changed under numpy {np.__version__}; the pins hold stream contract block-v3"
     )
 
 
@@ -130,7 +132,7 @@ REPORT_PINS = {
     "test": (
         20,
         ["--iterations", "3000", "--seed", "11"],
-        "021053e654177ef10ce9109374f4434d2c2008876ebea968d2d7133fe5d514a7",
+        "df7d9c9ed363935cc87dd8ebf045fe971fbd1419ced1ddc7cf843d3438f5976b",
     ),
 }
 

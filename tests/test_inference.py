@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,10 @@ from didperm.datasets import INPRESS
 from didperm.inference import _Law
 from didperm.panel import _agreement_cells, _product_cells
 from helpers import (
+    adversarial_outcomes,
+    agreement_did_fraction,
+    agreement_draws_bound,
+    balanced_dual_fixed,
     brute_force_did,
     canonical_labelings,
     documented_block_rows,
@@ -42,10 +47,12 @@ from helpers import (
     enumerate_kernel,
     exact_p_law_fraction,
     kernel_stat,
+    labeling_of,
     merge_ties,
     arrangements_fixed,
     arrangements_bernoulli,
     random_estimable_sample,
+    range_outcomes,
     replay_block,
     replay_run,
     sup_cdf_distance,
@@ -112,33 +119,56 @@ class TestSimulateNull:
         assert np.array_equal(one.values, par.values)
         assert par.degenerate_draws_discarded == one.degenerate_draws_discarded
 
+    @pytest.mark.parametrize("affected", [[0, 1] * 2500, [1] * 1667 + [0] * 3333])
+    def test_one_row_blocks_bit_identical_across_worker_counts(self, affected):
+        # n = 5000: every block is one row, block-v3 with both margins n/2
+        # and block-v2 otherwise; 2 workers split the 9 blocks 4 and 5.
+        sample = PanelSample(
+            y=generator_for(50).standard_normal(5000), time=[0, 0, 1, 1] * 1250, affected=affected
+        )
+        assert documented_block_rows(sample.n) == 1
+        base = simulate_null(sample, DUAL_FIXED, iterations=9, master_seed=5)
+        par = simulate_null(sample, DUAL_FIXED, iterations=9, master_seed=5, workers=2)
+        assert base.values.tobytes() == par.values.tobytes()
+        assert par.degenerate_draws_discarded == base.degenerate_draws_discarded
+
     @pytest.mark.parametrize("scheme", [AFFECTED_FIXED, DUAL_FIXED, DUAL_BERNOULLI])
     def test_matches_independent_stream_replay(self, scheme):
         # Reference: replay each block's stream row by row with the
         # documented draw order (affected rows, then time rows, then
-        # redraws of degenerate rows).  The four-point panel crosses two
-        # block boundaries.  At n = 5000 every block is one row (block-v2
-        # subset draws); with an affected margin of 2, about half of the
-        # fixed-margin draws are degenerate, so one-row redraws run too.
+        # redraws of degenerate rows; under block-v3 counts, then agreement
+        # sets, then redraws).  The four-point panel, both margins n/2,
+        # crosses two block boundaries.  At n = 5000 every block is one row
+        # (block-v2 subset draws, or block-v3 for `balanced`, whose
+        # observation 0 disagrees); with an affected margin of 2, about half
+        # of the fixed-margin draws are degenerate, so one-row redraws run too.
         rng = np.random.default_rng(22)
         large = PanelSample(
             y=rng.normal(size=5000), time=rng.integers(0, 2, 5000), affected=[0, 1] * 2500
         )
         sparse = PanelSample(y=large.y, time=large.time, affected=[1, 1] + [0] * 4998)
-        fixed = scheme.mode is Mode.FIXED_MARGINS
+        balanced = PanelSample(y=large.y, time=[1, 1, 0, 0] * 1250, affected=large.affected)
+        dual, fixed = scheme.margins is Margins.DUAL, scheme.mode is Mode.FIXED_MARGINS
         four_point_iterations = 2 * documented_block_rows(FOUR_POINT.n) + 60
-        runs = [(FOUR_POINT, four_point_iterations, 3), (large, 3, 3), (sparse, 6, 6)]
+        runs = [(FOUR_POINT, four_point_iterations, 3), (large, 3, 3), (sparse, 6, 6), (balanced, 4, 4)]
         for sample, iterations, block_count in runs:
             dist = simulate_null(sample, scheme, iterations=iterations, master_seed=21)
-            blocks = replay_run(sample, scheme.margins is Margins.DUAL, fixed, 21, iterations)
+            blocks = replay_run(sample, dual, fixed, 21, iterations)
             labels = [pair for block_labels, _ in blocks for pair in block_labels]
             brute = [brute_force_did(sample.y, t, a) for a, t in labels]
-            kernel = [kernel_stat(sample.y, t, a) for a, t in labels]
             assert len(blocks) == block_count
             assert np.allclose(dist.values, brute, rtol=1e-12, atol=0)
-            assert dist.values.tobytes() == np.array(kernel, dtype=np.float64).tobytes()
+            if balanced_dual_fixed(sample, dual, fixed):
+                # block-v3 values come from sums over the agreement sets, within
+                # the kernel's rounding bound of their exact values
+                exact = [agreement_did_fraction(sample.y, a, t) for a, t in labels]
+                bound = agreement_draws_bound(sample.y)
+                assert max(abs(Fraction(v) - e) for v, e in zip(dist.values.tolist(), exact)) <= bound
+            else:
+                kernel = [kernel_stat(sample.y, t, a) for a, t in labels]
+                assert dist.values.tobytes() == np.array(kernel, dtype=np.float64).tobytes()
             assert dist.degenerate_draws_discarded == sum(d for _, d in blocks)
-            if sample is sparse and fixed:
+            if sample is sparse and fixed or sample is FOUR_POINT and dual and fixed:
                 assert dist.degenerate_draws_discarded > 0
 
     def test_rejects_inestimable_sample(self):
@@ -170,6 +200,52 @@ class TestSimulateNull:
             simulate_null(FOUR_POINT, DUAL_FIXED, iterations=5, master_seed=seed)
         assert err.value.attempts == 1
         assert err.value.iteration == failed + 1
+
+
+class TestAgreementDrawRounding:
+    """Block-v3 values through `simulate_null`, with forced counts, against exact rationals."""
+
+    @pytest.mark.parametrize("kind", ["offset", "powers", "range"])
+    @pytest.mark.parametrize("n", [4096, 5000])
+    @pytest.mark.parametrize("agrees", [True, False])
+    def test_rounding_within_stated_bound(self, monkeypatch, kind, n, agrees):
+        # c = 1 and c = n/2 - 1 put a cell of one pair beside one of nearly
+        # n/2 observations.  n = 4096 takes two-row blocks of indicator
+        # rows, n = 5000 one-row blocks of the positions of the smaller
+        # side, whose other side's sum is formed from the total.  Where
+        # observation 0's labels differ, each drawn set is the disagreement set.
+        half = n // 2
+        y = range_outcomes(n) if kind == "range" else adversarial_outcomes(kind, n)
+        cells = np.arange(n) % 4 if agrees else (np.arange(n) + 1) % 4
+        sample = PanelSample(y=y, time=cells % 2, affected=cells // 2)
+        rng = np.random.default_rng(n)
+        forced = [(c, rng.choice(n, 2 * c, replace=False)) for c in (1, half - 1, half - 1, 1)]
+        queue = iter(forced)
+
+        def forced_draw(_rng, n, rows):
+            counts, drawn = [], []
+            for _ in range(rows):
+                c, members = next(queue)
+                inside = np.zeros(n, dtype=bool)
+                inside[members] = True
+                counts.append(c)
+                drawn.append(inside)
+            if randomize.stream_block_rows(n) > 1:
+                return np.array(counts), np.array(drawn)
+            (c,), (inside,) = counts, drawn
+            return np.array(counts), np.flatnonzero(inside if 4 * c <= n else ~inside)
+
+        monkeypatch.setattr(inference, "draw_agreement_sets", forced_draw)
+        dist = simulate_null(sample, DUAL_FIXED, iterations=len(forced), master_seed=1)
+        bound = agreement_draws_bound(y)
+        assert bound <= dist.tie_tolerance / 2
+        for value, (c, members) in zip(dist.values.tolist(), forced):
+            inside = np.zeros(n, dtype=int)
+            inside[members] = 1
+            if not agrees:
+                inside, c = 1 - inside, half - c
+            exact = agreement_did_fraction(y, *labeling_of(inside, c))
+            assert abs(Fraction(value) - exact) <= bound
 
 
 class TestLabelSwap:
@@ -731,8 +807,52 @@ class TestOracleConvergence:
         assert sup_cdf_distance(mc.values, exact.values) <= 0.01
 
 
+class TestAgreementDrawLaw:
+    """Block-v3 draws against `enumerate_null`'s law at n = 12, both margins 6."""
+
+    SAMPLE = PanelSample(
+        y=generator_for(1212).standard_normal(12), time=[0, 1] * 6, affected=[0, 0, 1, 1] * 3
+    )
+
+    @pytest.mark.parametrize("one_row", [False, True])
+    def test_support_frequencies_and_discard_rate(self, monkeypatch, one_row):
+        # The law has 2,046 atoms, one per estimable agreement set (2c
+        # members, 1 <= c <= 5), of 400 to 504 relabelings each out of
+        # 924**2; c = 0 or 6 empties a cell, with probability 2/924 per
+        # draw.  Multi-row values are the enumeration's values bit for bit;
+        # one-row values (shrunk block budget) are matched within the tie
+        # tolerance, far below the gaps between atoms.
+        if one_row:
+            monkeypatch.setattr(randomize, "_BLOCK_ENTRIES", 12)
+        iterations = 30_000 if one_row else 200_000
+        exact = enumerate_null(self.SAMPLE, DUAL_FIXED)
+        mc = simulate_null(self.SAMPLE, DUAL_FIXED, iterations=iterations, master_seed=1213)
+        support = exact._law.support
+        assert support.size == 2046
+        assert np.diff(support).min() > 2 * mc.tie_tolerance
+        nearest = np.clip(np.searchsorted(support, mc.values), 1, support.size - 1)
+        nearest -= mc.values - support[nearest - 1] < support[nearest] - mc.values
+        if one_row:
+            assert np.all(np.abs(support[nearest] - mc.values) <= mc.tie_tolerance)
+        else:
+            assert np.array_equal(support[nearest], mc.values)
+        observed = np.bincount(nearest, minlength=support.size)
+        expected = iterations * np.diff(exact._law.below) / exact.iterations_retained
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        df = support.size - 1
+        assert abs(chi2 - df) / math.sqrt(2 * df) < 5
+        # Discards before `iterations` estimable draws: negative binomial.
+        p = 2 / 924
+        mean, sd = iterations * p / (1 - p), math.sqrt(iterations * p) / (1 - p)
+        assert abs(mc.degenerate_draws_discarded - mean) < 5 * sd
+
+
 class TestOneRowBlockLaw:
-    """The block-v2 subset draw, run at n = 8 by shrinking the block budget."""
+    """The one-row draws, run at n = 8 by shrinking the block budget.
+
+    Both margins at 4 take block-v3's positions of one side of the
+    agreement set; every other case block-v2's subset draw.
+    """
 
     @pytest.mark.parametrize("scheme", [AFFECTED_FIXED, DUAL_FIXED, DUAL_BERNOULLI])
     @pytest.mark.parametrize("k", [4, 3])

@@ -14,8 +14,21 @@ from didperm import (
     did_from_ols,
     did_value,
 )
-from didperm.panel import _agreement_cells, _block_cells, _centred, _product_cells
-from helpers import brute_force_did, brute_force_did_fraction, random_estimable_sample
+from didperm.panel import (
+    _agreement_cells,
+    _agreement_draws,
+    _block_cells,
+    _centred,
+    _product_cells,
+    _scaled,
+)
+from helpers import (
+    adversarial_outcomes,
+    brute_force_did,
+    brute_force_did_fraction,
+    random_estimable_sample,
+    range_outcomes,
+)
 
 
 def make_cells(m00, m01, m10, m11, count=10):
@@ -200,18 +213,6 @@ def agreement_labels(mask, n):
     return affected, time
 
 
-def adversarial_outcomes(kind, n=20):
-    rng = np.random.default_rng(7)
-    if kind == "offset":
-        return 1e6 + rng.standard_normal(n)
-    if kind == "powers":  # partial sums land on and around powers of two
-        signs = rng.choice([-1.0, 1.0], n)
-        return signs * 2.0 ** rng.integers(-3, 4, n) * (1 + rng.uniform(-1e-9, 1e-9, n))
-    y = rng.standard_normal(n)  # "huge": centred sums pass the float range
-    y[:2] = 8e307, -8e307
-    return y
-
-
 class TestAgreementCells:
     """The balanced dual kernel at n = 20 against the exact-rational DiD of one relabeling per set."""
 
@@ -239,6 +240,43 @@ class TestAgreementCells:
         assert np.isnan(values[~estimable]).all()
         # D and its complement 2**n - 1 - D give values negated bit for bit
         assert values[estimable].tobytes() == (-values[::-1][estimable]).tobytes()
+
+
+def draws_kernel(c, drawn, y, negate=False):
+    """`_agreement_draws` on `y` prepared as `inference._simulate_chunk` prepares it."""
+    outcomes, scale = _scaled(y)
+    return _agreement_draws(c, drawn, outcomes, -scale if negate else scale, float(np.sum(outcomes)))
+
+
+class TestAgreementDraws:
+    """The block-v3 kernel on indicator rows; its rounding is tested through `simulate_null`."""
+
+    @pytest.mark.parametrize("kind", ["offset", "powers", "range"])
+    def test_multi_row_values_are_those_of_the_enumeration_table(self, kind):
+        # Sums in observation order, as in `_agreement_cells`: every value is
+        # its set's table entry bit for bit, and a negated scale gives the
+        # entry of the complement.
+        n = 12
+        y = range_outcomes(n) if kind == "range" else adversarial_outcomes(kind, n)
+        table, estimable = _agreement_cells(y)
+        drawn = np.random.default_rng(3).random((300, n)) < 0.5
+        masks = drawn @ (1 << np.arange(n))
+        c = drawn.sum(axis=1) // 2
+        for negate, expected in ((False, masks), (True, (1 << n) - 1 - masks)):
+            values, ok = draws_kernel(c, drawn, y, negate)
+            even = drawn.sum(axis=1) % 2 == 0
+            assert np.array_equal(ok[even], estimable[masks[even]])
+            assert values[even].tobytes() == table[expected[even]].tobytes()
+
+    def test_degenerate_counts_are_not_estimable(self):
+        y = adversarial_outcomes("offset", 8)
+        drawn = np.array([[0] * 8, [1] * 8, [1, 1, 0, 0, 0, 0, 0, 0]], dtype=bool)
+        values, ok = draws_kernel(np.array([0, 4, 1]), drawn, y)
+        assert ok.tolist() == [False, False, True]
+        assert np.isnan(values[:2]).all()
+        for c in (0, 4):
+            values, ok = draws_kernel(np.array([c]), np.array([], dtype=np.intp), y)
+            assert not ok[0] and np.isnan(values[0])
 
 
 class TestEstimatorProperties:

@@ -15,13 +15,20 @@ from didperm import (
     generator_for,
     simulate_null,
 )
-from didperm.randomize import _combinations, agreement_counts, draw_relabelings
+from didperm.randomize import (
+    _combinations,
+    _stream_contract,
+    agreement_counts,
+    draw_agreement_sets,
+    draw_relabelings,
+)
 from helpers import arrangements_fixed, documented_block_rows, kernel_stat, replay_run
 
 SAMPLE = PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=[0, 1, 0, 1], affected=[0, 0, 1, 1])
 AFFECTED_FIXED = RandomizationScheme(Margins.AFFECTED_ONLY, Mode.FIXED_MARGINS)
 AFFECTED_BERNOULLI = RandomizationScheme(Margins.AFFECTED_ONLY, Mode.BERNOULLI)
 DUAL_FIXED = RandomizationScheme(Margins.DUAL, Mode.FIXED_MARGINS)
+DUAL_BERNOULLI = RandomizationScheme(Margins.DUAL, Mode.BERNOULLI)
 
 
 def draw(affected, time, scheme, seed, rows=1):
@@ -237,3 +244,46 @@ class TestEnumerationWalk:
         counts = agreement_counts(n)
         assert np.array_equal(np.bincount(masks, minlength=1 << n), counts)
         assert counts.sum() == math.comb(n, n // 2) ** 2
+
+
+class TestStreamContract:
+    @pytest.mark.parametrize(
+        "n, n_affected, n_time, scheme, contract",
+        [
+            (80, 40, 40, AFFECTED_FIXED, "block-v1"),  # both margins n/2, one relabeled
+            (4096, 2048, 2048, DUAL_BERNOULLI, "block-v1"),
+            (5000, 1667, 2500, DUAL_FIXED, "block-v2"),
+            (5000, 2500, 2500, AFFECTED_BERNOULLI, "block-v2"),
+            (80, 40, 40, DUAL_FIXED, "block-v3"),
+            (5000, 2500, 2500, DUAL_FIXED, "block-v3"),
+        ],
+    )
+    def test_names_the_rules_of_each_run(self, n, n_affected, n_time, scheme, contract):
+        assert _stream_contract(n, n_affected, n_time, scheme) == contract
+
+
+class TestDrawAgreementSets:
+    @pytest.mark.parametrize("n, rows", [(12, 500), (80, 102)])
+    def test_multi_row_sets_hold_2c_members(self, n, rows):
+        c, inside = draw_agreement_sets(generator_for(4, n), n, rows)
+        assert inside.shape == (rows, n)
+        assert np.array_equal(inside.sum(axis=1), 2 * c)
+        assert 0 <= c.min() and c.max() <= n // 2
+
+    def test_one_row_draws_positions_of_the_smaller_side(self):
+        n = 5000
+        for k in range(20):
+            c, positions = draw_agreement_sets(generator_for(4, k), n, 1)
+            assert c.shape == (1,)
+            assert positions.ndim == 1
+            assert positions.size == min(2 * c[0], n - 2 * c[0])
+            assert np.unique(positions).size == positions.size
+            assert 0 <= positions.min() and positions.max() < n
+
+    def test_counts_are_hypergeometric(self):
+        # n = 8: P(c) = C(4, c)**2 / 70 for c = 0..4.  Chi-square on 5
+        # cells, df = 4, 99.9% quantile ~ 18.5.
+        c, _ = draw_agreement_sets(generator_for(6), 8, 70_000)
+        expected = 70_000 * np.array([math.comb(4, k) ** 2 for k in range(5)]) / 70
+        observed = np.bincount(c, minlength=5)
+        assert float(((observed - expected) ** 2 / expected).sum()) < 18.5
