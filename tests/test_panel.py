@@ -26,6 +26,7 @@ from helpers import (
     adversarial_outcomes,
     brute_force_did,
     brute_force_did_fraction,
+    labeling_of,
     random_estimable_sample,
     range_outcomes,
 )
@@ -201,18 +202,6 @@ class TestProductCells:
         assert huge[estimable].tobytes() == (values[estimable] * 2.0**1021).tobytes()
 
 
-def agreement_labels(mask, n):
-    """One balanced (affected, time) relabeling whose agreement set has mask `mask`."""
-    members = [i for i in range(n) if mask >> i & 1]
-    others = [i for i in range(n) if not mask >> i & 1]
-    c, half = len(members) // 2, n // 2
-    affected, time = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    affected[members[:c]] = time[members[:c]] = 1  # c in cell 3, c in cell 0
-    affected[others[: half - c]] = 1  # half - c in cell 2
-    time[others[half - c :]] = 1  # half - c in cell 1
-    return affected, time
-
-
 class TestAgreementCells:
     """The balanced dual kernel at n = 20 against the exact-rational DiD of one relabeling per set."""
 
@@ -226,7 +215,8 @@ class TestAgreementCells:
         masks = masks[estimable[masks]][:150]
         bound = (n + 5) * np.finfo(np.float64).eps * np.abs(_centred(y)).max()
         for mask in masks.tolist():
-            affected, time = agreement_labels(mask, n)
+            members = [mask >> i & 1 for i in range(n)]
+            affected, time = labeling_of(members, sum(members) // 2)
             exact = brute_force_did_fraction(y, time, affected)
             assert np.isfinite(values[mask])
             assert abs(Fraction(values[mask]) - exact) <= bound
