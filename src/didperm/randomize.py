@@ -209,7 +209,9 @@ def draw_relabelings(
     return new_affected, np.broadcast_to(time, (rows, time.size))
 
 
-def is_balanced_dual_fixed(n: int, n_affected: int, n_time: int, scheme: RandomizationScheme) -> bool:
+def is_balanced_dual_fixed(
+    n: int, n_affected: int, n_time: int, scheme: RandomizationScheme
+) -> bool:
     """Whether a relabeling's DiD depends on it only through its agreement set.
 
     That holds under dual fixed margins with n_affected = n_time = n/2:
@@ -236,7 +238,7 @@ def _stream_contract(n: int, n_affected: int, n_time: int, scheme: Randomization
 def draw_agreement_sets(
     rng: np.random.Generator, n: int, rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """c = |A & T| of `rows` balanced dual fixed-margin relabelings and a set G of 2c members for each.
+    """c = |A & T| of `rows` balanced dual fixed-margin relabelings, and a set G of 2c for each.
 
     At n_affected = n_time = n/2 the count c of a uniform relabeling is
     hypergeometric (n/2 good, n/2 bad, n/2 drawn), and given c its

@@ -163,7 +163,8 @@ def adversarial_outcomes(kind, n=20):
 def range_outcomes(n):
     """Outcomes near the largest that ingest accepts: twice the sum of their |y| just finite."""
     rng = np.random.default_rng(9)
-    return rng.choice([-1.0, 1.0], n) * rng.uniform(0.9, 0.999, n) * (np.finfo(np.float64).max / (2 * n))
+    scale = np.finfo(np.float64).max / (2 * n)
+    return rng.choice([-1.0, 1.0], n) * rng.uniform(0.9, 0.999, n) * scale
 
 
 def random_estimable_sample(rng, n_min=8, n_max=24):
