@@ -23,6 +23,13 @@ both margins n/2.  `BALANCED_PINS` pin block-v3 the same way, at n = 80
 (multi-row blocks) and n = 5000 (one-row blocks), on a panel with both
 margins n/2.  The `test` report pin (INPRESS, 20 observations per cell,
 dual fixed margins) is balanced too, so it also pins block-v3.
+
+`EXACT_PINS` pin `enumerate_null` the same way: the SHA-256 of its
+values, in increasing order, and its discard count.  Dual fixed margins
+with both margins n/2 at n = 8 and n = 12 reach the agreement-set route,
+with normal outcomes and with outcomes near the range that ingest allows
+(`helpers.range_outcomes`), whose sums are taken scaled by a power of
+two; dual Bernoulli at n = 9 reaches the product-form walk.
 """
 
 import contextlib
@@ -39,11 +46,13 @@ from didperm import (
     PanelSample,
     RandomizationScheme,
     make_fixture,
+    enumerate_null,
+    generator_for,
     simulate_null,
     write_fixture_csv,
 )
 from didperm.cli import main
-from helpers import documented_block_rows
+from helpers import documented_block_rows, range_outcomes
 
 MASTER_SEED = 11
 
@@ -75,6 +84,16 @@ BALANCED_PINS = {
 }
 
 
+# (n, outcomes, mode) -> (SHA-256 of the values, degenerate relabelings discarded), dual margins
+EXACT_PINS = {
+    (8, "normal", "fixed"): ("4f941bad94396f62bdfa8be99491d9267ad0c5819168cc864ffc2707fafec061", 140),
+    (8, "range", "fixed"): ("e54913d20a1f3cfdc85a5a437f022baff89328aed810972f5b779016e274cc28", 140),
+    (12, "normal", "fixed"): ("93bf2baef598393a84cc85badc48ce421bd4729636f3d8893cd9a927a44ffa0b", 1848),
+    (12, "range", "fixed"): ("e453f98eabc1aa79ccef4c782c34370f92b69490f211f0f8287915453d9bcd24", 1848),
+    (9, "normal", "bernoulli"): ("2953e0ab8faf2e6439bf90dc5fb74dbcb3c71700e64b0cf94432ae1bb3a6d0e5", 75664),
+}
+
+
 def digest_panel(n):
     """A panel built from integer arithmetic alone, so it needs no random stream.
 
@@ -93,12 +112,23 @@ def balanced_digest_panel(n):
     return PanelSample(y=y, time=i % 2, affected=(i // 2) % 2)
 
 
+def exact_panel(n, outcomes):
+    """`balanced_digest_panel`'s labels with standard normal or near-range outcomes."""
+    i = np.arange(n)
+    y = generator_for(n).standard_normal(n) if outcomes == "normal" else range_outcomes(n)
+    return PanelSample(y=y, time=i % 2, affected=(i // 2) % 2)
+
+
+def digest(dist):
+    """SHA-256 of a distribution's values, and its discard count."""
+    values = hashlib.sha256(dist.values.astype("<f8").tobytes()).hexdigest()
+    return values, dist.degenerate_draws_discarded
+
+
 def run_digest(sample, scheme):
     """SHA-256 of the values of a 2B + 5 iteration run, and its discard count."""
     iterations = 2 * documented_block_rows(sample.n) + 5
-    dist = simulate_null(sample, scheme, iterations=iterations, master_seed=MASTER_SEED)
-    digest = hashlib.sha256(dist.values.astype("<f8").tobytes()).hexdigest()
-    return digest, dist.degenerate_draws_discarded
+    return digest(simulate_null(sample, scheme, iterations=iterations, master_seed=MASTER_SEED))
 
 
 @pytest.mark.parametrize("n, margins, mode", sorted(PINS))
@@ -117,6 +147,15 @@ def test_balanced_dual_fixed_digest(n):
     assert run_digest(balanced_digest_panel(n), scheme) == BALANCED_PINS[n], (
         f"the simulate_null stream for n={n}, dual/fixed with both margins n/2, "
         f"changed under numpy {np.__version__}; the pins hold stream contract block-v3"
+    )
+
+
+@pytest.mark.parametrize("n, outcomes, mode", sorted(EXACT_PINS))
+def test_enumerate_null_digest(n, outcomes, mode):
+    dist = enumerate_null(exact_panel(n, outcomes), RandomizationScheme(Margins.DUAL, Mode(mode)))
+    assert digest(dist) == EXACT_PINS[n, outcomes, mode], (
+        f"the enumerate_null values for n={n}, {outcomes} outcomes, dual/{mode} "
+        f"changed under numpy {np.__version__}"
     )
 
 
