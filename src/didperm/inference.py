@@ -8,9 +8,8 @@ relabeling space (its draws, its size and its enumeration).
 `panel._block_cells` turns each block of drawn labels into DiD values and
 `panel._product_cells` each pair of enumerated label blocks, so both
 builders read: label blocks, one kernel call, keep or redraw.  Balanced
-dual fixed-margin spaces instead draw agreement sets, whose values
-`panel._agreement_draws` gives, and take their exact law from
-`panel._agreement_cells`, one value per agreement set.  Both builders
+dual fixed-margin spaces instead draw, or enumerate, agreement sets,
+whose values `panel._agreement_draws` gives.  Both builders
 record the tie tolerance of their kernel, which `randomization_p_value`
 counts ties within.  An exact null is its law: its values are the
 distinct values repeated by their counts, in increasing order.
@@ -42,7 +41,6 @@ import numpy as np
 from .errors import TooManyDegenerateDrawsError
 from .panel import (
     PanelSample,
-    _agreement_cells,
     _agreement_draws,
     _block_cells,
     _cell_means_tolerance,
@@ -53,7 +51,9 @@ from .panel import (
 )
 from .randomize import (
     ENUMERATION_CAP,
+    Mode,
     RandomizationScheme,
+    _arrangements,
     agreement_counts,
     draw_agreement_sets,
     draw_relabelings,
@@ -377,7 +377,8 @@ def simulate_null(
 def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDistribution:
     """Exact null distribution over every admissible relabeling.
 
-    `randomize.enumerate_relabelings` sizes the space and walks it: the
+    `randomize.space_size` sizes the space, and refuses one too large,
+    before any work; `randomize.enumerate_relabelings` walks it: the
     C(n, ones) arrangements of each relabeled vector under fixed margins,
     all 2**n binary vectors per margin under Bernoulli, both margins for
     the dual scheme.  Degenerate relabelings are counted in
@@ -398,11 +399,13 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
     One route differs, chosen by the margins alone: under `Margins.DUAL`
     and `Mode.FIXED_MARGINS` with n_affected = n_time = n/2, a value
     depends on its relabeling only through the agreement set
-    D = {i : affected_i = time_i}.  There `panel._agreement_cells`
-    computes the value of every D once, and the law weighs each by its
-    count of relabelings (`randomize.agreement_counts`), with no walk
-    over the relabelings.  All relabelings of one D share one value, and
-    its rounding lies inside the same tie tolerance.
+    D = {i : affected_i = time_i}.  There every set D of size 2c,
+    1 <= c <= n/2 - 1, is one indicator row of the Bernoulli walk
+    (`randomize._arrangements`), `panel._agreement_draws` values all of
+    them in one call, as it does a Monte Carlo block, and the law weighs
+    each value by the relabelings of its D (`randomize.agreement_counts`),
+    with no walk over the relabelings.  All relabelings of one D share
+    one value, and its rounding lies inside the same tie tolerance.
 
     Raises
     ------
@@ -410,17 +413,23 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
         If the space size exceeds `ENUMERATION_CAP`; use `simulate_null`
         instead.
     """
-    size, blocks = enumerate_relabelings(sample.affected, sample.time, scheme)
-    if is_balanced_dual_fixed(sample.n, sample.n_affected, sample.n_time, scheme):
-        by_set, estimable = _agreement_cells(sample.y)
-        table, counts = by_set[estimable], agreement_counts(sample.n)[estimable]
-        order = np.argsort(table)
-        law = _Law.of(table[order], counts[order])
+    n = sample.n
+    size = space_size(n, sample.n_affected, sample.n_time, scheme)
+    if is_balanced_dual_fixed(n, sample.n_affected, sample.n_time, scheme):
+        (sets,) = _arrangements(n, 0, Mode.BERNOULLI, 1 << n)
+        members = sets.sum(axis=1)
+        c = members // 2
+        even = (members % 2 == 0) & (c >= 1) & (c <= n // 2 - 1)
+        sets, c = np.compress(even, sets, axis=0), c[even]
+        outcomes, scale = _scaled(sample.y)
+        by_set, _ = _agreement_draws(c, sets, outcomes, scale, float(np.sum(outcomes)))
+        order = np.argsort(by_set)
+        law = _Law.of(by_set[order], agreement_counts(n)[c[order]])
         values = np.repeat(law.support, np.diff(law.below))
     else:
         values = np.empty(size, dtype=np.float64)
         pos = 0
-        for affected, time in blocks:
+        for affected, time in enumerate_relabelings(sample.affected, sample.time, scheme):
             drawn, estimable = _product_cells(affected, time, sample.y)
             kept = int(np.count_nonzero(estimable))
             np.compress(estimable, drawn, out=values[pos : pos + kept])

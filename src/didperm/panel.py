@@ -17,15 +17,12 @@ the observed value (`compute_cell_means`) and, through `_block_cells`,
 for every Monte Carlo draw.  `_product_cells` gives the DiD values of
 every (affected row, time row) pair of two label blocks from products of
 the rows, for exact enumeration; both end in `_did_from_cells`, the
-four-means formula.  `_agreement_cells` gives, for balanced dual
-fixed-margin enumeration, the DiD of every agreement set from one table
-of subset sums; weighed by the relabelings of each set, they are the
-exact null's law.  `_agreement_draws` gives the same formula's values
-for the agreement sets that Monte Carlo draws at those margins.  Beside
-the kernels sit the bounds on their rounding (`_cell_means_tolerance`,
-which also covers `_agreement_draws`, and `_product_cells_tolerance`,
-which also covers `_agreement_cells`) within which `inference` counts
-ties.
+four-means formula.  `_agreement_draws` gives, at balanced dual fixed
+margins, the DiD of agreement sets from their sums: of the sets that
+Monte Carlo draws, and of every set, weighed by its relabelings, for the
+exact null's law.  Beside the kernels sit the bounds on their rounding
+(`_cell_means_tolerance` and `_product_cells_tolerance`, both of which
+cover `_agreement_draws`) within which `inference` counts ties.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
@@ -309,114 +306,63 @@ def _product_cells(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return values.ravel(), estimable.ravel()
 
 
-def _agreement_cells(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values, and estimability, of the balanced dual relabelings of every agreement set.
+def _agreement_draws(c, drawn, y: np.ndarray, scale: float, total: float):
+    """Values, and estimability, of the balanced dual relabelings of given agreement sets.
 
     At n_affected = n_time = n/2, cells 0 and 3 both hold c = |A & T|
     observations and cells 1 and 2 both hold n/2 - c.  So the DiD
     (m3 - m2) - (m1 - m0) is S_D/c - S_{D^c}/(n/2 - c), a function of
     the agreement set D = {i : affected_i = time_i} of 2c members alone.
-    Both results have 2**n entries, one per D, indexed by its mask
-    (bit i = observation i); `randomize.agreement_counts` gives the
-    relabelings of every mask.  D is estimable when 1 <= c <= n/2 - 1;
-    elsewhere (odd size, or an empty cell) the value is NaN.
 
-    The sums S_D over all 2**n masks are built by doubling: adding
-    observation i appends y_i plus every sum so far, so each sum starts at
-    0.0 and adds its terms in observation order.  The mask of D^c is
-    2**n - 1 minus that of D, so its sum is read from the same table,
-    reversed: no inclusion-exclusion, and D and D^c negate exactly.  The
-    outcomes are centred and, where their sums could overflow, scaled by a
-    power of two, as in `_product_cells`.
-
-    Rounding, with u = eps/2 and D = max|y - c| over the centred
-    outcomes, in the normal float range:
-
-    * centring rounds each outcome by at most u*D, and the DiD weighs the
-      outcomes by 1/c and 1/(n/2 - c), 4 in absolute sum: 2*eps*D;
-    * S_D adds 2c terms of size at most D with 2c - 1 roundings, so S_D/c
-      is off by at most (2c - 1)*eps*D, and S_{D^c}/(n/2 - c) by at most
-      (n - 2c - 1)*eps*D;
-    * the two quotients, each at most 2*D, round by eps*D each, and their
-      difference, at most 4*D, by 2*eps*D.
-
-    So a value rounds by (n + 4)*eps*D to first order, and by at most
-    (n + 5)*eps*D with the higher-order terms.  That lies far inside
-    `_product_cells_tolerance`, which `enumerate_null` keeps for these
-    values too: two of them equal in exact arithmetic lie within
-    2*(n + 5)*eps*D <= 12*n**2*eps*D, one and the observed value within
-    (n + 5)*eps*D + 1.5*n*eps*max|y|.
-    """
-    n = y.size
-    half = n // 2
-    y, scale = _scaled(y)
-    sums = np.zeros(1)
-    sizes = np.zeros(1, dtype=np.intp)
-    for term in y.tolist():
-        sums = np.concatenate([sums, sums + term])
-        sizes = np.concatenate([sizes, sizes + 1])
-    c = sizes // 2
-    estimable = (sizes % 2 == 0) & (c >= 1) & (c <= half - 1)
-    values = _agreement_did(sums, sums[::-1], c, half, scale)
-    values[~estimable] = np.nan
-    return values, estimable
-
-
-def _agreement_did(inside, outside, c, half: int, scale: float) -> np.ndarray:
-    """(S_D/c - S_{D^c}/(half - c)) * scale, the DiD of agreement sets D from their sums.
-
-    `inside` and `outside` hold S_D and S_{D^c}.  Multiplying by the power
-    of two `scale`, or by its negative, rounds nothing in the normal float
-    range; an empty cell (c = 0 or half) gives a value that is not finite.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (inside / c - outside / (half - c)) * scale
-
-
-def _agreement_draws(c, drawn, y: np.ndarray, scale: float, total: float):
-    """Values, and estimability, of the balanced dual relabelings of drawn agreement sets.
-
-    `c` and `drawn` are a `randomize.draw_agreement_sets` draw: for row r,
-    c[r] = |A & T| and a set G_r of 2c[r] observations.  `y` holds the
-    outcomes centred and scaled by `_scaled`, `total` their sum, and
-    `scale` is the power of two of `_scaled`, negated when the drawn sets
-    are the complements of the agreement sets, whose values are the
-    negations.  A row's value is then that of `_agreement_cells` for
-    D = G_r, S_D/c - S_{D^c}/(n/2 - c) (`_agreement_did`); a row with c = 0
+    For row r, c[r] = |A & T| and `drawn` gives a set G_r of 2c[r]
+    observations: a `randomize.draw_agreement_sets` draw, or every set of
+    even size in `inference.enumerate_null`.  `y` holds the outcomes
+    centred and scaled by `_scaled`, `total` their sum, and `scale` is the
+    power of two of `_scaled`, negated when the sets are the complements
+    of the agreement sets, whose values are the negations.  A row's value
+    is then (S_D/c - S_{D^c}/(n/2 - c)) * scale for D = G_r; multiplying
+    by `scale` rounds nothing in the normal float range.  A row with c = 0
     or n/2 has an empty cell, the value NaN and `estimable` False.
 
-    * A (rows, n) indicator `drawn` (multi-row blocks): S_D and S_{D^c} of
-      every row start at 0.0 and add their terms in observation order, in
-      one bincount over the row-offset index 2*row + indicator, as in
-      `_cell_means`.  So a value is bit for bit the `_agreement_cells`
-      value of its set, and within `_cell_means_tolerance` as derived there.
-    * A 1-d `drawn` (one-row blocks) holds the m positions of the smaller
-      of G and its complement.  Their outcomes are gathered and summed in
-      any order, and the sum of the other side is `total` less that sum.
+    Rounding, with u = eps/2, M = max|y - mid| over the outcomes centred
+    on their midrange and h = n/2, in the normal float range.  Either way
+    centring rounds each outcome by at most u*M, and the DiD weighs the
+    outcomes by 1/c and 1/(h - c), 4 in absolute sum: 2*eps*M; and the
+    two quotients, each at most 2*M, round by eps*M each, and their
+    difference, at most 4*M, by 2*eps*M.  The sums are taken two ways:
 
-    Rounding of the one-row route, with u = eps/2, M = max|y - mid| over
-    the outcomes centred on their midrange, h = n/2 and m <= h, in the
-    normal float range:
+    * A (rows, n) indicator `drawn` (multi-row blocks, and enumeration):
+      S_D and S_{D^c} of every row start at 0.0 and add their terms in
+      observation order, in one bincount over the row-offset index
+      2*row + indicator, as in `_cell_means`.  So a value depends on its
+      set alone, and a set with count c and its complement with count
+      h - c give values that negate bit for bit.  S_D adds 2c terms of
+      size at most M with 2c - 1 roundings, so S_D/c is off by at most
+      (2c - 1)*eps*M, and S_{D^c}/(h - c) by at most (n - 2c - 1)*eps*M.
+      A value rounds by (n + 4)*eps*M to first order, and by at most
+      (n + 5)*eps*M with the higher-order terms.
+    * A 1-d `drawn` (one-row blocks) holds the m <= h positions of the
+      smaller of G and its complement.  Their outcomes are gathered and
+      summed in any order, and the sum of the other side is `total` less
+      that sum.  The gathered sum adds m terms of size at most M, so it is
+      off by at most (m - 1)*u*m*M, and its quotient by its cell count m/2
+      by (m - 1)*eps*M <= (h - 1)*eps*M.  `total` is off by at most
+      (n - 1)*u*n*M, and so the other side's sum by that, the gathered
+      sum's error and u*(n - m)*M.  Its cell count is (n - m)/2 >= n/4, so
+      its quotient is off by at most (2*(n - 1) + (h - 1) + 1)*eps*M: the
+      side formed by subtraction is always the larger one.  A value rounds
+      by (3n + 3)*eps*M to first order, and by at most (3n + 4)*eps*M.
+      Had the larger side been gathered instead, a cell of one pair would
+      divide the error of `total`, n**2*u*M, by 1.
 
-    * centring rounds the value by at most 2*eps*M (`_agreement_cells`);
-    * the gathered sum adds m terms of size at most M, in any order, so it
-      is off by at most (m - 1)*u*m*M, and its quotient by its cell count
-      m/2 by (m - 1)*eps*M <= (h - 1)*eps*M;
-    * `total` is off by at most (n - 1)*u*n*M, and so the other side's sum
-      by that, the gathered sum's error and u*(n - m)*M.  Its cell count
-      is (n - m)/2 >= n/4, so its quotient is off by at most
-      (2*(n - 1) + (h - 1) + 1)*eps*M: the side formed by subtraction is
-      always the larger one;
-    * the two quotients, each at most 2*M, round by eps*M each, and their
-      difference, at most 4*M, by 2*eps*M.
-
-    So a value rounds by (3n + 3)*eps*M to first order, and by at most
-    (3n + 4)*eps*M.  M <= max|y| for the raw outcomes, so two values equal
-    in exact arithmetic lie within (6n + 8)*eps*max|y| <= 8*n*eps*max|y|
-    (n >= 4), and one and the observed value within (3n + 4)*eps*max|y| +
+    M <= max|y| for the raw outcomes, so two values equal in exact
+    arithmetic lie within (6n + 8)*eps*max|y| <= 8*n*eps*max|y| (n >= 4),
+    and one and the observed value within (3n + 4)*eps*max|y| +
     1.5*n*eps*max|y|: both inside `_cell_means_tolerance`, which the Monte
-    Carlo null keeps.  Had the larger side been gathered instead, a cell of
-    one pair would divide the error of `total`, n**2*u*M, by 1.
+    Carlo null keeps.  Two values of indicator rows lie within
+    2*(n + 5)*eps*M <= 12*n**2*eps*M, and one and the observed value
+    within (n + 5)*eps*M + 1.5*n*eps*max|y|: far inside
+    `_product_cells_tolerance`, which `enumerate_null` keeps.
     """
     half = y.size // 2
     if drawn.ndim == 2:
@@ -431,7 +377,8 @@ def _agreement_draws(c, drawn, y: np.ndarray, scale: float, total: float):
         if 4 * int(c[0]) > y.size:  # the positions are the complement of G
             inside, outside = outside, inside
     estimable = (c >= 1) & (c <= half - 1)
-    values = _agreement_did(inside, outside, c, half, scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = (inside / c - outside / (half - c)) * scale
     values[~estimable] = np.nan
     return values, estimable
 
@@ -460,9 +407,9 @@ def _did_from_cells(m0, m1, m2, m3):
     grouping kept explicit.  The observed value and every Monte Carlo or
     product-form value is this function of cell means, from `_cell_means`
     or `_product_cells`, except at dual fixed margins with n_affected =
-    n_time = n/2.  There `_agreement_cells` (enumeration) and
-    `_agreement_draws` (Monte Carlo) regroup it as (m3 + m0) - (m1 + m2),
-    which the equal cell counts allow (`_agreement_did`).
+    n_time = n/2.  There `_agreement_draws` (Monte Carlo and enumeration)
+    regroups it as (m3 + m0) - (m1 + m2), which the equal cell counts
+    allow.
     """
     return (m3 - m2) - (m1 - m0)
 

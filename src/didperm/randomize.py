@@ -16,11 +16,12 @@ relabeling is a one-row draw.  Its rows feed the statistic kernel
 its agreement set, and `draw_agreement_sets` draws that set directly for
 the kernel `panel._agreement_draws`.  `space_size` sizes the whole
 relabeling space from its margins and refuses one past `ENUMERATION_CAP`;
-`enumerate_relabelings` also walks it, as pairs of an affected block and
-a time block whose row products `panel._product_cells` turns into
-values.  On a balanced dual fixed-margin space `agreement_counts` gives
-the relabelings of each agreement set, the weights of the values of
-`panel._agreement_cells`.
+`enumerate_relabelings` walks it, as pairs of an affected block and a
+time block whose row products `panel._product_cells` turns into values.
+A balanced dual fixed-margin space is enumerated through its agreement
+sets instead: every subset of the observations (`_arrangements` under
+Bernoulli) is a candidate set, `panel._agreement_draws` gives its value,
+and `agreement_counts` how many relabelings have each set, by its size.
 
 Randomness is counter-based.  Simulation iterations are drawn in blocks of
 B = `stream_block_rows(n)` = max(1, 8192 // n) rows: iteration k (1-based)
@@ -77,7 +78,7 @@ _BLOCK_ENTRIES = 2**13
 # and their values alone take 75 MB.
 ENUMERATION_CAP = 10_000_000
 
-# Relabelings times n per block during enumeration (see `_space_blocks`).
+# Relabelings times n per block during enumeration (see `enumerate_relabelings`).
 # At n=12 dual/fixed, 2**16 and 2**17 were 1.5x and 1.2x slower; 2**19 was
 # 10% faster there but slower at n=9 dual/Bernoulli and n=16 affected-only.
 _ENUM_ENTRIES = 2**18
@@ -216,7 +217,7 @@ def is_balanced_dual_fixed(
 
     That holds under dual fixed margins with n_affected = n_time = n/2:
     cells 0 and 3 then both hold c = |A & T| observations and cells 1 and
-    2 both hold n/2 - c (`panel._agreement_cells`).
+    2 both hold n/2 - c (`panel._agreement_draws`).
     """
     balanced = 2 * n_affected == n == 2 * n_time
     return balanced and scheme.margins is Margins.DUAL and scheme.mode is Mode.FIXED_MARGINS
@@ -298,7 +299,17 @@ def _arrangements(n: int, ones: int, mode: Mode, block_rows: int):
         yield ((ints[:, None] >> shifts) & np.uint64(1)).astype(np.int8)
 
 
-def _space_blocks(affected: np.ndarray, time: np.ndarray, scheme: RandomizationScheme):
+def enumerate_relabelings(
+    affected: np.ndarray, time: np.ndarray, scheme: RandomizationScheme
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """A lazy walk over all of the space `draw_relabelings` draws from.
+
+    The walk yields (affected, time) label blocks of shapes (ra, n) and
+    (rt, n), whose ra*rt row pairs, affected-major, are relabelings; in
+    all it visits the space, of `space_size` relabelings, in the canonical
+    order of `_arrangements`, affected-major.  It does not check the size
+    against `ENUMERATION_CAP`: callers size the space first.
+    """
     n = affected.size
     # A block pairs a run of affected arrangements with a run of time
     # arrangements, about _ENUM_ENTRIES // n relabelings in all.  The time
@@ -316,38 +327,19 @@ def _space_blocks(affected: np.ndarray, time: np.ndarray, scheme: RandomizationS
 
 
 def agreement_counts(n: int) -> np.ndarray:
-    """Relabelings of the balanced dual fixed-margin space with each agreement set, indexed by its mask.
+    """Relabelings of the balanced dual fixed-margin space with one agreement set of each size 2c.
 
-    A set D of 2c observations is the agreement set of C(2c, c) *
-    C(n - 2c, n/2 - c) relabelings: the affected ones inside D pick c of
-    its members, those outside pick n/2 - c of the rest.  A set of odd
-    size is the agreement set of none.  The counts sum to C(n, n/2)**2.
+    Entry c, for c = 0..n/2: a set D of 2c observations is the agreement
+    set of C(2c, c) * C(n - 2c, n/2 - c) relabelings, since the affected
+    ones inside D pick c of its members and those outside pick n/2 - c of
+    the rest.  A set of odd size is the agreement set of none.  Weighted
+    by the C(n, 2c) sets of each size, the counts sum to C(n, n/2)**2.
     """
     half = n // 2
-    by_size = [
-        math.comb(size, size // 2) * math.comb(n - size, half - size // 2) if size % 2 == 0 else 0
-        for size in range(n + 1)
-    ]
-    sizes = np.zeros(1, dtype=np.intp)
-    for _ in range(n):
-        sizes = np.concatenate([sizes, sizes + 1])  # bit i set: one member more
-    return np.array(by_size, dtype=np.int64)[sizes]
-
-
-def enumerate_relabelings(
-    affected: np.ndarray, time: np.ndarray, scheme: RandomizationScheme
-) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """Size of the space `draw_relabelings` draws from, and a lazy walk over all of it.
-
-    The size is `space_size` of the labels' margins.  The walk yields
-    (affected, time) label blocks of shapes (ra, n) and (rt, n), whose
-    ra*rt row pairs, affected-major, are relabelings; in all it visits
-    the space in the canonical order of `_arrangements`, affected-major.
-
-    Raises SpaceTooLargeError if the size exceeds `ENUMERATION_CAP`.
-    """
-    size = space_size(affected.size, int(affected.sum()), int(time.sum()), scheme)
-    return size, _space_blocks(affected, time, scheme)
+    return np.array(
+        [math.comb(2 * c, c) * math.comb(n - 2 * c, half - c) for c in range(half + 1)],
+        dtype=np.int64,
+    )
 
 
 def space_size(n: int, n_affected: int, n_time: int, scheme: RandomizationScheme) -> int:

@@ -254,8 +254,8 @@ def agreement_did_fraction(y, affected, time):
 def agreement_draws_bound(y):
     """(3n + 4)*eps*max|y - c|, c the midrange: the rounding bound of a block-v3 value.
 
-    `panel._agreement_draws` derives it for one-row blocks; multi-row
-    values round as `panel._agreement_cells` does, by at most
+    `panel._agreement_draws` derives it for one-row blocks, and for
+    indicator rows (multi-row blocks and enumeration) the tighter
     (n + 5)*eps*max|y - c|.
     """
     y = np.asarray(y, dtype=np.float64)

@@ -34,7 +34,7 @@ from didperm import (
 from didperm import test_significance as significance_test
 from didperm.datasets import INPRESS
 from didperm.inference import _Law
-from didperm.panel import _agreement_cells, _product_cells
+from didperm.panel import _product_cells
 from helpers import (
     adversarial_outcomes,
     agreement_did_fraction,
@@ -655,9 +655,10 @@ class TestNullDistributionValidation:
 
 def product_walk(sample, scheme):
     """The retained values of the product-form walk over every space, and its discard count."""
-    size, blocks = randomize.enumerate_relabelings(sample.affected, sample.time, scheme)
+    blocks = randomize.enumerate_relabelings(sample.affected, sample.time, scheme)
     parts = [drawn[kept] for drawn, kept in (_product_cells(a, t, sample.y) for a, t in blocks)]
     values = np.concatenate(parts)
+    size = randomize.space_size(sample.n, sample.n_affected, sample.n_time, scheme)
     return values, size - values.size
 
 
@@ -673,14 +674,15 @@ def balanced_sample(n, outcomes):
 
 
 def route_calls(monkeypatch):
-    """The sizes of the outcome vectors that `enumerate_null` hands the agreement-set kernel."""
+    """The names of the kernels that `enumerate_null` calls, one entry per call."""
     calls = []
+    for name in ("_agreement_draws", "_product_cells"):
 
-    def spy(y):
-        calls.append(y.size)
-        return _agreement_cells(y)
+        def spy(*args, name=name, kernel=getattr(inference, name)):
+            calls.append(name)
+            return kernel(*args)
 
-    monkeypatch.setattr(inference, "_agreement_cells", spy)
+        monkeypatch.setattr(inference, name, spy)
     return calls
 
 
@@ -693,7 +695,7 @@ class TestAgreementSetRoute:
         sample = balanced_sample(n, outcomes)
         calls = route_calls(monkeypatch)
         dist = enumerate_null(sample, DUAL_FIXED)
-        assert calls == [n]
+        assert calls == ["_agreement_draws"]
         values, discarded = product_walk(sample, DUAL_FIXED)
         assert dist.iterations_requested == math.comb(n, n // 2) ** 2
         assert_matches_kernel_oracle(dist, values, discarded)
@@ -733,7 +735,7 @@ class TestAgreementSetRoute:
         )
         calls = route_calls(monkeypatch)
         enumerate_null(sample, scheme)
-        assert calls == []
+        assert calls and set(calls) == {"_product_cells"}
 
 
 # Heavily tied values: a few atoms, neighbours one ulp apart, and free floats.

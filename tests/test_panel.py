@@ -15,7 +15,6 @@ from didperm import (
     did_value,
 )
 from didperm.panel import (
-    _agreement_cells,
     _agreement_draws,
     _block_cells,
     _centred,
@@ -202,61 +201,61 @@ class TestProductCells:
         assert huge[estimable].tobytes() == (values[estimable] * 2.0**1021).tobytes()
 
 
-class TestAgreementCells:
-    """The balanced dual kernel at n = 20 against the exact-rational DiD of one relabeling per set."""
-
-    @pytest.mark.parametrize("kind", ["offset", "powers", "huge"])
-    def test_rounding_within_stated_bound(self, kind):
-        n = 20
-        y = adversarial_outcomes(kind, n)
-        values, estimable = _agreement_cells(y)
-        rng = np.random.default_rng(8)
-        masks = rng.integers(0, 1 << n, 400)
-        masks = masks[estimable[masks]][:150]
-        bound = (n + 5) * np.finfo(np.float64).eps * np.abs(_centred(y)).max()
-        for mask in masks.tolist():
-            members = [mask >> i & 1 for i in range(n)]
-            affected, time = labeling_of(members, sum(members) // 2)
-            exact = brute_force_did_fraction(y, time, affected)
-            assert np.isfinite(values[mask])
-            assert abs(Fraction(values[mask]) - exact) <= bound
-
-    def test_estimable_sets_and_exact_negation(self):
-        n = 10
-        values, estimable = _agreement_cells(adversarial_outcomes("offset", n))
-        sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])
-        expected = (sizes % 2 == 0) & (sizes >= 2) & (sizes <= n - 2)
-        assert np.array_equal(estimable, expected)
-        assert np.isnan(values[~estimable]).all()
-        # D and its complement 2**n - 1 - D give values negated bit for bit
-        assert values[estimable].tobytes() == (-values[::-1][estimable]).tobytes()
-
-
 def draws_kernel(c, drawn, y, negate=False):
     """`_agreement_draws` on `y` prepared as `inference._simulate_chunk` prepares it."""
     outcomes, scale = _scaled(y)
     return _agreement_draws(c, drawn, outcomes, -scale if negate else scale, float(np.sum(outcomes)))
 
 
-class TestAgreementDraws:
-    """The block-v3 kernel on indicator rows; its rounding is tested through `simulate_null`."""
+def subsets(masks, n):
+    """The 0/1 indicator rows of the sets with the given masks (bit i = observation i)."""
+    return (np.asarray(masks)[:, None] >> np.arange(n)) & 1
 
-    @pytest.mark.parametrize("kind", ["offset", "powers", "range"])
-    def test_multi_row_values_are_those_of_the_enumeration_table(self, kind):
-        # Sums in observation order, as in `_agreement_cells`: every value is
-        # its set's table entry bit for bit, and a negated scale gives the
-        # entry of the complement.
-        n = 12
-        y = range_outcomes(n) if kind == "range" else adversarial_outcomes(kind, n)
-        table, estimable = _agreement_cells(y)
-        drawn = np.random.default_rng(3).random((300, n)) < 0.5
-        masks = drawn @ (1 << np.arange(n))
-        c = drawn.sum(axis=1) // 2
-        for negate, expected in ((False, masks), (True, (1 << n) - 1 - masks)):
-            values, ok = draws_kernel(c, drawn, y, negate)
-            even = drawn.sum(axis=1) % 2 == 0
-            assert np.array_equal(ok[even], estimable[masks[even]])
-            assert values[even].tobytes() == table[expected[even]].tobytes()
+
+class TestAgreementCells:
+    """The agreement-set kernel on indicator rows, as enumeration calls it, against exact rationals."""
+
+    @pytest.mark.parametrize("kind", ["offset", "powers", "huge"])
+    def test_rounding_within_stated_bound(self, kind):
+        # 150 random sets of 2c members, 1 <= c <= 9, at n = 20: each value
+        # within (n + 5)*eps*max|y - c| of the exact DiD of one relabeling
+        # with that agreement set.
+        n = 20
+        y = adversarial_outcomes(kind, n)
+        rng = np.random.default_rng(8)
+        sets = subsets(rng.integers(0, 1 << n, 400), n)
+        sizes = sets.sum(axis=1)
+        sets = sets[(sizes % 2 == 0) & (sizes >= 2) & (sizes <= n - 2)][:150]
+        values, estimable = draws_kernel(sets.sum(axis=1) // 2, sets, y)
+        assert len(sets) == 150 and estimable.all()
+        bound = (n + 5) * np.finfo(np.float64).eps * np.abs(_centred(y)).max()
+        for members, value in zip(sets.tolist(), values.tolist()):
+            affected, time = labeling_of(members, sum(members) // 2)
+            exact = brute_force_did_fraction(y, time, affected)
+            assert np.isfinite(value)
+            assert abs(Fraction(value) - exact) <= bound
+
+    def test_estimable_sets_and_exact_negation(self):
+        # Every set of even size at n = 10; "range" outcomes are summed
+        # scaled by a power of two.
+        n = 10
+        sets = subsets(np.arange(1 << n), n)
+        sets = sets[sets.sum(axis=1) % 2 == 0]
+        c = sets.sum(axis=1) // 2
+        for y in (adversarial_outcomes("offset", n), range_outcomes(n)):
+            values, estimable = draws_kernel(c, sets, y)
+            assert np.array_equal(estimable, (c >= 1) & (c <= n // 2 - 1))
+            assert np.isnan(values[~estimable]).all()
+            # A set with count c and its complement with count n/2 - c give
+            # values negated bit for bit, and so does a negated scale.
+            complements, _ = draws_kernel(n // 2 - c, 1 - sets, y)
+            negated, _ = draws_kernel(c, sets, y, negate=True)
+            assert values[estimable].tobytes() == (-complements[estimable]).tobytes()
+            assert values[estimable].tobytes() == (-negated[estimable]).tobytes()
+
+
+class TestAgreementDraws:
+    """The block-v3 kernel's degenerate rows; its rounding is tested through `simulate_null`."""
 
     def test_degenerate_counts_are_not_estimable(self):
         y = adversarial_outcomes("offset", 8)

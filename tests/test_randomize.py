@@ -235,15 +235,19 @@ class TestEnumerationWalk:
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_agreement_sets_and_counts_match_the_labelings(self, n):
-        # Each set is the agreement set of as many balanced (affected,
-        # time) pairs as `agreement_counts` says, its mask read straight
-        # off the pair's labels (bit i = observation i).
+        # Each set of 2c members is the agreement set of as many balanced
+        # (affected, time) pairs as `agreement_counts` gives for c, its
+        # mask read straight off the pair's labels (bit i = observation i);
+        # a set of odd size is the agreement set of none.
         rows = np.array(arrangements_fixed(n, n // 2))
         bits = 1 << np.arange(n)
         masks = ((rows[:, None, :] == rows[None, :, :]) @ bits).ravel()
+        sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])
         counts = agreement_counts(n)
-        assert np.array_equal(np.bincount(masks, minlength=1 << n), counts)
-        assert counts.sum() == math.comb(n, n // 2) ** 2
+        assert counts.shape == (n // 2 + 1,)
+        expected = np.where(sizes % 2 == 0, counts[sizes // 2], 0)
+        assert np.array_equal(np.bincount(masks, minlength=1 << n), expected)
+        assert expected.sum() == math.comb(n, n // 2) ** 2
 
 
 class TestStreamContract:
