@@ -1,7 +1,8 @@
-"""Committed SHA-256 pins of `simulate_null` runs and of two CLI reports.
+"""Committed SHA-256 pins of `simulate_null` runs, of two CLI reports and of audit output.
 
 The `simulate_null` pins hold the stream contract fixed; the report pins
-hold the bytes that `didperm enumerate` and `didperm test` write.
+hold the bytes that `didperm enumerate` and `didperm test` write, and
+`AUDIT_PINS` the lines that `didperm audit` prints.
 
 The replay tests compare `simulate_null` with an oracle that draws from
 the same numpy `Generator`, so a numpy release that changed `permuted`,
@@ -188,4 +189,30 @@ def test_report_digest(command, tmp_path):
     assert digest == pin, (
         f"the didperm {command} report bytes (n = {4 * per_cell}) changed under "
         f"numpy {np.__version__}"
+    )
+
+
+# (n, n_affected, n_time, margins, mode) -> SHA-256 of the `didperm audit`
+# stdout (outcome seed 0).  Balanced and unbalanced dual fixed spaces, dual
+# Bernoulli and affected-only fixed margins.
+AUDIT_PINS = {
+    (12, 6, 6, "dual", "fixed"): "99a5386f36f0b2ac84ce5e6fb6c6b331bc22e3e8197da7507f2ed75b3fca53db",
+    (12, 4, 6, "dual", "fixed"): "1804da6bc009ff112471763787c52cac2bc7a9299788890538a705979c0d16e8",
+    (10, 5, 5, "dual", "fixed"): "15c63d6c8de0c1494aff6d46f29c214e0ebb3181b5c6d536bb9e4f2bf4bf4cc2",
+    (9, 4, 5, "dual", "bernoulli"): "ffe17d1cc429a1a55e0007074c92b8be0ab7538fc377569a317fc5c22191eee7",
+    (8, 4, 4, "affected", "fixed"): "4d23a236bb99503dba8cda30653c05b3e6329d697ef2f2b87d20a673288e1bc3",
+}
+
+
+@pytest.mark.parametrize("n, n_affected, n_time, margins, mode", sorted(AUDIT_PINS))
+def test_audit_digest(n, n_affected, n_time, margins, mode):
+    flags = ["--n", str(n), "--n-affected", str(n_affected), "--n-time", str(n_time)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["audit", *flags, "--scheme", margins, "--mode", mode])
+    assert code == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == AUDIT_PINS[n, n_affected, n_time, margins, mode], (
+        f"the didperm audit output for n={n}, margins ({n_affected}, {n_time}), "
+        f"{margins}/{mode} changed under numpy {np.__version__}"
     )
