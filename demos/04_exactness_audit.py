@@ -2,12 +2,12 @@
 
 On a space small enough to enumerate, every estimable relabeling is
 treated in turn as the observed assignment and its exact p-value is
-computed against the full space.  Under the sharp null the assignment is
-uniform over that space, so P(p <= alpha) can never exceed alpha; with
-continuous outcomes the p-values land exactly on the attainable grid.
+computed against the full space.  The audit reports the law of those
+p-values: each attainable level with the number of relabelings at it.
+Under the sharp null the assignment is uniform over that space, so
+P(p <= alpha) can never exceed alpha; with continuous outcomes the
+p-values land exactly on the attainable grid.
 """
-
-import numpy as np
 
 import didperm as dp
 
@@ -16,8 +16,9 @@ report = dp.exactness_audit(n=6, n_affected=3, n_time=3, scheme=scheme, outcome_
 
 print(f"space: {report.total_relabelings} relabelings, "
       f"{report.estimable_relabelings} estimable")
-print("exact p-values over the space (sorted):")
-print(" ", np.round(np.sort(report.p_values), 4).tolist())
+print("law of the exact p-value over the space (level: relabelings attaining it):")
+for level, count in zip(report.p_levels.tolist(), report.level_counts.tolist()):
+    print(f"  {level:.4f}: {count}")
 
 print("\nvalidity P(p <= alpha) <= alpha:")
 print(f"{'alpha':>8s} {'P(p <= alpha)':>14s} {'violation':>10s}")

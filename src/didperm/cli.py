@@ -12,8 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     EmptyCellError,
     EmptyFileError,
@@ -293,8 +291,8 @@ def cmd_audit(args) -> int:
     # The exact p-value falls as |DiD| grows and steps at every |DiD| that
     # the tie rule tells apart, so its distinct values count the support.
     print(
-        f"support: {np.unique(report.p_values).size:,} distinct |DiD| values within the "
-        f"tie tolerance; smallest attainable exact p: {float(report.p_values.min()):.4g}"
+        f"support: {report.p_levels.size:,} distinct |DiD| values within the "
+        f"tie tolerance; smallest attainable exact p: {float(report.p_levels[0]):.4g}"
     )
     return EXIT_OK
 

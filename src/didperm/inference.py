@@ -519,10 +519,11 @@ class UniformityReport:
 
     Every estimable relabeling is treated in turn as the observed
     assignment and its exact p-value computed against the full (estimable)
-    space.  Under the sharp null the assignment is uniform over that
-    space, so P(p <= alpha) <= alpha must hold for every alpha; when all
-    absolute statistic values are distinct the p-values are exactly a
-    permutation of {1/m, 2/m, ..., 1}.
+    space.  `p_levels` holds the attainable p-values in increasing order
+    and `level_counts` how many relabelings attain each.  Under the sharp
+    null the assignment is uniform over the space, so P(p <= alpha) <= alpha
+    must hold for every alpha; when all absolute statistic values are
+    distinct the levels are {1/m, 2/m, ..., 1}, each attained once.
     """
 
     n: int
@@ -531,15 +532,16 @@ class UniformityReport:
     scheme: RandomizationScheme
     total_relabelings: int
     statistic_values: np.ndarray
-    p_values: np.ndarray
+    p_levels: np.ndarray
+    level_counts: np.ndarray
 
     @property
     def estimable_relabelings(self) -> int:
-        return self.p_values.size
+        return int(self.level_counts.sum())
 
     def rejection_rate(self, alpha: float) -> float:
         """P(p <= alpha) over the uniform assignment law."""
-        return float(np.mean(self.p_values <= alpha))
+        return float(self.level_counts[self.p_levels <= alpha].sum() / self.estimable_relabelings)
 
     def worst_violation(self) -> float:
         """max over alpha of P(p <= alpha) - alpha; exactness means <= 0.
@@ -547,8 +549,8 @@ class UniformityReport:
         The maximum is taken over the attainable p-value levels, where
         P(p <= alpha) - alpha is piecewise largest.
         """
-        levels, counts = np.unique(self.p_values, return_counts=True)
-        return float(np.max(np.cumsum(counts) / self.p_values.size - levels))
+        rates = np.cumsum(self.level_counts) / self.estimable_relabelings
+        return float(np.max(rates - self.p_levels))
 
 
 def exactness_audit(
@@ -565,9 +567,10 @@ def exactness_audit(
     `outcome_seed` (continuous, so cross-relabeling ties occur only
     through exact symmetries of the space), or taken from `outcomes` when
     given.  The statistics are the values of `enumerate_null`, in
-    increasing order, and each p-value is that of `randomization_p_value`
-    for its own statistic, read off the null's law once per distinct
-    value.  So relabelings that tie in exact
+    increasing order.  Each p-value is that of `randomization_p_value` for
+    its own statistic, read off the null's law once per distinct value,
+    and the report keeps the p-values as their law: each attained level
+    with its count of relabelings.  So relabelings that tie in exact
     arithmetic (sign flips of one margin, the group/time swap of the dual
     scheme with n_affected = n_time, equal cell counts) tie here too,
     and the p-values follow their exact-arithmetic law.
@@ -599,6 +602,7 @@ def exactness_audit(
 
     law = dist._law
     by_support = law.count_abs_at_least(np.abs(law.support) - dist.tie_tolerance) / law.below[-1]
+    p_levels, level = np.unique(by_support, return_inverse=True)
     return UniformityReport(
         n=n,
         n_affected=n_affected,
@@ -606,5 +610,6 @@ def exactness_audit(
         scheme=scheme,
         total_relabelings=dist.iterations_requested,
         statistic_values=dist.values,
-        p_values=np.repeat(by_support, np.diff(law.below)),
+        p_levels=p_levels,
+        level_counts=np.bincount(level, weights=np.diff(law.below)).astype(np.int64),
     )

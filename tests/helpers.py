@@ -108,6 +108,11 @@ def exact_p_law_fraction(y, label_pairs):
     return sorted(Fraction(m - bisect.bisect_left(stats, s), m) for s in stats)
 
 
+def audit_p_values(report):
+    """One p-value per estimable relabeling of an audit, in increasing order: its levels repeated."""
+    return np.repeat(report.p_levels, report.level_counts)
+
+
 def sup_cdf_distance(sample_values, exact_values):
     """Sup-norm distance between two empirical CDFs, evaluated at all atoms."""
     atoms = np.unique(np.concatenate([sample_values, exact_values]))

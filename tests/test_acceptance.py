@@ -35,7 +35,7 @@ from didperm import (
     write_fixture_csv,
 )
 from didperm.cli import main as cli_main
-from helpers import random_estimable_sample, sup_cdf_distance
+from helpers import audit_p_values, random_estimable_sample, sup_cdf_distance
 
 AFFECTED_FIXED = RandomizationScheme(Margins.AFFECTED_ONLY, Mode.FIXED_MARGINS)
 DUAL_FIXED = RandomizationScheme(Margins.DUAL, Mode.FIXED_MARGINS)
@@ -122,7 +122,7 @@ def test_criterion_04_exactness_suite():
                     n, n_affected, n // 2, AFFECTED_FIXED, outcome_seed=20250810
                 )
                 m = report.estimable_relabelings
-                sorted_p = np.sort(report.p_values)
+                sorted_p = audit_p_values(report)
                 if 2 * n_affected != n:
                     expected = np.arange(1, m + 1) / m
                 else:

@@ -51,7 +51,7 @@ PARAMETERS = {
     ],
     "UniformityReport": [
         "n", "n_affected", "n_time", "scheme", "total_relabelings", "statistic_values",
-        "p_values",
+        "p_levels", "level_counts",
     ],
     "binary_entropy": ["p"],
     "compute_cell_means": ["sample"],
