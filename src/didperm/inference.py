@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -274,6 +275,14 @@ def _simulate_chunk(
     return np.concatenate(parts), discarded
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def simulate_null(
     sample: PanelSample,
     scheme: RandomizationScheme,
@@ -320,8 +329,10 @@ def simulate_null(
     master_seed : int
         Unsigned 64-bit seed identifying the whole run.
     workers : int
-        Process count; each process takes a run of whole blocks.  Affects
-        speed only.
+        Most processes to use; each takes a run of whole blocks.  The pool
+        never exceeds the block count or the CPUs this process may run on,
+        so a large value starts no more processes than can run at once.
+        Affects speed only.
 
     Raises
     ------
@@ -345,15 +356,16 @@ def simulate_null(
         iterations,
     )
     blocks = -(-iterations // stream_block_rows(sample.n))
-    if min(workers, blocks) <= 1:
+    processes = min(workers, blocks, _usable_cpus())
+    if processes <= 1:
         values, discarded = run(0, blocks)
     else:
         # Imported here: most runs never start a pool, and the import is a
         # tenth of `import didperm`.
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = np.linspace(0, blocks, num=min(workers, blocks) + 1, dtype=np.int64).tolist()
-        with ProcessPoolExecutor(max_workers=len(bounds) - 1) as pool:
+        bounds = np.linspace(0, blocks, num=processes + 1, dtype=np.int64).tolist()
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(run, bounds[:-1], bounds[1:]))
         values = np.concatenate([part for part, _ in parts])
         discarded = sum(d for _, d in parts)

@@ -187,6 +187,28 @@ def random_estimable_sample(rng, n_min=8, n_max=24):
     return PanelSample(y=y, time=time, affected=affected)
 
 
+def inline_pool(sizes):
+    """A stand-in for `ProcessPoolExecutor` that starts no process.
+
+    Each pool appends its `max_workers` to `sizes` and maps in this process.
+    """
+
+    class InlinePool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    return InlinePool
+
+
 def documented_block_rows(n):
     """Iterations per stream block, B = max(1, min(4096, 2**13 // n))."""
     return max(1, min(4096, 2**13 // n))

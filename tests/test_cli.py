@@ -1,5 +1,6 @@
 """CLI tests: subcommands, reports, exit codes, reproducibility."""
 
+import concurrent.futures
 import contextlib
 import io
 import math
@@ -41,6 +42,7 @@ from didperm.cli import (
     EXIT_USAGE,
     main,
 )
+from helpers import inline_pool
 
 MINIMAL = "y,time,affected\n1,0,0\n2,1,0\n3,0,1\n5,1,1\n"
 # Bytes a spreadsheet export or a damaged file can hold: invalid UTF-8, a
@@ -152,7 +154,9 @@ class TestCmdTest:
         assert sum(c for _, _, c in report.histogram) == 250
         assert len(report.histogram) == 9
 
-    def test_byte_identical_across_worker_counts(self, inpress_csv, tmp_path):
+    def test_byte_identical_across_worker_counts(self, inpress_csv, tmp_path, monkeypatch):
+        # Three CPUs are claimed so that 3 workers start 3 processes on any host.
+        monkeypatch.setattr(inference, "_usable_cpus", lambda: 3)
         paths = []
         for workers in ("1", "3"):
             out = tmp_path / f"report_{workers}.json"
@@ -174,6 +178,20 @@ class TestCmdTest:
             assert code == 0
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_workers_past_the_cpus_start_one_process_per_cpu(
+        self, inpress_csv, tmp_path, monkeypatch
+    ):
+        # 2,000 iterations at n = 80 are 20 blocks; the pool stand-in starts
+        # no process and records the size that was asked for.
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool(sizes))
+        out = str(tmp_path / "report.json")
+        flags = ["--iterations", "2000", "--workers", "5000", "--output", out]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["test", "--input", inpress_csv, *flags]) == EXIT_OK
+        processes = min(20, inference._usable_cpus())
+        assert sizes == ([processes] if processes > 1 else [])
 
     def test_summary_names_the_stream_contract(self, inpress_csv, minimal_csv, tmp_path, capsys):
         # INPRESS has both margins n/2 = 40; the minimal panel both at 2.

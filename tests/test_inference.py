@@ -1,7 +1,9 @@
 """Inference tests: simulation, enumeration, quantiles, p-values, exactness."""
 
+import concurrent.futures
 import dataclasses
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +49,7 @@ from helpers import (
     enumerate_brute_force,
     enumerate_kernel,
     exact_p_law_fraction,
+    inline_pool,
     kernel_stat,
     labeling_of,
     merge_ties,
@@ -104,9 +107,11 @@ class TestSimulateNull:
         assert dist.source is Source.MONTE_CARLO
         assert dist.degenerate_draws_discarded > 0  # 12/36 of dual draws degenerate
 
-    def test_bit_identical_across_worker_counts(self):
+    def test_bit_identical_across_worker_counts(self, monkeypatch):
         # 2B + 7 iterations span three blocks, so worker chunks cut across
-        # block boundaries; 5 workers exceed the block count.
+        # block boundaries; 5 workers exceed the block count.  Five CPUs
+        # are claimed so that 3 workers start 3 processes on any host.
+        monkeypatch.setattr(inference, "_usable_cpus", lambda: 5)
         iterations = 2 * documented_block_rows(FOUR_POINT.n) + 7
         base = simulate_null(FOUR_POINT, DUAL_FIXED, iterations=iterations, master_seed=9)
         for workers in (2, 3, 5):
@@ -119,6 +124,32 @@ class TestSimulateNull:
         par = simulate_null(FOUR_POINT, DUAL_FIXED, iterations=1, master_seed=9, workers=3)
         assert np.array_equal(one.values, par.values)
         assert par.degenerate_draws_discarded == one.degenerate_draws_discarded
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_pool_is_bounded_by_usable_cpus(self, monkeypatch, cpus):
+        # 5000 workers over 8 blocks: the pool takes one process per usable
+        # CPU, and one CPU runs the whole run in this process.
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool(sizes))
+        monkeypatch.setattr(inference, "_usable_cpus", lambda: cpus)
+        iterations = 8 * documented_block_rows(FOUR_POINT.n)
+        base = simulate_null(FOUR_POINT, DUAL_FIXED, iterations=iterations, master_seed=9)
+        assert sizes == []
+        par = simulate_null(
+            FOUR_POINT, DUAL_FIXED, iterations=iterations, master_seed=9, workers=5000
+        )
+        assert sizes == ([cpus] if cpus > 1 else [])
+        assert base.values.tobytes() == par.values.tobytes()
+        assert par.degenerate_draws_discarded == base.degenerate_draws_discarded
+
+    def test_usable_cpus_reads_affinity_then_cpu_count(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert inference._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert inference._usable_cpus() == 7
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert inference._usable_cpus() == 1
 
     @pytest.mark.parametrize("affected", [[0, 1] * 2500, [1] * 1667 + [0] * 3333])
     def test_one_row_blocks_bit_identical_across_worker_counts(self, affected):
