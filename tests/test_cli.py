@@ -179,6 +179,13 @@ class TestCmdTest:
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_alpha_flag_sets_the_level(self, inpress_csv, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        flags = ["--iterations", "200", "--alpha", "0.1", "--output", str(out)]
+        assert main(["test", "--input", inpress_csv, *flags]) == EXIT_OK
+        assert "at alpha=0.1:" in capsys.readouterr().out
+        assert read_report(out).alpha == 0.1
+
     def test_workers_past_the_cpus_start_one_process_per_cpu(
         self, inpress_csv, tmp_path, monkeypatch
     ):

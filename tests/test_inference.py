@@ -669,6 +669,15 @@ class TestNullDistributionValidation:
                 source=Source.MONTE_CARLO,
             )
 
+    def test_values_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="1-d vector"):
+            mock_distribution(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("tolerance", [-1e-12, math.inf, math.nan])
+    def test_tie_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        with pytest.raises(ValueError, match="tie_tolerance"):
+            dataclasses.replace(mock_distribution([1.0, 2.0]), tie_tolerance=tolerance)
+
     def test_values_are_held_read_only(self):
         # A writeable array or a view is copied; a read-only array that
         # owns its memory, such as the values of another distribution, is
@@ -983,6 +992,16 @@ class TestExactnessAudit:
     def test_impossible_margin_raises(self):
         with pytest.raises(ValueError):
             exactness_audit(4, 1, 2, AFFECTED_FIXED, outcome_seed=0)
+
+    @pytest.mark.parametrize("n_time", [0, 6])
+    def test_time_margin_out_of_range_raises(self, n_time):
+        with pytest.raises(ValueError, match="n_time"):
+            exactness_audit(6, 3, n_time, DUAL_FIXED)
+
+    @pytest.mark.parametrize("outcomes", [np.zeros(5), np.zeros((2, 6))])
+    def test_outcomes_of_the_wrong_shape_raise(self, outcomes):
+        with pytest.raises(ValueError, match="length-6 vector"):
+            exactness_audit(6, 3, 3, DUAL_FIXED, outcomes=outcomes)
 
     @pytest.mark.parametrize(
         "n, n_affected, n_time, scheme, seed",

@@ -306,6 +306,8 @@ class TestHistogram:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_histogram(mock_dist([1.0]), bins=0)
+        with pytest.raises(ValueError, match="empty"):
+            make_histogram(mock_dist([]), bins=5)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(

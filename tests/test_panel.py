@@ -89,6 +89,15 @@ class TestDidFromMeans:
     def test_equal_means_give_zero(self):
         assert did_from_means(make_cells(3.3, 3.3, 3.3, 3.3)) == 0.0
 
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            CellMeans(means=np.ones((2, 2)), counts=np.array([[3, 3], [-1, 3]]))
+
+    @pytest.mark.parametrize("mean", [np.inf, np.nan])
+    def test_non_finite_value_raises(self, mean):
+        with pytest.raises(ValueError, match="finite"):
+            did_from_means(make_cells(0.0, 0.0, 0.0, mean))
+
     def test_empty_cell_raises_with_cell_identity(self):
         cells = CellMeans(
             means=np.array([[1.0, 2.0], [np.nan, 4.0]]),
@@ -292,6 +301,13 @@ class TestPanelSampleValidation:
     def test_rejects_nonbinary_labels(self):
         with pytest.raises(ValueError):
             PanelSample(y=[1, 2, 3, 4], time=[0, 1, 0, 2], affected=[0, 0, 1, 1])
+
+    @pytest.mark.parametrize("name", ["y", "time", "affected"])
+    def test_rejects_two_dimensional_vectors(self, name):
+        columns = {"y": [1.0, 2.0, 3.0, 5.0], "time": [0, 1, 0, 1], "affected": [0, 0, 1, 1]}
+        columns[name] = [columns[name]] * 2
+        with pytest.raises(ValueError, match=f"{name} must be a 1-d vector"):
+            PanelSample(**columns)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from didperm import (
+    ENUMERATION_CAP,
     Margins,
     Mode,
     PanelSample,
     RandomizationScheme,
+    SpaceTooLargeError,
     derive_seed,
     generator_for,
     simulate_null,
@@ -21,6 +23,7 @@ from didperm.randomize import (
     agreement_counts,
     draw_agreement_sets,
     draw_relabelings,
+    space_size,
 )
 from helpers import arrangements_fixed, documented_block_rows, kernel_stat, replay_run
 
@@ -224,6 +227,23 @@ class TestRelabel:
         expected = draws / 36
         chi2 = float(((joint - expected) ** 2 / expected).sum())
         assert chi2 < 66.6
+
+
+class TestSchemeAndSpaceSize:
+    def test_scheme_coerces_strings(self):
+        scheme = RandomizationScheme("dual", "bernoulli")
+        assert scheme.margins is Margins.DUAL and scheme.mode is Mode.BERNOULLI
+        assert scheme == DUAL_BERNOULLI
+
+    def test_space_just_past_the_cap_is_sized_exactly_and_refused(self):
+        # C(27, 13) = 20,058,300: its log-size lies within one nat of the
+        # cap's, so the size is settled in integers before it is refused.
+        size = math.comb(27, 13)
+        assert ENUMERATION_CAP < size and math.log(size) < math.log(ENUMERATION_CAP) + 1
+        with pytest.raises(SpaceTooLargeError) as err:
+            space_size(27, 13, 13, AFFECTED_FIXED)
+        assert err.value.log_size == math.log(size)
+        assert err.value.cap == ENUMERATION_CAP
 
 
 class TestEnumerationWalk:
