@@ -79,8 +79,11 @@ _BLOCK_ENTRIES = 2**13
 ENUMERATION_CAP = 10_000_000
 
 # Relabelings times n per block during enumeration (see `enumerate_relabelings`).
-# At n=12 dual/fixed, 2**16 and 2**17 were 1.5x and 1.2x slower; 2**19 was
-# 10% faster there but slower at n=9 dual/Bernoulli and n=16 affected-only.
+# Medians of two sets of interleaved runs on a 2-vCPU host, numpy 2.4, for
+# 2**17, 2**18 and 2**19: n=9 dual/Bernoulli 9.1-12.8, 9.2-11.7 and
+# 10.1-12.2 ms; n=12 dual/fixed, margins 4 and 4, 9.0-12.7, 8.3-11.2 and
+# 8.7-10.4 ms; n=20 affected-only fixed, margin 10, 75-108 ms for all three.
+# None was faster on all three spaces.
 _ENUM_ENTRIES = 2**18
 
 
