@@ -31,6 +31,15 @@ with both margins n/2 at n = 8 and n = 12 reach the agreement-set route,
 with normal outcomes and with outcomes near the range that ingest allows
 (`helpers.range_outcomes`), whose sums are taken scaled by a power of
 two; dual Bernoulli at n = 9 reaches the product-form walk.
+
+`WALK_PINS` pin the product-form walk on the other spaces it takes, in
+both of its orientations (`panel._product_cells` sums along the label
+block with fewer rows).  Dual fixed margins 4 and 4 at n = 12 step
+through the affected rows.  Affected-only fixed (n = 16, margin 8) and
+Bernoulli (n = 12) spaces step through the one time row, and so do dual
+fixed margins 6 and 2 at n = 12.  Margins 6 and 1 step the same way,
+but a time margin of 1 empties a cell of every relabeling, so that pin
+holds the discard count of a space with no value.
 """
 
 import contextlib
@@ -95,6 +104,17 @@ EXACT_PINS = {
 }
 
 
+# (n, n_affected, n_time, margins, mode) -> (SHA-256 of the values, degenerate
+# relabelings discarded), on `walk_panel`
+WALK_PINS = {
+    (16, 8, 8, "affected", "fixed"): ("54e18e962a9dd62e83f67932f90ee16131cfeb6e1dd6c104acd3bcf89312c8c9", 2),
+    (12, 6, 6, "affected", "bernoulli"): ("10107b381e13e90270644cf0329bfd0d7c3976e38c79a541a18369ce15e5b9ad", 252),
+    (12, 4, 4, "dual", "fixed"): ("cf840914ae83c0d3dc9274848517b65b2db9433e77650fb9a4ca4116b7f7d010", 35145),
+    (12, 6, 1, "dual", "fixed"): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 11088),
+    (12, 6, 2, "dual", "fixed"): ("769acd715c0592e27a599139c321a89509ea6ed9f3e7cc77c91f9339b773afb5", 27720),
+}
+
+
 def digest_panel(n):
     """A panel built from integer arithmetic alone, so it needs no random stream.
 
@@ -118,6 +138,13 @@ def exact_panel(n, outcomes):
     i = np.arange(n)
     y = generator_for(n).standard_normal(n) if outcomes == "normal" else range_outcomes(n)
     return PanelSample(y=y, time=i % 2, affected=(i // 2) % 2)
+
+
+def walk_panel(n, n_affected, n_time):
+    """Standard normal outcomes; the first n_affected observations are affected, every (n // n_time)-th is post."""
+    i = np.arange(n)
+    y = generator_for(n).standard_normal(n)
+    return PanelSample(y=y, time=i % (n // n_time) == 0, affected=i < n_affected)
 
 
 def digest(dist):
@@ -157,6 +184,16 @@ def test_enumerate_null_digest(n, outcomes, mode):
     assert digest(dist) == EXACT_PINS[n, outcomes, mode], (
         f"the enumerate_null values for n={n}, {outcomes} outcomes, dual/{mode} "
         f"changed under numpy {np.__version__}"
+    )
+
+
+@pytest.mark.parametrize("n, n_affected, n_time, margins, mode", sorted(WALK_PINS))
+def test_product_walk_digest(n, n_affected, n_time, margins, mode):
+    scheme = RandomizationScheme(Margins(margins), Mode(mode))
+    dist = enumerate_null(walk_panel(n, n_affected, n_time), scheme)
+    assert digest(dist) == WALK_PINS[n, n_affected, n_time, margins, mode], (
+        f"the enumerate_null values for n={n}, margins ({n_affected}, {n_time}), "
+        f"{margins}/{mode} changed under numpy {np.__version__}"
     )
 
 
