@@ -230,31 +230,30 @@ def _simulate_chunk(
 ) -> tuple[np.ndarray, int]:
     """Values and discard count of blocks [first_block, stop_block) of a run.
 
-    `relabel(rng, rows)` draws `rows` relabelings and returns their
-    values and estimability from one kernel call: agreement sets and
-    `panel._agreement_draws` where the margins allow (block-v3), label
-    matrices and `panel._block_cells` elsewhere.
+    `relabel(rng, rows)` draws `rows` relabelings and values them, with
+    estimability, in one kernel call on a prefix of the run's tiled `weights`:
+    agreement sets and `panel._agreement_draws` where the margins allow
+    (block-v3), label matrices and `panel._block_cells` elsewhere.
     """
     n = y.size
+    per_block = stream_block_rows(n)
     if is_balanced_dual_fixed(n, int(affected.sum()), int(time.sum()), scheme):
         outcomes, scale = _scaled(y)
         total = float(np.sum(outcomes))
+        weights = np.tile(outcomes, per_block)
         # Where observation 0's labels differ, each drawn set is the
         # disagreement set, whose value is the negation.
         scale = scale if affected[0] == time[0] else -scale
 
         def relabel(rng, rows):
-            return _agreement_draws(*draw_agreement_sets(rng, n, rows), outcomes, scale, total)
+            return _agreement_draws(*draw_agreement_sets(rng, n, rows), weights, scale, total)
 
     else:
-        # np.bincount copies read-only weights such as `PanelSample.y` on every
-        # kernel call; one writeable copy per run spares the one-row blocks that.
-        y = np.array(y)
+        weights = np.tile(y, per_block)
 
         def relabel(rng, rows):
-            return _block_cells(*draw_relabelings(rng, affected, time, scheme, rows), y)
+            return _block_cells(*draw_relabelings(rng, affected, time, scheme, rows), weights)
 
-    per_block = stream_block_rows(n)
     attempts = MAX_RETRY_ATTEMPTS
     parts = []
     discarded = 0
@@ -434,7 +433,8 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
         even = (members % 2 == 0) & (c >= 1) & (c <= n // 2 - 1)
         sets, c = np.compress(even, sets, axis=0), c[even]
         outcomes, scale = _scaled(sample.y)
-        by_set, _ = _agreement_draws(c, sets, outcomes, scale, float(np.sum(outcomes)))
+        weights = np.tile(outcomes, len(sets))
+        by_set, _ = _agreement_draws(c, sets, weights, scale, float(np.sum(outcomes)))
         order = np.argsort(by_set)
         law = _Law.of(by_set[order], agreement_counts(n)[c[order]])
         values = np.repeat(law.support, np.diff(law.below))

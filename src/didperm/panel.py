@@ -162,17 +162,16 @@ def _cell_means(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     `affected` and `time` broadcast together; every index of their leading
     axes is one labeling, rows in C order, with cell index 2*affected + time.
-    One bincount over the row-offset index 4*row + cell visits every row's
+    One bincount over the row-offset index 4*row + cell and the first rows*n
+    entries of `y`, the outcomes tiled once per run, visits every row's
     entries in their own order, so each row's sums are bit-identical to a
     bincount of that row alone.  An empty cell's mean is 0/0 = NaN.
     """
-    cells = (2 * affected + time).reshape(-1, y.size)
+    cells = (2 * affected + time).reshape(-1, np.shape(affected)[-1])
     rows = cells.shape[0]
     idx = (cells + 4 * np.arange(rows)[:, None]).ravel()
     counts = np.bincount(idx, minlength=4 * rows).reshape(rows, 4)
-    # One row reads y in place; a copy per call cost 6% per draw at n=10^5 (2 vCPUs).
-    weights = y if rows == 1 else np.tile(y, rows)
-    sums = np.bincount(idx, weights=weights, minlength=4 * rows).reshape(rows, 4)
+    sums = np.bincount(idx, weights=y[: idx.size], minlength=4 * rows).reshape(rows, 4)
     with np.errstate(invalid="ignore"):
         return counts, sums / counts
 
@@ -180,10 +179,10 @@ def _cell_means(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _block_cells(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """DiD values of many labelings of `y` at once, and which are estimable.
 
-    The statistic call behind every Monte Carlo draw: label arrays as in
-    `_cell_means` (a `randomize` draw) in, (values, estimable) out, each
-    of length rows.  The value of a row
-    with an empty cell is NaN, and `estimable` is False there.
+    The statistic call behind every Monte Carlo draw: labels (a `randomize`
+    draw, int8 or int64) and tiled outcomes as in `_cell_means` in, (values,
+    estimable) out, each of length rows.  The value of a row with an empty
+    cell is NaN, and `estimable` is False there.
     """
     counts, means = _cell_means(affected, time, y)
     return _did_from_cells(*means.T), counts.all(axis=1)
@@ -317,12 +316,13 @@ def _agreement_draws(c, drawn, y: np.ndarray, scale: float, total: float):
     For row r, c[r] = |A & T| and `drawn` gives a set G_r of 2c[r]
     observations: a `randomize.draw_agreement_sets` draw, or every set of
     even size in `inference.enumerate_null`.  `y` holds the outcomes
-    centred and scaled by `_scaled`, `total` their sum, and `scale` is the
-    power of two of `_scaled`, negated when the sets are the complements
-    of the agreement sets, whose values are the negations.  A row's value
-    is then (S_D/c - S_{D^c}/(n/2 - c)) * scale for D = G_r; multiplying
-    by `scale` rounds nothing in the normal float range.  A row with c = 0
-    or n/2 has an empty cell, the value NaN and `estimable` False.
+    centred and scaled by `_scaled`, tiled as in `_cell_means`, `total` the
+    sum of one row, and `scale` is the power of two of `_scaled`, negated
+    when the sets are the complements of the agreement sets, whose values
+    are the negations.  A row's value is then
+    (S_D/c - S_{D^c}/(n/2 - c)) * scale for D = G_r; multiplying by `scale`
+    rounds nothing in the normal float range.  A row with c = 0 or n/2 has
+    an empty cell, the value NaN and `estimable` False.
 
     Rounding, with u = eps/2, M = max|y - mid| over the outcomes centred
     on their midrange and h = n/2, in the normal float range.  Either way
@@ -341,19 +341,20 @@ def _agreement_draws(c, drawn, y: np.ndarray, scale: float, total: float):
       (2c - 1)*eps*M, and S_{D^c}/(h - c) by at most (n - 2c - 1)*eps*M.
       A value rounds by (n + 4)*eps*M to first order, and by at most
       (n + 5)*eps*M with the higher-order terms.
-    * A 1-d `drawn` (one-row blocks) holds the m <= h positions of the
-      smaller of G and its complement.  Their outcomes are gathered and
-      summed in any order, and the sum of the other side is `total` less
-      that sum.  The gathered sum adds m terms of size at most M, so it is
-      off by at most (m - 1)*u*m*M, and its quotient by its cell count m/2
-      by (m - 1)*eps*M <= (h - 1)*eps*M.  `total` is off by at most
+    * A 1-d `drawn` (one-row runs, whose `y` holds exactly one row and so
+      gives n) holds the m <= h positions of the smaller of G and its
+      complement.  Their outcomes are gathered and summed in any order,
+      and the sum of the other side is `total` less that sum.  The
+      gathered sum adds m terms of size at most M, so it is off by at
+      most (m - 1)*u*m*M, and its quotient by its cell count m/2 by
+      (m - 1)*eps*M <= (h - 1)*eps*M.  `total` is off by at most
       (n - 1)*u*n*M, and so the other side's sum by that, the gathered
-      sum's error and u*(n - m)*M.  Its cell count is (n - m)/2 >= n/4, so
-      its quotient is off by at most (2*(n - 1) + (h - 1) + 1)*eps*M: the
-      side formed by subtraction is always the larger one.  A value rounds
-      by (3n + 3)*eps*M to first order, and by at most (3n + 4)*eps*M.
-      Had the larger side been gathered instead, a cell of one pair would
-      divide the error of `total`, n**2*u*M, by 1.
+      sum's error and u*(n - m)*M.  Its cell count is (n - m)/2 >= n/4,
+      so its quotient is off by at most (2*(n - 1) + (h - 1) + 1)*eps*M:
+      the side formed by subtraction is always the larger one.  A value
+      rounds by (3n + 3)*eps*M to first order, and by at most
+      (3n + 4)*eps*M.  Had the larger side been gathered instead, a cell
+      of one pair would divide the error of `total`, n**2*u*M, by 1.
 
     M <= max|y| for the raw outcomes, so two values equal in exact
     arithmetic lie within (6n + 8)*eps*max|y| <= 8*n*eps*max|y| (n >= 4),
@@ -364,18 +365,18 @@ def _agreement_draws(c, drawn, y: np.ndarray, scale: float, total: float):
     within (n + 5)*eps*M + 1.5*n*eps*max|y|: far inside
     `_product_cells_tolerance`, which `enumerate_null` keeps.
     """
-    half = y.size // 2
     if drawn.ndim == 2:
-        rows = drawn.shape[0]
+        rows, n = drawn.shape
         idx = (drawn + 2 * np.arange(rows)[:, None]).ravel()
-        weights = y if rows == 1 else np.tile(y, rows)
-        sums = np.bincount(idx, weights=weights, minlength=2 * rows).reshape(rows, 2)
+        sums = np.bincount(idx, weights=y[: idx.size], minlength=2 * rows).reshape(rows, 2)
         inside, outside = sums[:, 1], sums[:, 0]
     else:
+        n = y.size
         gathered = float(np.sum(y[drawn]))
         inside, outside = gathered, total - gathered
-        if 4 * int(c[0]) > y.size:  # the positions are the complement of G
+        if 4 * int(c[0]) > n:  # the positions are the complement of G
             inside, outside = outside, inside
+    half = n // 2
     estimable = (c >= 1) & (c <= half - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = (inside / c - outside / (half - c)) * scale

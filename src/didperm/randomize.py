@@ -176,13 +176,12 @@ def _draw_margin(
     label, which is then scattered into an int8 row of the other label.
     At a tie the drawn positions take the label of observation 0.  Either
     way `1 - labels` draws the same positions, so flipping a margin's
-    labels flips every row.  On that path Bernoulli rows are int8 too.
+    labels flips every row.  Bernoulli rows are int8 at every n.
     """
     n = labels.size
-    one_row = stream_block_rows(n) == 1
     if mode is Mode.BERNOULLI:
-        return (rng.random((rows, n)) < BERNOULLI_P).astype(np.int8 if one_row else np.int64)
-    if not one_row:
+        return (rng.random((rows, n)) < BERNOULLI_P).astype(np.int8)
+    if stream_block_rows(n) > 1:
         out = np.tile(labels, (rows, 1))
         return rng.permuted(out, axis=1, out=out)
     ones = int(labels.sum())

@@ -190,7 +190,8 @@ class TestProductCells:
     def test_matches_block_cells_within_tie_tolerance(self, seed):
         affected, time, y = self.blocks(seed)
         values, estimable = _product_cells(affected, time, y)
-        expected, expected_estimable = _block_cells(affected[:, None, :], time[None, :, :], y)
+        weights = np.tile(y, len(affected) * len(time))  # one row of outcomes per labeling
+        expected, expected_estimable = _block_cells(affected[:, None, :], time[None, :, :], weights)
         assert np.array_equal(estimable, expected_estimable)
         assert not np.isfinite(values[~estimable]).any()
         tol = 8 * y.size * np.finfo(np.float64).eps * np.abs(y).max()
@@ -213,7 +214,8 @@ class TestProductCells:
 def draws_kernel(c, drawn, y, negate=False):
     """`_agreement_draws` on `y` prepared as `inference._simulate_chunk` prepares it."""
     outcomes, scale = _scaled(y)
-    return _agreement_draws(c, drawn, outcomes, -scale if negate else scale, float(np.sum(outcomes)))
+    weights = np.tile(outcomes, len(c))
+    return _agreement_draws(c, drawn, weights, -scale if negate else scale, float(np.sum(outcomes)))
 
 
 def subsets(masks, n):
