@@ -447,7 +447,8 @@ def did_from_means(cells: CellMeans) -> float:
         If the value is not finite.
     """
     _require_four_cells(cells.counts)
-    value = float(_did_from_cells(*cells.means.reshape(4)))
+    with np.errstate(over="ignore", invalid="ignore"):  # such a value raises below
+        value = float(_did_from_cells(*cells.means.reshape(4)))
     if not np.isfinite(value):
         raise ValueError("DiD value must be finite")
     return value

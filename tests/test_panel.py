@@ -93,10 +93,25 @@ class TestDidFromMeans:
         with pytest.raises(ValueError, match="non-negative"):
             CellMeans(means=np.ones((2, 2)), counts=np.array([[3, 3], [-1, 3]]))
 
-    @pytest.mark.parametrize("mean", [np.inf, np.nan])
-    def test_non_finite_value_raises(self, mean):
+    @pytest.mark.parametrize(
+        "value",
+        [
+            lambda: did_from_means(make_cells(0.0, 0.0, 0.0, np.inf)),
+            lambda: did_from_means(make_cells(0.0, 0.0, 0.0, np.nan)),
+            # finite means whose difference overflows
+            lambda: did_from_means(make_cells(0.0, 0.0, -1.5e308, 1.5e308, count=2)),
+            # finite outcomes whose sums overflow in both affected cells
+            lambda: did_value(
+                PanelSample(
+                    y=[1e308] * 4 + [0.0] * 4, time=[0, 0, 1, 1] * 2, affected=[1] * 4 + [0] * 4
+                )
+            ),
+        ],
+        ids=["inf", "nan", "overflowing-means", "overflowing-sums"],
+    )
+    def test_non_finite_value_raises(self, value):
         with pytest.raises(ValueError, match="finite"):
-            did_from_means(make_cells(0.0, 0.0, 0.0, mean))
+            value()
 
     def test_empty_cell_raises_with_cell_identity(self):
         cells = CellMeans(
