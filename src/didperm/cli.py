@@ -341,6 +341,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"didperm: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("didperm: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, what a shell reports for a run ended by Ctrl-C
 
 
 if __name__ == "__main__":

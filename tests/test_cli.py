@@ -531,6 +531,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "simulate_null", explode)
         assert main(["test", "--input", minimal_csv]) == EXIT_DEGENERATE
 
+    def test_interrupt_exits_130_with_one_line(self, minimal_csv, monkeypatch, capsys):
+        import didperm.cli as cli
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "load_panel", interrupt)
+        try:
+            code = main(["test", "--input", minimal_csv])
+        except KeyboardInterrupt:  # escaping, it would end the whole session
+            pytest.fail("main let KeyboardInterrupt out")
+        assert code == 130
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "didperm: interrupted\n")
+
     def test_invalid_flags_exit_two(self, minimal_csv):
         for argv in (
             ["test", "--input", minimal_csv, "--alpha", "1.5"],
