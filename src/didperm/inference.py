@@ -9,17 +9,17 @@ relabeling space (its draws, its size and its enumeration).
 `panel._product_cells` each pair of enumerated label blocks, so both
 builders read: label blocks, one kernel call, keep or redraw.  Balanced
 dual fixed-margin spaces instead draw, or enumerate, agreement sets,
-whose values `panel._agreement_draws` gives.  Both builders
-record the tie tolerance of their kernel, which `randomization_p_value`
-counts ties within.  An exact null is its law: its values are the
-distinct values repeated by their counts, in increasing order.
+whose values `panel._agreement_draws` gives.  Both builders record the
+tie tolerance of their kernel, within which `_Law.count_as_extreme`
+counts ties.  An exact null is its law: its values are the distinct
+values repeated by their counts, in increasing order.
 `test_significance` turns a distribution into a two-sided quantile
 decision plus p-values, and `exactness_audit` verifies the finite-sample
 validity guarantee P(p <= alpha) <= alpha exhaustively on enumerable
 spaces.  All of them, and `report.make_histogram`, read a distribution's
 sorted law (`_Law`: distinct values and cumulative counts), which gives
 the results that numpy's quantile, histogram and counting rules give on
-the values.
+the values.  Only this module reads the law's arrays.
 
 Relabelings that empty a cell leave the DiD contrast undefined.  Such
 draws are discarded and, in the Monte Carlo path, redrawn from the same
@@ -52,12 +52,10 @@ from .panel import (
 )
 from .randomize import (
     ENUMERATION_CAP,
-    Mode,
     RandomizationScheme,
-    _arrangements,
-    agreement_counts,
     draw_agreement_sets,
     draw_relabelings,
+    enumerate_agreement_sets,
     enumerate_relabelings,
     generator_for,
     is_balanced_dual_fixed,
@@ -140,8 +138,9 @@ class _Law:
         """How many values lie below each of `edges`."""
         return self.below[np.searchsorted(self.support, edges, side="left")]
 
-    def count_abs_at_least(self, cuts):
-        """How many values v have |v| >= cut, for each cut: all m when cut <= 0."""
+    def count_as_extreme(self, observed, tol: float):
+        """How many values v have |v| >= |observed| - tol, for each observed: the tie rule."""
+        cuts = np.abs(observed) - tol
         m = self.below[-1]
         at_least = m - self.count_below(cuts)
         at_most = self.below[np.searchsorted(self.support, np.negative(cuts), side="right")]
@@ -397,8 +396,9 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
     values are in increasing order, and the distribution's sorted law is
     filled as they are built.
 
-    Every value comes from `panel._product_cells`, which forms each block
-    pair's cells from products of its label rows and ends in
+    The outcomes are centred and scaled (`panel._scaled`) once, for both
+    routes.  Every value comes from `panel._product_cells`, which forms
+    each block pair's cells from products of its label rows and ends in
     `panel._did_from_cells`, the formula of `did_value` and
     `simulate_null`.  Its values can differ from `did_value` on the same
     labels, so ties that hold in exact arithmetic (the observed labeling,
@@ -410,13 +410,12 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
     One route differs, chosen by the margins alone: under `Margins.DUAL`
     and `Mode.FIXED_MARGINS` with n_affected = n_time = n/2, a value
     depends on its relabeling only through the agreement set
-    D = {i : affected_i = time_i}.  There every set D of size 2c,
-    1 <= c <= n/2 - 1, is one indicator row of the Bernoulli walk
-    (`randomize._arrangements`), `panel._agreement_draws` values all of
-    them in one call, as it does a Monte Carlo block, and the law weighs
-    each value by the relabelings of its D (`randomize.agreement_counts`),
-    with no walk over the relabelings.  All relabelings of one D share
-    one value, and its rounding lies inside the same tie tolerance.
+    D = {i : affected_i = time_i}.  `randomize.enumerate_agreement_sets`
+    gives every D of even size with its count of relabelings,
+    `panel._agreement_draws` values them all in one call, as it does a
+    Monte Carlo block, and the law weighs each estimable value by that
+    count, with no walk over the relabelings.  All relabelings of one D
+    share one value, and its rounding lies inside the same tie tolerance.
 
     Raises
     ------
@@ -426,23 +425,20 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
     """
     n = sample.n
     size = space_size(n, sample.n_affected, sample.n_time, scheme)
+    outcomes, scale = _scaled(sample.y)
     if is_balanced_dual_fixed(n, sample.n_affected, sample.n_time, scheme):
-        (sets,) = _arrangements(n, 0, Mode.BERNOULLI, 1 << n)
-        members = sets.sum(axis=1)
-        c = members // 2
-        even = (members % 2 == 0) & (c >= 1) & (c <= n // 2 - 1)
-        sets, c = np.compress(even, sets, axis=0), c[even]
-        outcomes, scale = _scaled(sample.y)
+        c, sets, relabelings = enumerate_agreement_sets(n)
         weights = np.tile(outcomes, len(sets))
-        by_set, _ = _agreement_draws(c, sets, weights, scale, float(np.sum(outcomes)))
+        by_set, estimable = _agreement_draws(c, sets, weights, scale, float(np.sum(outcomes)))
+        by_set, relabelings = by_set[estimable], relabelings[estimable]
         order = np.argsort(by_set)
-        law = _Law.of(by_set[order], agreement_counts(n)[c[order]])
+        law = _Law.of(by_set[order], relabelings[order])
         values = np.repeat(law.support, np.diff(law.below))
     else:
         values = np.empty(size, dtype=np.float64)
         pos = 0
         for affected, time in enumerate_relabelings(sample.affected, sample.time, scheme):
-            drawn, estimable = _product_cells(affected, time, sample.y)
+            drawn, estimable = _product_cells(affected, time, outcomes, scale)
             kept = int(np.count_nonzero(estimable))
             np.compress(estimable, drawn, out=values[pos : pos + kept])
             pos += kept
@@ -478,10 +474,10 @@ def randomization_p_value(observed: float, dist: NullDistribution) -> tuple[floa
 
     Returns (raw, corrected): raw is the fraction of null values v with
     |v| >= |observed| - tol (the exact p-value when the distribution is a
-    full enumeration); corrected is (1 + count) / (retained + 1).  This
-    is the package's one tie rule.  tol is the distribution's
-    `tie_tolerance`, the bound on the rounding of the kernel that made
-    its values (`panel._cell_means_tolerance`,
+    full enumeration); corrected is (1 + count) / (retained + 1).  The
+    count is `_Law.count_as_extreme`, the package's one tie rule.  tol is
+    the distribution's `tie_tolerance`, the bound on the rounding of the
+    kernel that made its values (`panel._cell_means_tolerance`,
     `panel._product_cells_tolerance`), so values that tie in exact
     arithmetic but round apart count as ties.  Counting more ties can
     only raise p, so the test stays valid.
@@ -490,7 +486,7 @@ def randomization_p_value(observed: float, dist: NullDistribution) -> tuple[floa
         raise ValueError("null distribution is empty")
     if not math.isfinite(observed):
         raise ValueError(f"observed value must be finite, got {observed}")
-    count = int(dist._law.count_abs_at_least(abs(observed) - dist.tie_tolerance))
+    count = int(dist._law.count_as_extreme(observed, dist.tie_tolerance))
     m = dist.iterations_retained
     return count / m, (1 + count) / (m + 1)
 
@@ -613,7 +609,7 @@ def exactness_audit(
         raise ValueError("no estimable relabeling exists in this space")
 
     law = dist._law
-    by_support = law.count_abs_at_least(np.abs(law.support) - dist.tie_tolerance) / law.below[-1]
+    by_support = law.count_as_extreme(law.support, dist.tie_tolerance) / law.below[-1]
     p_levels, level = np.unique(by_support, return_inverse=True)
     return UniformityReport(
         n=n,

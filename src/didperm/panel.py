@@ -20,9 +20,10 @@ the rows, for exact enumeration; both end in `_did_from_cells`, the
 four-means formula.  `_agreement_draws` gives, at balanced dual fixed
 margins, the DiD of agreement sets from their sums: of the sets that
 Monte Carlo draws, and of every set, weighed by its relabelings, for the
-exact null's law.  Beside the kernels sit the bounds on their rounding
-(`_cell_means_tolerance` and `_product_cells_tolerance`, both of which
-cover `_agreement_draws`) within which `inference` counts ties.
+exact null's law.  Each takes outcomes prepared once per run and gives
+values with their estimability.  Beside the kernels sit the bounds on
+their rounding (`_cell_means_tolerance` and `_product_cells_tolerance`,
+both of which cover `_agreement_draws`) within which `inference` counts ties.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
@@ -250,34 +251,34 @@ def _ordered_sums(p, q, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return by_p, by_q
 
 
-def _product_cells(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _product_cells(affected, time, y: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Values, and estimability, of every (affected row, time row) pair of two label blocks.
 
-    `affected` (ra, n) and `time` (rt, n) hold 0/1 label rows.  The result
-    has ra*rt entries, affected-major, the labelings that `_block_cells`
-    would take on the broadcast of the two blocks.  Only the cells are
-    formed differently:
+    `affected` (ra, n) and `time` (rt, n) hold 0/1 label rows, and `y` and
+    `scale` are the outcomes and power of two that `_scaled` gives, once
+    per run.  The result has ra*rt entries, affected-major, the labelings
+    that `_block_cells` would take on the broadcast of the two blocks.
+    Only the cells are formed differently:
 
     * counts: |A & T| is the product of the label rows (integers, so
       exact in float64 in any order), and the other three cells follow
       from it, n_A, n_T and n;
-    * sums: the outcomes are first centred (`_centred`), which leaves
-      every DiD value unchanged in exact arithmetic.  Their sums over
-      A & T, A, T and all n are each taken in observation order from 0.0
+    * sums: the outcomes are centred (`_centred`), which leaves every DiD
+      value unchanged in exact arithmetic.  Their sums over A & T, A, T
+      and all n are each taken in observation order from 0.0
       (`_ordered_sums`, through the side with fewer rows), and the other
-      three cell sums follow by inclusion-exclusion.
+      three cell sums follow by inclusion-exclusion.  Where those sums
+      could overflow, `_scaled` has divided the outcomes by `scale`, and
+      the values are multiplied back by it, which rounds nothing in the
+      normal float range.
 
     No sum of outcomes goes through BLAS or depends on how rows are
     blocked, so a value does not depend on the block size, thread count
     or BLAS build.  Inclusion-exclusion rounds differently from
     `_cell_means`, by up to `_product_cells_tolerance`.  The value of a
     pair with an empty cell is not finite, and `estimable` is False there.
-
-    Where sums of centred outcomes could overflow, they are taken on
-    outcomes scaled by a power of two (`_scaled`).
     """
     n = y.size
-    y, scale = _scaled(y)
     # Step through the ones of the side with fewer rows: each step adds a
     # whole row of the other side's terms.
     if len(affected) > len(time):
@@ -314,15 +315,16 @@ def _agreement_draws(c, drawn, y: np.ndarray, scale: float, total: float):
     the agreement set D = {i : affected_i = time_i} of 2c members alone.
 
     For row r, c[r] = |A & T| and `drawn` gives a set G_r of 2c[r]
-    observations: a `randomize.draw_agreement_sets` draw, or every set of
-    even size in `inference.enumerate_null`.  `y` holds the outcomes
+    observations: a `randomize.draw_agreement_sets` draw, or a
+    `randomize.enumerate_agreement_sets` set.  `y` holds the outcomes
     centred and scaled by `_scaled`, tiled as in `_cell_means`, `total` the
     sum of one row, and `scale` is the power of two of `_scaled`, negated
     when the sets are the complements of the agreement sets, whose values
     are the negations.  A row's value is then
     (S_D/c - S_{D^c}/(n/2 - c)) * scale for D = G_r; multiplying by `scale`
     rounds nothing in the normal float range.  A row with c = 0 or n/2 has
-    an empty cell, the value NaN and `estimable` False.
+    an empty cell, `estimable` False and the value NaN: either path below
+    sums no terms to 0.0 for the empty side, whose quotient is then 0/0.
 
     Rounding, with u = eps/2, M = max|y - mid| over the outcomes centred
     on their midrange and h = n/2, in the normal float range.  Either way
@@ -380,7 +382,6 @@ def _agreement_draws(c, drawn, y: np.ndarray, scale: float, total: float):
     estimable = (c >= 1) & (c <= half - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = (inside / c - outside / (half - c)) * scale
-    values[~estimable] = np.nan
     return values, estimable
 
 

@@ -18,10 +18,10 @@ the kernel `panel._agreement_draws`.  `space_size` sizes the whole
 relabeling space from its margins and refuses one past `ENUMERATION_CAP`;
 `enumerate_relabelings` walks it, as pairs of an affected block and a
 time block whose row products `panel._product_cells` turns into values.
-A balanced dual fixed-margin space is enumerated through its agreement
-sets instead: every subset of the observations (`_arrangements` under
-Bernoulli) is a candidate set, `panel._agreement_draws` gives its value,
-and `agreement_counts` how many relabelings have each set, by its size.
+A balanced dual fixed-margin space is walked through its agreement sets
+instead: `enumerate_agreement_sets`, the enumeration twin of
+`draw_agreement_sets`, gives every set of even size, for
+`panel._agreement_draws` to value, with the relabelings that have it.
 
 Randomness is counter-based.  Simulation iterations are drawn in blocks of
 B = `stream_block_rows(n)` = max(1, 8192 // n) rows: iteration k (1-based)
@@ -66,7 +66,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-BERNOULLI_P = 0.5
 
 # Label entries per margin in one stream block (see `stream_block_rows`).  Block
 # arrays are short-lived but set the peak memory of short runs: 2**17 was
@@ -165,7 +164,7 @@ def _draw_margin(
 
     FIXED_MARGINS rows are uniformly random rearrangements of `labels`, so
     each keeps its count of ones exactly; BERNOULLI rows are n independent
-    Bernoulli(BERNOULLI_P) labels and read only the length of `labels`.
+    fair coin flips and read only the length of `labels`.
     Rows are drawn from `rng` in row order.
 
     How a fixed-margin row is drawn depends on n alone.  While
@@ -180,7 +179,8 @@ def _draw_margin(
     """
     n = labels.size
     if mode is Mode.BERNOULLI:
-        return (rng.random((rows, n)) < BERNOULLI_P).astype(np.int8)
+        # A fair coin, not a setting: `space_size` and `_arrangements` count 2**n equal vectors.
+        return (rng.random((rows, n)) < 0.5).astype(np.int8)
     if stream_block_rows(n) > 1:
         out = np.tile(labels, (rows, 1))
         return rng.permuted(out, axis=1, out=out)
@@ -328,20 +328,23 @@ def enumerate_relabelings(
             yield a_block, t_block
 
 
-def agreement_counts(n: int) -> np.ndarray:
-    """Relabelings of the balanced dual fixed-margin space with one agreement set of each size 2c.
+def enumerate_agreement_sets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every agreement set of the balanced dual fixed-margin space: (c, sets, relabelings).
 
-    Entry c, for c = 0..n/2: a set D of 2c observations is the agreement
-    set of C(2c, c) * C(n - 2c, n/2 - c) relabelings, since the affected
-    ones inside D pick c of its members and those outside pick n/2 - c of
-    the rest.  A set of odd size is the agreement set of none.  Weighted
-    by the C(n, 2c) sets of each size, the counts sum to C(n, n/2)**2.
+    The enumeration twin of `draw_agreement_sets`: the 0/1 rows of every
+    set D of even size 2c (c = 0 and n/2, which empty two cells,
+    included), in the integer order of `_arrangements` under Bernoulli.
+    D is the agreement set of C(2c, c) * C(n - 2c, n/2 - c) relabelings:
+    the affected ones inside D pick c of its members, those outside
+    n/2 - c of the rest.  Sets of odd size have none, so these sum to
+    C(n, n/2)**2.
     """
-    half = n // 2
-    return np.array(
-        [math.comb(2 * c, c) * math.comb(n - 2 * c, half - c) for c in range(half + 1)],
-        dtype=np.int64,
-    )
+    (sets,) = _arrangements(n, 0, Mode.BERNOULLI, 1 << n)
+    members = sets.sum(axis=1)
+    even = members % 2 == 0
+    c = members[even] // 2
+    by_size = [math.comb(2 * k, k) * math.comb(n - 2 * k, n // 2 - k) for k in range(n // 2 + 1)]
+    return c, sets[even], np.array(by_size, dtype=np.int64)[c]
 
 
 def space_size(n: int, n_affected: int, n_time: int, scheme: RandomizationScheme) -> int:

@@ -68,11 +68,11 @@ def make_histogram(dist: NullDistribution, bins: int) -> list[tuple[float, float
         raise ValueError("bins must be >= 1")
     if dist.iterations_retained == 0:
         raise ValueError("null distribution is empty")
-    law = dist._law
+    law, m = dist._law, dist.iterations_retained
     # The edges of `np.histogram`, and its counts read off the sorted law:
     # bin i holds the values v with edges[i] <= v < edges[i + 1].
-    edges = np.histogram_bin_edges(law.support[[0, -1]], bins=bins)
-    below = np.concatenate([[0], law.count_below(edges[1:-1]), law.below[-1:]])
+    edges = np.histogram_bin_edges([law.order_statistic(0), law.order_statistic(m - 1)], bins=bins)
+    below = np.concatenate([[0], law.count_below(edges[1:-1]), [m]])
     counts = np.diff(below)
     return [
         (float(edges[i]), float(edges[i + 1]), int(counts[i]))

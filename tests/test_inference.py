@@ -36,7 +36,7 @@ from didperm import (
 from didperm import test_significance as significance_test
 from didperm.datasets import INPRESS
 from didperm.inference import _Law
-from didperm.panel import _product_cells
+from didperm.panel import _product_cells, _scaled
 from helpers import (
     adversarial_outcomes,
     agreement_did_fraction,
@@ -484,7 +484,7 @@ class TestEnumerateNull:
         dist = enumerate_null(sample, AFFECTED_FIXED)
         # Enumerated values do not depend on the blocking, so a one-pair
         # block gives the observed labeling's value in `dist`.
-        value, estimable = _product_cells(affected[None], time[None], y)
+        value, estimable = _product_cells(affected[None], time[None], *_scaled(y))
         assert estimable[0] and value[0] in dist.values
         assert abs(value[0] - observed) <= dist.tie_tolerance
         raw, _ = randomization_p_value(observed, dist)
@@ -697,7 +697,8 @@ class TestNullDistributionValidation:
 def product_walk(sample, scheme):
     """The retained values of the product-form walk over every space, and its discard count."""
     blocks = randomize.enumerate_relabelings(sample.affected, sample.time, scheme)
-    parts = [drawn[kept] for drawn, kept in (_product_cells(a, t, sample.y) for a, t in blocks)]
+    prepared = _scaled(sample.y)  # once per run, as `enumerate_null` prepares it
+    parts = [drawn[kept] for drawn, kept in (_product_cells(a, t, *prepared) for a, t in blocks)]
     values = np.concatenate(parts)
     size = randomize.space_size(sample.n, sample.n_affected, sample.n_time, scheme)
     return values, size - values.size

@@ -195,8 +195,8 @@ class TestProductCells:
         # Six affected rows against four time rows are summed along the
         # time rows' ones; one affected row at a time, along its own ones.
         affected, time, y = self.blocks(seed)
-        values, estimable = _product_cells(affected, time, y)
-        rows = [_product_cells(affected[i : i + 1], time, y) for i in range(len(affected))]
+        values, estimable = _product_cells(affected, time, *_scaled(y))
+        rows = [_product_cells(affected[i : i + 1], time, *_scaled(y)) for i in range(len(affected))]
         assert np.array_equal(estimable, np.concatenate([e for _, e in rows]))
         by_row = np.concatenate([v for v, _ in rows])
         assert values[estimable].tobytes() == by_row[estimable].tobytes()
@@ -204,7 +204,7 @@ class TestProductCells:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_block_cells_within_tie_tolerance(self, seed):
         affected, time, y = self.blocks(seed)
-        values, estimable = _product_cells(affected, time, y)
+        values, estimable = _product_cells(affected, time, *_scaled(y))
         weights = np.tile(y, len(affected) * len(time))  # one row of outcomes per labeling
         expected, expected_estimable = _block_cells(affected[:, None, :], time[None, :, :], weights)
         assert np.array_equal(estimable, expected_estimable)
@@ -219,8 +219,8 @@ class TestProductCells:
         affected, time, _ = self.blocks(seed, n=12)
         y = np.random.default_rng(seed).uniform(-1.0, -0.9, size=12)
         y[0], y[1] = 1.0, -1.0
-        values, estimable = _product_cells(affected, time, y)
-        huge, huge_estimable = _product_cells(affected, time, y * 2.0**1021)
+        values, estimable = _product_cells(affected, time, *_scaled(y))
+        huge, huge_estimable = _product_cells(affected, time, *_scaled(y * 2.0**1021))
         assert np.array_equal(estimable, huge_estimable)
         assert np.isfinite(huge[estimable]).all()
         assert huge[estimable].tobytes() == (values[estimable] * 2.0**1021).tobytes()

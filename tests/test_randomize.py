@@ -20,9 +20,9 @@ from didperm import (
 from didperm.randomize import (
     _combinations,
     _stream_contract,
-    agreement_counts,
     draw_agreement_sets,
     draw_relabelings,
+    enumerate_agreement_sets,
     space_size,
 )
 from helpers import arrangements_fixed, documented_block_rows, kernel_stat, replay_run
@@ -256,18 +256,20 @@ class TestEnumerationWalk:
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_agreement_sets_and_counts_match_the_labelings(self, n):
         # Each set of 2c members is the agreement set of as many balanced
-        # (affected, time) pairs as `agreement_counts` gives for c, its
+        # (affected, time) pairs as `enumerate_agreement_sets` gives it, its
         # mask read straight off the pair's labels (bit i = observation i);
-        # a set of odd size is the agreement set of none.
+        # a set of odd size is the agreement set of none, and is not given.
         rows = np.array(arrangements_fixed(n, n // 2))
         bits = 1 << np.arange(n)
         masks = ((rows[:, None, :] == rows[None, :, :]) @ bits).ravel()
-        sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])
-        counts = agreement_counts(n)
-        assert counts.shape == (n // 2 + 1,)
-        expected = np.where(sizes % 2 == 0, counts[sizes // 2], 0)
+        c, sets, relabelings = enumerate_agreement_sets(n)
+        assert sets.shape == (1 << (n - 1), n) and np.array_equal(2 * c, sets.sum(axis=1))
+        set_masks = sets @ bits
+        assert np.all(set_masks[1:] > set_masks[:-1])  # in integer order
+        expected = np.zeros(1 << n, dtype=np.int64)
+        expected[set_masks] = relabelings
         assert np.array_equal(np.bincount(masks, minlength=1 << n), expected)
-        assert expected.sum() == math.comb(n, n // 2) ** 2
+        assert relabelings.sum() == math.comb(n, n // 2) ** 2
 
 
 class TestStreamContract:
