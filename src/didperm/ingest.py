@@ -95,6 +95,9 @@ def _parse_records(records, path: Path, columns: ColumnMap):
         missing = [name for name in names if name not in header]
         if missing:
             raise MissingColumnError(missing)
+        for name in names:
+            if (times := header.count(name)) > 1:
+                raise MalformedRowError(0, f"column {name!r} appears {times} times in the header")
         y_pos, t_pos, a_pos = (header.index(name) for name in names)
 
         for row_index, row in enumerate(records, start=1):
@@ -127,13 +130,14 @@ def load_panel(path, columns: ColumnMap = ColumnMap()) -> PanelSample:
     MissingColumnError
         A mapped column is absent from the header.
     MalformedRowError
-        Ragged row, non-binary label, non-finite/non-numeric outcome, a
-        byte that is not UTF-8, a field longer than the csv module's limit
-        (131,072 characters unless changed), or an outcome at which twice
-        the running sum of |y| overflows.  Every cell sum, cell mean and
-        DiD value, observed or relabeled, is at most that sum in
-        magnitude, so the bound keeps all of them and the width of the
-        null distribution's range finite.
+        A mapped column named more than once in the header (row 0: which
+        of them to read is ambiguous), ragged row, non-binary label,
+        non-finite/non-numeric outcome, a byte that is not UTF-8, a field
+        longer than the csv module's limit (131,072 characters unless
+        changed), or an outcome at which twice the running sum of |y|
+        overflows.  Every cell sum, cell mean and DiD value, observed or
+        relabeled, is at most that sum in magnitude, so the bound keeps
+        all of them and the width of the null distribution's range finite.
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheet exports put

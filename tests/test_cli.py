@@ -513,6 +513,15 @@ class TestExitCodes:
         path.write_text("y,time,affected\n1,0,0\n2,9,0\n3,0,1\n4,1,1\n")
         assert main(["test", "--input", str(path)]) == EXIT_INGEST
 
+    def test_mapped_column_named_twice_names_row_zero(self, tmp_path, capsys):
+        path = tmp_path / "twice.csv"
+        path.write_text("y,affected,time,affected\n1,0,0,1\n2,0,1,1\n3,1,0,0\n4,1,1,0\n")
+        argv = ["--input", str(path), "--iterations", "10", "--output", str(tmp_path / "r.json")]
+        assert main(["test", *argv]) == EXIT_INGEST
+        assert capsys.readouterr().err == (
+            "didperm: input error: row 0: column 'affected' appears 2 times in the header\n"
+        )
+
     def test_inestimable_sample(self, tmp_path):
         path = tmp_path / "degenerate.csv"
         path.write_text("y,time,affected\n1,0,0\n2,0,0\n3,1,1\n4,1,1\n")

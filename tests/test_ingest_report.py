@@ -99,6 +99,34 @@ class TestLoadPanel:
             load_panel(write_csv(tmp_path, "y,time,group\n1,0,0\n"))
         assert "affected" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "header",
+        ["y,time,affected,y", "y,time,affected,time", "y,affected,time,affected", "y,time,affected, affected "],
+    )
+    def test_mapped_column_named_twice_is_row_zero(self, tmp_path, header):
+        # Which of the two columns to read is ambiguous, so the header is
+        # the faulty row; names are compared after stripping.
+        name = header.split(",")[-1].strip()
+        text = header + "\n1,0,0,0\n2,1,0,1\n3,0,1,0\n5,1,1,1\n"
+        with pytest.raises(MalformedRowError) as err:
+            load_panel(write_csv(tmp_path, text))
+        assert err.value.row == 0
+        assert str(err.value) == f"row 0: column {name!r} appears 2 times in the header"
+
+    def test_mapped_column_named_three_times_is_counted(self, tmp_path):
+        text = "time,y,time,affected,time\n" + "0,1,0,0,0\n" * 4
+        with pytest.raises(MalformedRowError, match="column 'time' appears 3 times in the header"):
+            load_panel(write_csv(tmp_path, text))
+
+    def test_unmapped_column_named_twice_is_accepted(self, tmp_path):
+        text = "note,y,time,affected,note\na,1,0,0,b\nc,2,1,0,d\ne,3,0,1,f\ng,5,1,1,h\n"
+        sample = load_panel(write_csv(tmp_path, text))
+        assert np.array_equal(sample.y, [1.0, 2.0, 3.0, 5.0])
+        # `affected` is unmapped once the map reads `group` instead.
+        text = "y,time,affected,group,affected\n1,0,9,0,9\n2,1,9,0,9\n3,0,9,1,9\n5,1,9,1,9\n"
+        sample = load_panel(write_csv(tmp_path, text), ColumnMap(affected_column="group"))
+        assert np.array_equal(sample.affected, [0, 0, 1, 1])
+
     def test_empty_and_header_only_files(self, tmp_path):
         with pytest.raises(EmptyFileError):
             load_panel(write_csv(tmp_path, ""))
