@@ -30,6 +30,7 @@ from didperm import (
     exactness_audit,
     generator_for,
     make_fixture,
+    make_histogram,
     randomization_p_value,
     simulate_null,
 )
@@ -922,6 +923,66 @@ class TestOneRowBlockLaw:
             assert sup_cdf_distance(*merged) <= 0.0115
         else:
             assert sup_cdf_distance(mc.values, exact.values) <= 0.0115
+
+
+@st.composite
+def small_panels(draw):
+    """Estimable panels of 4 to 10 observations, half of them with balanced margins."""
+    n = draw(st.integers(4, 10))
+    if draw(st.booleans(), label="balanced"):  # block-v3 and the agreement-set route
+        n -= n % 2
+        c = draw(st.integers(1, n // 2 - 1))
+        cells = [0, 3] * c + [1, 2] * (n // 2 - c)
+    else:
+        cells = [0, 1, 2, 3] + draw(st.lists(st.integers(0, 3), min_size=n - 4, max_size=n - 4))
+    cells = np.array(draw(st.permutations(cells)))
+    # Outcomes far from the subnormal range, so that no scaled sum loses a bit.
+    outcome = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False).filter(lambda v: v == 0 or abs(v) > 1e-100),
+    )
+    y = draw(st.lists(outcome, min_size=n, max_size=n))
+    return PanelSample(y=y, time=cells % 2, affected=cells // 2)
+
+
+class TestPowerOfTwoScaling:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        sample=small_panels(),
+        scheme=st.sampled_from(ALL_SCHEMES),
+        k=st.integers(-30, 30),
+        exact=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_decisions_are_invariant_and_values_scale_exactly(self, sample, scheme, k, exact, seed):
+        # Multiplying every outcome by 2**k multiplies every sum, mean and
+        # difference by 2**k with no rounding, so each value, bound, edge
+        # and the tie tolerance scales bit for bit, and every count,
+        # p-value and decision is the same.  Other factors and shifts
+        # round differently and are left out.
+        factor = 2.0**k
+        scaled = PanelSample(y=sample.y * factor, time=sample.time, affected=sample.affected)
+        if exact:
+            base, other = enumerate_null(sample, scheme), enumerate_null(scaled, scheme)
+        else:
+            base = simulate_null(sample, scheme, iterations=60, master_seed=seed)
+            other = simulate_null(scaled, scheme, iterations=60, master_seed=seed)
+        assert other.values.tobytes() == (base.values * factor).tobytes()
+        assert other.degenerate_draws_discarded == base.degenerate_draws_discarded
+        assert other.tie_tolerance == base.tie_tolerance * factor
+        result = significance_test(did_value(sample), base)
+        scaled_result = significance_test(did_value(scaled), other)
+        assert scaled_result.observed == result.observed * factor
+        assert (scaled_result.lower, scaled_result.upper) == (result.lower * factor, result.upper * factor)
+        assert scaled_result.reject == result.reject
+        assert scaled_result.p_value == result.p_value
+        assert scaled_result.p_value_corrected == result.p_value_corrected
+        histogram, scaled_histogram = make_histogram(base, 7), make_histogram(other, 7)
+        assert [c for _, _, c in scaled_histogram] == [c for _, _, c in histogram]
+        if base.values.min() != base.values.max():
+            # A null of one value spans [v - 0.5, v + 0.5], numpy's fixed widening.
+            edges = [(lo * factor, hi * factor) for lo, hi, _ in histogram]
+            assert [(lo, hi) for lo, hi, _ in scaled_histogram] == edges
 
 
 class TestExactnessAudit:
