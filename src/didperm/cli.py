@@ -121,7 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     test.add_argument("--alpha", type=_probability, default=0.05)
     test.add_argument("--seed", type=_seed, default=0)
     test.add_argument("--bins", type=_positive_int, default=50, help="histogram bins")
-    test.add_argument("--workers", type=_positive_int, default=1, help="process count")
+    test.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="most processes to use; never more than the blocks or usable CPUs",
+    )
     test.add_argument("--output", help="report path (default: ./test_report.json)")
     test.set_defaults(func=cmd_test)
 
