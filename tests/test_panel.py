@@ -196,7 +196,7 @@ class TestProductCells:
         # time rows' ones; one affected row at a time, along its own ones.
         affected, time, y = self.blocks(seed)
         values, estimable = _product_cells(affected, time, *_scaled(y))
-        rows = [_product_cells(affected[i : i + 1], time, *_scaled(y)) for i in range(len(affected))]
+        rows = [_product_cells(a[None], time, *_scaled(y)) for a in affected]
         assert np.array_equal(estimable, np.concatenate([e for _, e in rows]))
         by_row = np.concatenate([v for v, _ in rows])
         assert values[estimable].tobytes() == by_row[estimable].tobytes()
