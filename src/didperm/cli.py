@@ -32,7 +32,7 @@ from .panel import did_value
 from .power import run_power_study
 from .randomize import Margins, Mode, RandomizationScheme, _stream_contract
 from .report import DECISION_NOT_REJECTED, DECISION_REJECTED, Report, make_histogram, write_report
-from .spaces import PermutationSpaceStats, space_stats, stirling_log_binomial
+from .spaces import space_stats, stirling_log_binomial
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -198,7 +198,7 @@ def _emit_report(args, sample, observed: float, dist, default_name: str, tail: s
         decision=DECISION_REJECTED if result.reject else DECISION_NOT_REJECTED,
         p_raw=result.p_value,
         p_corrected=result.p_value_corrected,
-        histogram=tuple(make_histogram(dist, args.bins)),
+        histogram=make_histogram(dist, args.bins),
         space_stats=space_stats(sample.n, sample.n_affected, sample.n_time),
     )
     path = Path(args.output or default_name)
@@ -212,7 +212,7 @@ def _emit_report(args, sample, observed: float, dist, default_name: str, tail: s
     )
 
 
-def cmd_test(args) -> int:
+def cmd_test(args) -> None:
     sample = load_panel(args.input, _columns(args))
     observed = did_value(sample)  # an inestimable sample fails before the null is built
     dist = simulate_null(
@@ -224,35 +224,32 @@ def cmd_test(args) -> int:
     )
     contract = _stream_contract(sample.n, sample.n_affected, sample.n_time, dist.scheme)
     _emit_report(args, sample, observed, dist, "test_report.json", f"; stream contract {contract}")
-    return EXIT_OK
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> None:
     sample = load_panel(args.input, _columns(args))
     observed = did_value(sample)
     dist = enumerate_null(sample, _scheme(args))
     _emit_report(args, sample, observed, dist, "enumerate_report.json")
-    return EXIT_OK
 
 
-def _space_stats(args) -> PermutationSpaceStats:
+def _space_margins(args) -> tuple[int, int, int]:
+    """(n, n_affected, n_time) of the `--input` panel, or of the margin flags."""
     if args.input:
         sample = load_panel(args.input, _columns(args))
-        try:
-            return space_stats(sample.n, sample.n_affected, sample.n_time)
-        except ValueError:
-            did_value(sample)  # a constant label column empties a cell: EmptyCellError
-            raise
+        did_value(sample)  # an inestimable sample, e.g. a constant label column: EmptyCellError
+        return sample.n, sample.n_affected, sample.n_time
     if args.n is None or args.n_affected is None or args.n_time is None:
         raise _UsageError("either --input or all of --n/--n-affected/--n-time are required")
+    return args.n, args.n_affected, args.n_time
+
+
+def cmd_space(args) -> None:
+    margins = _space_margins(args)
     try:
-        return space_stats(args.n, args.n_affected, args.n_time)
-    except ValueError as exc:
+        stats = space_stats(*margins)
+    except ValueError as exc:  # margin flags out of range; an estimable panel's are not
         raise _UsageError(str(exc)) from None
-
-
-def cmd_space(args) -> int:
-    stats = _space_stats(args)
     n = stats.n
     rows = [
         ("single margin log size", stats.log_size_single, stirling_log_binomial(n, stats.p_affected)),
@@ -272,10 +269,9 @@ def cmd_space(args) -> int:
         f"entropy: affected margin H({stats.p_affected:.4f}) = {stats.entropy_affected:.6f} nats, "
         f"time margin H({stats.p_time:.4f}) = {stats.entropy_time:.6f} nats"
     )
-    return EXIT_OK
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> None:
     if args.n is None or args.n_affected is None or args.n_time is None:
         raise _UsageError("--n, --n-affected, and --n-time are required")
     try:
@@ -299,10 +295,9 @@ def cmd_audit(args) -> int:
         f"support: {report.p_levels.size:,} distinct |DiD| values within the "
         f"tie tolerance; smallest attainable exact p: {float(report.p_levels[0]):.4g}"
     )
-    return EXIT_OK
 
 
-def cmd_power(args) -> int:
+def cmd_power(args) -> None:
     try:
         result = run_power_study(
             cell_n=args.cell_n,
@@ -319,14 +314,13 @@ def cmd_power(args) -> int:
     if args.reps == 1:
         print("warning: a single replication yields a 0-or-1 rejection rate", file=sys.stderr)
     print(result.render())
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except _UsageError as exc:
         print(f"didperm: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -349,6 +343,7 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("didperm: interrupted", file=sys.stderr)
         return 130  # 128 + SIGINT, what a shell reports for a run ended by Ctrl-C
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -34,8 +34,10 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
+from time import sleep
 
 import numpy as np
 
@@ -62,6 +64,7 @@ from .randomize import (
     space_size,
     stream_block_rows,
 )
+from .spaces import _margins
 
 __all__ = [
     "Source",
@@ -225,18 +228,18 @@ class TestResult:
 
 
 def _simulate_chunk(
-    y, time, affected, scheme, master_seed, iterations, first_block, stop_block
+    sample, scheme, master_seed, iterations, first_block, stop_block
 ) -> tuple[np.ndarray, int]:
-    """Values and discard count of blocks [first_block, stop_block) of a run.
+    """Values and discard count of blocks [first_block, stop_block) of a run of `sample`.
 
     `relabel(rng, rows)` draws `rows` relabelings and values them, with
     estimability, in one kernel call on a prefix of the run's tiled `weights`:
     agreement sets and `panel._agreement_draws` where the margins allow
     (block-v3), label matrices and `panel._block_cells` elsewhere.
     """
-    n = y.size
+    y, time, affected, n = sample.y, sample.time, sample.affected, sample.n
     per_block = stream_block_rows(n)
-    if is_balanced_dual_fixed(n, int(affected.sum()), int(time.sum()), scheme):
+    if is_balanced_dual_fixed(n, sample.n_affected, sample.n_time, scheme):
         outcomes, scale = _scaled(y)
         total = float(np.sum(outcomes))
         weights = np.tile(outcomes, per_block)
@@ -273,6 +276,23 @@ def _simulate_chunk(
     return np.concatenate(parts), discarded
 
 
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker within 0.25 s of its parent's death.
+
+    The parent is the process that started the worker, a fork server
+    included.  A terminated parent cannot shut its pool down, and its
+    workers would otherwise compute on and then block on the result pipe.
+    """
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS reports one."""
     try:
@@ -293,28 +313,15 @@ def simulate_null(
 
     Iterations are drawn in blocks of B = max(1, 8192 // sample.n) rows.
     Block b (0-based) holds iterations b*B + 1 .. min((b + 1)*B, iterations)
-    and reads the stream `generator_for(master_seed, b)`: first the affected
-    label matrix, then the time matrix (dual scheme), one row per
-    iteration.  After that main draw, each degenerate row is redrawn from
-    the same stream, in row order, until estimable; an iteration gets at
-    most `MAX_RETRY_ATTEMPTS` draws in all.  The result is a pure function of
+    and reads the stream `generator_for(master_seed, b)`: first the main
+    draw of all its rows, then, in row order, a redraw of each degenerate
+    row from the same stream until estimable; an iteration gets at most
+    `MAX_RETRY_ATTEMPTS` draws in all.  How a row is drawn is the stream
+    contract that `randomize` states.  The result is a pure function of
     (sample, scheme, iterations, master_seed) and is bit-identical for
-    every `workers` value.
-
-    The stream contract fixes how each row is drawn (`randomize`).  Up to
-    n = 4096 (block-v1) a fixed-margin row is a shuffle of the labels.
-    Past it (block-v2, where B = 1) it is one `Generator.choice` of the
-    positions of the rarer label.  So fixed-margin values at n > 4096
-    differ from those of block-v1 releases; Bernoulli values do not.
-
-    Under dual fixed margins with n_affected = n_time = n/2 (block-v3, at
-    every n) a row is not a pair of label vectors: the block draws c =
-    |A & T| for all its rows, then each row's agreement set of 2c members
-    (`randomize.draw_agreement_sets`), and `panel._agreement_draws` gives
-    its value; a degenerate row (c = 0 or n/2) redraws one count and one
-    set.  On multi-row blocks each value is bit for bit the one
-    `enumerate_null` gives its set.  These values differ from those of
-    block-v1 and block-v2 releases; the law is the same.
+    every `workers` value.  On a balanced dual fixed-margin space
+    (block-v3), each value of a multi-row block is bit for bit the one
+    `enumerate_null` gives its agreement set.
 
     Parameters
     ----------
@@ -344,15 +351,7 @@ def simulate_null(
     generator_for(master_seed)  # validates the seed range
     did_value(sample)  # raises EmptyCellError when the sample is inestimable
 
-    run = functools.partial(
-        _simulate_chunk,
-        sample.y,
-        sample.time,
-        sample.affected,
-        scheme,
-        master_seed,
-        iterations,
-    )
+    run = functools.partial(_simulate_chunk, sample, scheme, master_seed, iterations)
     blocks = -(-iterations // stream_block_rows(sample.n))
     processes = min(workers, blocks, _usable_cpus())
     if processes <= 1:
@@ -363,7 +362,7 @@ def simulate_null(
         from concurrent.futures import ProcessPoolExecutor
 
         bounds = np.linspace(0, blocks, num=processes + 1, dtype=np.int64).tolist()
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        with ProcessPoolExecutor(max_workers=processes, initializer=_exit_with_parent) as pool:
             parts = list(pool.map(run, bounds[:-1], bounds[1:]))
         values = np.concatenate([part for part, _ in parts])
         discarded = sum(d for _, d in parts)
@@ -588,12 +587,10 @@ def exactness_audit(
     SpaceTooLargeError
         If the space exceeds `ENUMERATION_CAP` relabelings.
     ValueError
-        If no relabeling in the space is estimable (e.g. a margin of 1).
+        If a margin is not strictly between 0 and n, or no relabeling in
+        the space is estimable (e.g. a margin of 1).
     """
-    if not 0 < n_affected < n:
-        raise ValueError("need 0 < n_affected < n")
-    if not 0 < n_time < n:
-        raise ValueError("need 0 < n_time < n")
+    n, n_affected, n_time = _margins(n, n_affected, n_time)
     space_size(n, n_affected, n_time, scheme)  # refuses a space past the cap before any draw
     if outcomes is None:
         y = generator_for(outcome_seed).standard_normal(n)

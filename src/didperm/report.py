@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -85,15 +85,10 @@ def _json_fields(pairs) -> dict:
 
 
 def _coerce(kind, value):
-    """`value` read back as the annotated type `kind`: dataclass, tuple, scalar or Enum."""
+    """`value` read back as the annotated type `kind`; `Report` types its histogram's items."""
     if is_dataclass(kind):
         hints = get_type_hints(kind)
         return kind(**{f.name: _coerce(hints[f.name], value[f.name]) for f in fields(kind)})
-    if get_origin(kind) is tuple:
-        items = get_args(kind)
-        if items[-1] is Ellipsis:
-            items = items[:1] * len(value)
-        return tuple(_coerce(item, v) for item, v in zip(items, value))
     return kind(value)
 
 

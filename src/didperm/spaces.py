@@ -98,15 +98,19 @@ class PermutationSpaceStats:
     entropy_time: float
 
 
-def space_stats(n: int, n_affected: int, n_time: int) -> PermutationSpaceStats:
-    """All size/gain/entropy statistics for margins (n_affected, n_time) out of n."""
-    n = int(n)
-    n_affected = int(n_affected)
-    n_time = int(n_time)
+def _margins(n: int, n_affected: int, n_time: int) -> tuple[int, int, int]:
+    """(n, n_affected, n_time) as ints; ValueError unless 0 < n_affected < n and 0 < n_time < n."""
+    n, n_affected, n_time = int(n), int(n_affected), int(n_time)
     if not 0 < n_affected < n:
         raise ValueError(f"need 0 < n_affected < n, got n_affected={n_affected}, n={n}")
     if not 0 < n_time < n:
         raise ValueError(f"need 0 < n_time < n, got n_time={n_time}, n={n}")
+    return n, n_affected, n_time
+
+
+def space_stats(n: int, n_affected: int, n_time: int) -> PermutationSpaceStats:
+    """All size/gain/entropy statistics for margins (n_affected, n_time) out of n."""
+    n, n_affected, n_time = _margins(n, n_affected, n_time)
     log_single = log_binomial(n, n_affected)
     log_gain = log_binomial(n, n_time)
     p_a = n_affected / n

@@ -187,14 +187,30 @@ def random_estimable_sample(rng, n_min=8, n_max=24):
     return PanelSample(y=y, time=time, affected=affected)
 
 
+def mock_distribution(values):
+    """A Monte Carlo null of `values` under dual fixed margins: seed 0, no draw discarded."""
+    from didperm import Margins, Mode, NullDistribution, RandomizationScheme, Source
+
+    values = np.asarray(values, dtype=np.float64)
+    return NullDistribution(
+        values=values,
+        iterations_requested=values.size,
+        scheme=RandomizationScheme(Margins.DUAL, Mode.FIXED_MARGINS),
+        master_seed=0,
+        degenerate_draws_discarded=0,
+        source=Source.MONTE_CARLO,
+    )
+
+
 def inline_pool(sizes):
     """A stand-in for `ProcessPoolExecutor` that starts no process.
 
-    Each pool appends its `max_workers` to `sizes` and maps in this process.
+    Each pool appends its `max_workers` to `sizes` and maps in this
+    process.  It never calls `initializer`, which is meant for a worker.
     """
 
     class InlinePool:
-        def __init__(self, max_workers=None):
+        def __init__(self, max_workers=None, initializer=None):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -210,8 +226,8 @@ def inline_pool(sizes):
 
 
 def documented_block_rows(n):
-    """Iterations per stream block, B = max(1, min(4096, 2**13 // n))."""
-    return max(1, min(4096, 2**13 // n))
+    """Iterations per stream block, B = max(1, 8192 // n)."""
+    return max(1, 8192 // n)
 
 
 def _replay_margin(rng, labels, fixed):

@@ -4,8 +4,14 @@ import concurrent.futures
 import contextlib
 import io
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +29,7 @@ from didperm import (
     MissingColumnError,
     Margins,
     Mode,
+    PanelSample,
     RandomizationScheme,
     enumerate_null,
     load_panel,
@@ -219,6 +226,59 @@ class TestCmdTest:
         code = main(["test", "--input", minimal_csv, "--iterations", "50"])
         assert code == 0
         assert (tmp_path / "test_report.json").exists()
+
+
+def _children_file(pid):
+    return Path(f"/proc/{pid}/task/{pid}/children")
+
+
+def _running(pid):
+    """Whether process `pid` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not _children_file(os.getpid()).exists() or inference._usable_cpus() < 2,
+    reason="needs /proc child lists and two usable CPUs for a pool of two",
+)
+def test_terminated_run_ends_its_workers(tmp_path):
+    # 60,000 one-row blocks at n = 20,000 keep both workers busy for seconds.
+    rng = np.random.default_rng(5)
+    n = 20_000
+    sample = PanelSample(rng.standard_normal(n), rng.integers(0, 2, n), np.arange(n) % 3 == 0)
+    panel = write_fixture_csv(tmp_path / "panel.csv", sample)
+    path = [str(Path(inference.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = ["test", "--input", str(panel), "--scheme", "affected", "--iterations", "60000"]
+    argv += ["--workers", "2", "--output", str(tmp_path / "report.json")]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "didperm.cli", *argv],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 10
+        workers = []
+        while len(workers) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline, "no pool of two started"
+            time.sleep(0.01)
+            workers = _children_file(proc.pid).read_text().split()
+        proc.terminate()
+        assert proc.wait(timeout=2) == -signal.SIGTERM
+        deadline = time.monotonic() + 2
+        while any(_running(pid) for pid in workers):
+            assert time.monotonic() < deadline, "a worker outlived its terminated parent"
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
 
 
 class TestCmdEnumerate:
@@ -630,13 +690,16 @@ class TestExitCodes:
             assert "didperm: estimation error:" in capsys.readouterr().err
 
     def test_invalid_margins_are_usage_errors(self, capsys):
+        errors = []
         for argv in (
             ["audit", "--n", "4", "--n-affected", "5", "--n-time", "2"],
             ["space", "--n", "4", "--n-affected", "5", "--n-time", "2"],
             ["audit", "--n", "5", "--n-affected", "1", "--n-time", "1", "--scheme", "affected"],
         ):
             assert main(argv) == EXIT_USAGE
-            assert "didperm: usage error:" in capsys.readouterr().err
+            errors.append(capsys.readouterr().err)
+            assert "didperm: usage error:" in errors[-1]
+        assert errors[0] == errors[1]  # one margins rule, one message
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(

@@ -54,6 +54,7 @@ from helpers import (
     kernel_stat,
     labeling_of,
     merge_ties,
+    mock_distribution,
     arrangements_fixed,
     arrangements_bernoulli,
     random_estimable_sample,
@@ -80,18 +81,6 @@ def assert_matches_kernel_oracle(dist, oracle, degenerate):
     exact = dataclasses.replace(dist, values=oracle)
     for observed in np.unique(np.abs(oracle)).tolist():
         assert randomization_p_value(observed, dist) == randomization_p_value(observed, exact)
-
-
-def mock_distribution(values, scheme=DUAL_FIXED):
-    values = np.asarray(values, dtype=np.float64)
-    return NullDistribution(
-        values=values,
-        iterations_requested=values.size,
-        scheme=scheme,
-        master_seed=0,
-        degenerate_draws_discarded=0,
-        source=Source.MONTE_CARLO,
-    )
 
 
 class TestSimulateNull:

@@ -38,6 +38,7 @@ from didperm import (
     write_report,
 )
 from didperm.report import DECISION_NOT_REJECTED, DECISION_REJECTED
+from helpers import mock_distribution
 
 
 def write_csv(tmp_path, text, name="panel.csv"):
@@ -277,35 +278,21 @@ class TestSummarize:
         )
 
 
-def mock_dist(values):
-    from didperm import NullDistribution, Source
-
-    values = np.asarray(values, dtype=np.float64)
-    return NullDistribution(
-        values=values,
-        iterations_requested=values.size,
-        scheme=RandomizationScheme(Margins.DUAL, Mode.FIXED_MARGINS),
-        master_seed=0,
-        degenerate_draws_discarded=0,
-        source=Source.MONTE_CARLO,
-    )
-
-
 class TestHistogram:
     def test_single_bin_for_constant_values(self):
-        hist = make_histogram(mock_dist([0.0, 0.0, 0.0]), bins=1)
+        hist = make_histogram(mock_distribution([0.0, 0.0, 0.0]), bins=1)
         assert len(hist) == 1
         assert hist[0][2] == 3
 
     def test_equal_width_split(self):
-        hist = make_histogram(mock_dist([1.0, 2.0, 3.0, 4.0]), bins=2)
+        hist = make_histogram(mock_distribution([1.0, 2.0, 3.0, 4.0]), bins=2)
         assert hist == [(1.0, 2.5, 2), (2.5, 4.0, 2)]
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(92)
         values = rng.normal(size=500)
         for bins in (1, 2, 3, 7, 50):
-            hist = make_histogram(mock_dist(values), bins=bins)
+            hist = make_histogram(mock_distribution(values), bins=bins)
             assert sum(count for _, _, count in hist) == 500
             for (_, hi, _), (lo, _, _) in zip(hist, hist[1:]):
                 assert hi == lo
@@ -332,9 +319,9 @@ class TestHistogram:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            make_histogram(mock_dist([1.0]), bins=0)
+            make_histogram(mock_distribution([1.0]), bins=0)
         with pytest.raises(ValueError, match="empty"):
-            make_histogram(mock_dist([]), bins=5)
+            make_histogram(mock_distribution([]), bins=5)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(
@@ -348,7 +335,7 @@ class TestHistogram:
     )
     @example(values=[0.3], bins=3)
     def test_matches_numpy_histogram(self, values, bins):
-        hist = make_histogram(mock_dist(values), bins=bins)
+        hist = make_histogram(mock_distribution(values), bins=bins)
         counts, edges = np.histogram(np.array(values), bins=bins)
         assert [c for _, _, c in hist] == counts.tolist()
         assert np.array([lo for lo, _, _ in hist] + [hist[-1][1]]).tobytes() == edges.tobytes()
