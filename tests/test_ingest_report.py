@@ -1,6 +1,7 @@
 """Ingestion, summary rendering, histogram, and report round-trip tests."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -50,6 +51,67 @@ def write_csv(tmp_path, text, name="panel.csv"):
 MINIMAL = "y,time,affected\n1,0,0\n2,1,0\n3,0,1\n5,1,1\n"
 # An unmapped quoted `note` column; record 2 spans two lines.
 NOTED = 'y,time,affected,note\n1,0,0,a\n2,1,0,"two\nlines"\n3,0,1,"c"\n5,1,1,"d"\n'
+
+CLEAN = b"y,time,affected\n1.5,0,0\n-2.25,1,0\n3e-3,0,1\n5,1,1\n0.1,1,1\n"
+
+
+def _outcome(token):
+    """CLEAN with `token` as the outcome of data row 2."""
+    return CLEAN.replace(b"-2.25,", token + b",")
+
+
+def _noted(note):
+    """A 4-row file with an unmapped `note` column, `note` in data row 3."""
+    return b"y,time,affected,note\n1,0,0,a\n2,1,0,b\n3,0,1," + note + b"\n5,1,1,e\n"
+
+
+# Files whose `load_panel` result is pinned below: shapes that a bulk parse
+# of clean batches has to accept alike or leave to the streaming parser.
+LOAD_PANEL_SHAPES = {
+    "clean": CLEAN,
+    "bom": b"\xef\xbb\xbf" + CLEAN,
+    "crlf": CLEAN.replace(b"\n", b"\r\n"),
+    "quoted": b'y,time,affected,note\n"1.5",0,0,a\n2,"1",0,"two\nlines"\n3,0,"1","c"\n5,1,1,"d"\n',
+    "no-final-newline": CLEAN[:-1],
+    "padded-label": CLEAN.replace(b"5,1,1", b"5, 1,1"),
+    "extra-reordered": b"note,affected,y,extra,time\na,0,1.5,x,0\nb,0,2,,1\nc,1,3,z,0\nd,1,5,w,1\n",
+    "unmapped-repeated": b"note,y,time,affected,note\na,1,0,0,b\nc,2,1,0,d\ne,3,0,1,f\ng,5,1,1,h\n",
+    "outcome-1_0": _outcome(b"1_0"),
+    "outcome-007": _outcome(b"007"),
+    "outcome-minus-0": _outcome(b"-0"),
+    "outcome-+.1E+2": _outcome(b"+.1E+2"),
+    "outcome-1e400": _outcome(b"1e400"),
+    "outcome-nan": _outcome(b"nan"),
+    "outcome-tab-2": _outcome(b"\t2"),
+    "nul-in-unmapped": _noted(b"b\x00c"),
+    "nul-in-label": CLEAN.replace(b"5,1,1", b"5,1\x00,1"),
+    # csv's default field limit, and one past it, in a column that is not read
+    "unmapped-131072": _noted(b"z" * 131_072),
+    "unmapped-131073": _noted(b"z" * 131_073),
+}
+
+# name -> (sha256 of y.tobytes()[:16], time, affected) or (error type, row, message)
+LOAD_PANEL_PINS = {
+    "clean": ("060ac5c7e49aad0d", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
+    "bom": ("060ac5c7e49aad0d", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
+    "crlf": ("060ac5c7e49aad0d", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
+    "quoted": ("31e940776cbed9fe", [0, 1, 0, 1], [0, 0, 1, 1]),
+    "no-final-newline": ("060ac5c7e49aad0d", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
+    "padded-label": ("060ac5c7e49aad0d", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
+    "extra-reordered": ("31e940776cbed9fe", [0, 1, 0, 1], [0, 0, 1, 1]),
+    "unmapped-repeated": ("1555df31ada0bf7c", [0, 1, 0, 1], [0, 0, 1, 1]),
+    "outcome-1_0": ("32a9f3babcd0aa58", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
+    "outcome-007": ("62371f7093735c22", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
+    "outcome-minus-0": ("c1d08e8042486d1c", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
+    "outcome-+.1E+2": ("32a9f3babcd0aa58", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
+    "outcome-1e400": (MalformedRowError, 2, "row 2: column 'y' must be finite, got '1e400'"),
+    "outcome-nan": (MalformedRowError, 2, "row 2: column 'y' must be finite, got 'nan'"),
+    "outcome-tab-2": ("3b4aa64743fdf726", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
+    "nul-in-unmapped": ("1555df31ada0bf7c", [0, 1, 0, 1], [0, 0, 1, 1]),
+    "nul-in-label": (MalformedRowError, 4, "row 4: column 'time' must be 0 or 1, got '1\\x00'"),
+    "unmapped-131072": ("1555df31ada0bf7c", [0, 1, 0, 1], [0, 0, 1, 1]),
+    "unmapped-131073": (MalformedRowError, 3, "row 3: field larger than field limit (131072)"),
+}
 
 
 class TestLoadPanel:
@@ -220,6 +282,23 @@ class TestLoadPanel:
         with pytest.raises(MalformedRowError, match="row 3: not valid UTF-8 text") as err:
             load_panel(path)
         assert err.value.row == 3
+
+    @pytest.mark.parametrize("name", LOAD_PANEL_SHAPES)
+    def test_load_panel_pins(self, tmp_path, name):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(LOAD_PANEL_SHAPES[name])
+        expected = LOAD_PANEL_PINS[name]
+        if isinstance(expected[0], type):
+            kind, row, message = expected
+            with pytest.raises(kind) as err:
+                load_panel(path)
+            assert (err.value.row, str(err.value)) == (row, message)
+            return
+        digest, time, affected = expected
+        sample = load_panel(path)
+        assert hashlib.sha256(sample.y.tobytes()).hexdigest()[:16] == digest
+        assert sample.time.tolist() == time and sample.affected.tolist() == affected
+        assert sample.time.dtype == sample.affected.dtype == np.int64
 
     def test_fixture_round_trip_reproduces_reference_means(self, tmp_path):
         path = write_fixture_csv(tmp_path / "inpress.csv", make_fixture(INPRESS))
