@@ -409,3 +409,8 @@ def replay_run(sample, dual, fixed, master_seed, iterations):
         assert failed is None
         out.append((labels, discarded))
     return out
+
+
+# Bytes a spreadsheet export or a damaged file can hold: invalid UTF-8, a
+# Latin-1 e-acute, NUL, a bare carriage return, a byte-order mark.
+SPLICES = [b"\xff", b"\xe9", b"\x00", b"\r", b"\xef\xbb\xbf"]

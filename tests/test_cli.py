@@ -49,12 +49,9 @@ from didperm.cli import (
     EXIT_USAGE,
     main,
 )
-from helpers import inline_pool
+from helpers import SPLICES, inline_pool
 
 MINIMAL = "y,time,affected\n1,0,0\n2,1,0\n3,0,1\n5,1,1\n"
-# Bytes a spreadsheet export or a damaged file can hold: invalid UTF-8, a
-# Latin-1 e-acute, NUL, a bare carriage return, a byte-order mark.
-SPLICES = [b"\xff", b"\xe9", b"\x00", b"\r", b"\xef\xbb\xbf"]
 
 
 def _spliced(edits):

@@ -1,5 +1,6 @@
 """Ingestion, summary rendering, histogram, and report round-trip tests."""
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -38,8 +39,9 @@ from didperm import (
     write_fixture_csv,
     write_report,
 )
+from didperm import ingest
 from didperm.report import DECISION_NOT_REJECTED, DECISION_REJECTED
-from helpers import mock_distribution
+from helpers import SPLICES, mock_distribution
 
 
 def write_csv(tmp_path, text, name="panel.csv"):
@@ -112,6 +114,63 @@ LOAD_PANEL_PINS = {
     "unmapped-131072": ("1555df31ada0bf7c", [0, 1, 0, 1], [0, 0, 1, 1]),
     "unmapped-131073": (MalformedRowError, 3, "row 3: field larger than field limit (131072)"),
 }
+
+
+# Tokens that a clean file does not hold, for the mapped and unmapped columns alike.
+ODD_TOKENS = [
+    *("1_0", "007", "-0", "+.1E+2", "1e400", "nan", "\t2", " 1", "", "x", "0x10"),
+    *("2", "1.0", "1e308", "-1.7e308", '"1"', '"two\nlines"', '"open', "b\x00c", "z" * 12),
+    "caf\udce9",  # encodes to the Latin-1 byte 0xe9
+    "1\x1c",  # np.loadtxt reads 1.0, float raises
+]
+CLEAN_TOKENS = {
+    "y": ["0", "1", "-2.5", "0.5", "4e307", "1e-300"],
+    "time": ["0", "1"],
+    "affected": ["0", "1"],
+    "note": ["a", "", "zz"],
+}
+
+
+@st.composite
+def panel_files(draw):
+    """Bytes of a panel file: clean rows, then odd tokens, line ends and spliced bytes."""
+    extra = draw(st.sampled_from([[], ["note"], ["note", "note"]]))
+    header = draw(st.permutations(["y", "time", "affected", *extra]))
+    rows = [
+        [draw(st.sampled_from(CLEAN_TOKENS[name])) for name in header]
+        for _ in range(draw(st.integers(0, 40)))
+    ]
+    edits = st.tuples(st.integers(0, 39), st.integers(0, 4), st.sampled_from(ODD_TOKENS))
+    for row, column, token in draw(st.lists(edits, max_size=2)):
+        if rows:
+            rows[row % len(rows)][column % len(header)] = token
+    for row, more in draw(st.lists(st.tuples(st.integers(0, 39), st.booleans()), max_size=2)):
+        if rows:  # a ragged row: one field more or one less
+            fields = rows[row % len(rows)]
+            fields[-1:] = fields[-1:] + ["0"] if more else []
+    header[0] = draw(st.sampled_from(["{}", "{}", '"{}"', " {} "])).format(header[0])
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    data = (end.join(",".join(row) for row in [header, *rows]) + draw(st.sampled_from([end, ""])))
+    data = data.encode("utf-8", "surrogateescape")
+    for position, piece in draw(st.lists(st.tuples(st.integers(0, 2000), st.sampled_from(SPLICES)), max_size=2)):
+        position %= len(data) + 1
+        data = data[:position] + piece + data[position:]
+    return data
+
+
+def load_outcome(path):
+    """What `load_panel(path)` returns or raises, in comparable form."""
+    try:
+        sample = load_panel(path)
+    except (EmptyFileError, MalformedRowError, MissingColumnError) as exc:
+        return type(exc), getattr(exc, "row", None), str(exc)
+    return sample.y.tobytes(), sample.time.tolist(), sample.affected.tolist()
+
+
+def streamed_outcome(monkeypatch, path):
+    """`load_outcome` with every header sent to the streaming parser, which then reads the whole file."""
+    monkeypatch.setattr(ingest, "_plain_header", lambda line: None)
+    return load_outcome(path)
 
 
 class TestLoadPanel:
@@ -299,6 +358,67 @@ class TestLoadPanel:
         assert hashlib.sha256(sample.y.tobytes()).hexdigest()[:16] == digest
         assert sample.time.tolist() == time and sample.affected.tolist() == affected
         assert sample.time.dtype == sample.affected.dtype == np.int64
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        content=panel_files(),
+        batch_bytes=st.sampled_from([1, 5, 16, 64, 2**18]),
+        limit=st.sampled_from([131_072, 131_072, 10, 4]),
+    )
+    @example(content=LOAD_PANEL_SHAPES["unmapped-131073"], batch_bytes=2**18, limit=131_072)
+    @example(content=CLEAN.replace(b"\n", b"\r"), batch_bytes=16, limit=131_072)
+    # In a column that is not read: a quote left open swallows the lines
+    # after it, and a byte that is not UTF-8 is a fault.
+    @example(content=_noted(b'"open'), batch_bytes=2**18, limit=131_072)
+    @example(content=_noted(b"caf\xe9"), batch_bytes=2**18, limit=131_072)
+    # A carriage return splits a line for csv; np.loadtxt strips an
+    # outcome's 0x1c, float does not; a row short of a field and the next
+    # one over it hold the header's field count between them.
+    @example(content=_noted(b"a\rb"), batch_bytes=2**18, limit=131_072)
+    @example(content=_outcome(b"1\x1c"), batch_bytes=2**18, limit=131_072)
+    @example(
+        content=CLEAN.replace(b"-2.25,1,0\n3e-3,0,1", b"-2.25,1\n0,0,1,1"),
+        batch_bytes=2**18,
+        limit=131_072,
+    )
+    def test_bulk_parse_matches_the_streaming_parser(
+        self, tmp_path_factory, content, batch_bytes, limit
+    ):
+        # Small batches put batch boundaries everywhere; a small field limit
+        # (read by both parsers at call time) puts fields past it.
+        path = tmp_path_factory.mktemp("bulk") / "panel.csv"
+        path.write_bytes(content)
+        default_limit = csv.field_size_limit(limit)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "_BATCH_BYTES", batch_bytes)
+                outcome = load_outcome(path)
+            with pytest.MonkeyPatch.context() as mp:
+                assert outcome == streamed_outcome(mp, path)
+        finally:
+            csv.field_size_limit(default_limit)
+
+    def test_fault_in_a_late_batch_is_named_as_the_streaming_parser_names_it(
+        self, tmp_path, monkeypatch
+    ):
+        rows = [f"{k}.25,{k % 2},{k // 2 % 2}\n" for k in range(3000)]
+        rows[2718] = "2718.25,0,2\n"
+        path = write_csv(tmp_path, "y,time,affected\n" + "".join(rows))
+        monkeypatch.setattr(ingest, "_BATCH_BYTES", 512)
+        starts = []
+        parse_records = ingest._parse_records
+
+        def spy(records, path, columns, layout=None, parsed=0):
+            starts.append(parsed)
+            return parse_records(records, path, columns, layout, parsed)
+
+        monkeypatch.setattr(ingest, "_parse_records", spy)
+        outcome = load_outcome(path)
+        assert outcome == streamed_outcome(monkeypatch, path)
+        assert outcome == (MalformedRowError, 2719, "row 2719: column 'affected' must be 0 or 1, got '2'")
+        # The bulk path read the batches before the fault's; the streaming
+        # parser took over within the last batch of 512 bytes or so.
+        assert 2719 - 60 < starts[0] < 2719 and starts[1] == 0
 
     def test_fixture_round_trip_reproduces_reference_means(self, tmp_path):
         path = write_fixture_csv(tmp_path / "inpress.csv", make_fixture(INPRESS))
