@@ -179,6 +179,7 @@ def _bulk(batch: bytes, layout):
         return None
     labels = []
     for pos in (t_pos, a_pos):
+        # the byte before each field's end; one below "0" wraps past 1
         label = data[ends[pos::width] - 1] - np.uint8(ord("0"))
         if ((lengths[pos::width] != 1) | (label > 1)).any():
             return None
