@@ -49,6 +49,7 @@ from .panel import (
     _cell_means_tolerance,
     _product_cells,
     _product_cells_tolerance,
+    _read_only,
     _scaled,
     did_value,
 )
@@ -163,8 +164,7 @@ class NullDistribution:
     the values, within which `randomization_p_value` counts ties; 0.0,
     the default, counts bitwise ties only.
 
-    `values` is held read-only: a read-only array that owns its memory is
-    kept as it is, any other input is copied.
+    `values` is held read-only, by the rule of `panel._read_only`.
     """
 
     values: np.ndarray
@@ -176,7 +176,7 @@ class NullDistribution:
     tie_tolerance: float = 0.0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _read_only(self.values, np.float64)
         if values.ndim != 1:
             raise ValueError("values must be a 1-d vector")
         if not np.isfinite(values).all():
@@ -184,9 +184,6 @@ class NullDistribution:
         if not 0.0 <= self.tie_tolerance < math.inf:
             raise ValueError("tie_tolerance must be finite and >= 0")
         object.__setattr__(self, "tie_tolerance", float(self.tie_tolerance))
-        if values.flags.writeable or not values.flags.owndata:
-            values = values.copy()
-            values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
@@ -366,6 +363,7 @@ def simulate_null(
             parts = list(pool.map(run, bounds[:-1], bounds[1:]))
         values = np.concatenate([part for part, _ in parts])
         discarded = sum(d for _, d in parts)
+    values.flags.writeable = False  # so the distribution keeps it without a copy
 
     return NullDistribution(
         values=values,

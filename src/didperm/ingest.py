@@ -261,6 +261,7 @@ def load_panel(path, columns: ColumnMap = ColumnMap()) -> PanelSample:
     if overflows.size:
         row = int(overflows[0]) + 1
         raise MalformedRowError(row, f"twice the sum of |{columns.outcome_column}| overflows here")
+    y.flags.writeable = False  # so the sample keeps it without a copy
     return PanelSample(y=y, time=time, affected=affected)
 
 

@@ -51,14 +51,32 @@ __all__ = [
 ]
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    """`values` as a read-only `dtype` array, copied only where it must be.
+
+    The one rule for the arrays that frozen results hold: a read-only
+    array of `dtype` that owns its memory is kept as it is, and any other
+    input is copied (converted) once and the copy made read-only.  So a
+    producer that has just built an array hands it over read-only, and it
+    is not copied again.
+    """
+    arr = np.asarray(values)
+    if arr.dtype != dtype or arr.flags.writeable or not arr.flags.owndata:
+        arr = np.array(values, dtype=dtype)
+        arr.flags.writeable = False
+    return arr
+
+
 def _as_binary(values, name: str) -> np.ndarray:
+    """A 0/1 label vector as read-only int64, checked on the caller's dtype."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector")
-    out = arr.astype(np.int64, copy=True)
-    if not np.array_equal(out, arr) or not np.isin(out, (0, 1)).all():
+    # Strings are refused before np.isin, whose comparison of text with
+    # numbers warns on old numpy instead of returning False.
+    if arr.dtype.kind not in "biufcO" or not np.isin(arr, (0, 1)).all():
         raise ValueError(f"{name} must contain only 0/1 values")
-    return out
+    return _read_only(arr, np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +95,8 @@ class PanelSample:
     All three vectors must share the same length n >= 4.  Estimability
     (all four cells non-empty) is checked at estimation time, not here,
     so relabeled samples that empty a cell can still be represented.
+    The vectors are held read-only (`_read_only`): `y` as float64, the
+    labels as int64.
     """
 
     y: np.ndarray
@@ -84,7 +104,7 @@ class PanelSample:
     affected: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float64)
+        y = _read_only(self.y, np.float64)
         if y.ndim != 1:
             raise ValueError("y must be a 1-d vector")
         if not np.isfinite(y).all():
@@ -95,9 +115,6 @@ class PanelSample:
             raise ValueError("y, time, and affected must have identical length")
         if y.size < 4:
             raise ValueError("a 2x2 panel needs at least 4 observations")
-        y = y.copy()
-        for arr in (y, time, affected):
-            arr.flags.writeable = False
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "time", time)
         object.__setattr__(self, "affected", affected)
@@ -124,21 +141,20 @@ class CellMeans:
 
     `means[g, t]` is the sample mean for group g in period t; it is NaN
     when `counts[g, t]` is zero (no mean is defined for an empty cell).
-    The four counts always sum to n.
+    The four counts always sum to n.  Both are 2x2 and held read-only
+    (`_read_only`).
     """
 
     means: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64).reshape(2, 2)
-        counts = np.asarray(self.counts, dtype=np.int64).reshape(2, 2)
+        means = _read_only(self.means, np.float64)
+        counts = _read_only(self.counts, np.int64)
+        if means.shape != (2, 2) or counts.shape != (2, 2):
+            raise ValueError("cell means and counts must be 2x2")
         if (counts < 0).any():
             raise ValueError("cell counts must be non-negative")
-        means = means.copy()
-        counts = counts.copy()
-        means.flags.writeable = False
-        counts.flags.writeable = False
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "counts", counts)
 
@@ -426,13 +442,6 @@ def compute_cell_means(sample: PanelSample) -> CellMeans:
     return CellMeans(means=means.reshape(2, 2), counts=counts.reshape(2, 2))
 
 
-def _require_four_cells(counts: np.ndarray) -> None:
-    flat = np.asarray(counts).reshape(4)
-    for cell in range(4):
-        if flat[cell] == 0:
-            raise EmptyCellError(affected=cell >> 1, time=cell & 1)
-
-
 def did_from_means(cells: CellMeans) -> float:
     """DiD coefficient from the four cell means.
 
@@ -447,7 +456,9 @@ def did_from_means(cells: CellMeans) -> float:
     ValueError
         If the value is not finite.
     """
-    _require_four_cells(cells.counts)
+    for (g, t), count in np.ndenumerate(cells.counts):  # CellMeans holds them 2x2
+        if count == 0:
+            raise EmptyCellError(affected=g, time=t)
     with np.errstate(over="ignore", invalid="ignore"):  # such a value raises below
         value = float(_did_from_cells(*cells.means.reshape(4)))
     if not np.isfinite(value):
