@@ -529,6 +529,7 @@ class UniformityReport:
     null the assignment is uniform over the space, so P(p <= alpha) <= alpha
     must hold for every alpha; when all absolute statistic values are
     distinct the levels are {1/m, 2/m, ..., 1}, each attained once.
+    The three arrays are held read-only, by the rule of `panel._read_only`.
     """
 
     n: int
@@ -539,6 +540,11 @@ class UniformityReport:
     statistic_values: np.ndarray
     p_levels: np.ndarray
     level_counts: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "statistic_values", _read_only(self.statistic_values, np.float64))
+        object.__setattr__(self, "p_levels", _read_only(self.p_levels, np.float64))
+        object.__setattr__(self, "level_counts", _read_only(self.level_counts, np.int64))
 
     @property
     def estimable_relabelings(self) -> int:

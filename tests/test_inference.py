@@ -24,6 +24,7 @@ from didperm import (
     Source,
     SpaceTooLargeError,
     TooManyDegenerateDrawsError,
+    compute_cell_means,
     decide,
     did_value,
     enumerate_null,
@@ -668,20 +669,48 @@ class TestNullDistributionValidation:
         with pytest.raises(ValueError, match="tie_tolerance"):
             dataclasses.replace(mock_distribution([1.0, 2.0]), tie_tolerance=tolerance)
 
-    def test_values_are_held_read_only(self):
-        # A writeable array or a view is copied; a read-only array that
-        # owns its memory, such as the values of another distribution, is
-        # kept as it is.
-        source = np.array([2.0, 1.0, 3.0])
-        dist = mock_distribution(source)
-        source[0] = 9.0
-        assert dist.values.tolist() == [2.0, 1.0, 3.0]
-        assert not dist.values.flags.writeable
-        view = mock_distribution(dist.values[1:]).values
-        assert not view.flags.writeable and not np.shares_memory(view, dist.values)
-        assert mock_distribution(dist.values).values is dist.values
-        exact = enumerate_null(FOUR_POINT, DUAL_FIXED)
-        assert not exact.values.flags.writeable and exact.values.flags.owndata
+    @pytest.mark.parametrize(
+        "result, field",
+        [
+            (lambda: FOUR_POINT, "y"),
+            (lambda: FOUR_POINT, "time"),
+            (lambda: FOUR_POINT, "affected"),
+            (lambda: compute_cell_means(FOUR_POINT), "means"),
+            (lambda: compute_cell_means(FOUR_POINT), "counts"),
+            (lambda: enumerate_null(FOUR_POINT, DUAL_FIXED), "values"),
+            (lambda: simulate_null(FOUR_POINT, AFFECTED_FIXED, iterations=20), "values"),
+            (lambda: exactness_audit(6, 3, 3, AFFECTED_FIXED), "statistic_values"),
+            (lambda: exactness_audit(6, 3, 3, AFFECTED_FIXED), "p_levels"),
+            (lambda: exactness_audit(6, 3, 3, AFFECTED_FIXED), "level_counts"),
+        ],
+        ids=[
+            "PanelSample.y",
+            "PanelSample.time",
+            "PanelSample.affected",
+            "CellMeans.means",
+            "CellMeans.counts",
+            "NullDistribution.values",
+            "NullDistribution.values-monte-carlo",
+            "UniformityReport.statistic_values",
+            "UniformityReport.p_levels",
+            "UniformityReport.level_counts",
+        ],
+    )
+    def test_values_are_held_read_only(self, result, field):
+        # Every frozen result holds its arrays by one rule: a writeable
+        # array or a view is copied; a read-only array that owns its
+        # memory, such as the array of another result, is kept as it is.
+        result = result()
+        held = getattr(result, field)
+        assert not held.flags.writeable and held.flags.owndata
+        source = held.copy()
+        copied = getattr(dataclasses.replace(result, **{field: source}), field)
+        source += 1
+        assert copied.tobytes() == held.tobytes() and copied.dtype == held.dtype
+        assert not copied.flags.writeable
+        view = getattr(dataclasses.replace(result, **{field: held[:]}), field)
+        assert not view.flags.writeable and not np.shares_memory(view, held)
+        assert getattr(dataclasses.replace(result, **{field: held}), field) is held
 
 
 def product_walk(sample, scheme):

@@ -1,5 +1,6 @@
 """Estimator tests: cell means, four-means DiD, and the closed-form OLS path."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -342,3 +343,45 @@ class TestPanelSampleValidation:
         s = PanelSample(y=[1, 2, 3, 5], time=[0, 1, 0, 1], affected=[0, 0, 1, 1])
         with pytest.raises(ValueError):
             s.y[0] = 99.0
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.0, 1.0, 0.0, 1.0], [False, True, False, True], np.array([0, 1, 0, 1], dtype=object)],
+        ids=["float", "bool", "object"],
+    )
+    def test_accepts_labels_equal_to_zero_and_one(self, labels):
+        s = PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=labels, affected=[0, 0, 1, 1])
+        assert s.time.dtype == np.int64 and s.time.tolist() == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "labels",
+        [["0", "1", "0", "1"], [0, 1, 0, 2], [0, 1, 0, 0.5]],
+        ids=["text", "two", "half"],
+    )
+    def test_rejects_labels_other_than_zero_and_one(self, labels):
+        with pytest.raises(ValueError, match="time must contain only 0/1 values"):
+            PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=labels, affected=[0, 0, 1, 1])
+
+    def test_complex_labels_warn_as_numpy_casts_them(self):
+        labels = np.array([0, 1, 0, 1], dtype=complex)
+        with pytest.warns(getattr(np, "exceptions", np).ComplexWarning):
+            s = PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=labels, affected=[0, 0, 1, 1])
+        assert s.time.tolist() == [0, 1, 0, 1]
+
+
+def test_construction_peaks_within_the_sample_size():
+    # A read-only float64 outcome vector is kept, and each uint8 label
+    # vector is checked as it is and converted to int64 once.
+    rng = np.random.default_rng(0)
+    n = 300_000
+    y = rng.standard_normal(n)
+    y.flags.writeable = False
+    time, affected = (rng.random((2, n)) < 0.5).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        sample = PanelSample(y=y, time=time, affected=affected)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sample.y.nbytes + sample.time.nbytes + sample.affected.nbytes
+    assert sample.y is y
