@@ -37,7 +37,6 @@ import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from time import sleep
 
 import numpy as np
 
@@ -274,17 +273,18 @@ def _simulate_chunk(
 
 
 def _exit_with_parent() -> None:
-    """Pool initializer: end this worker within 0.25 s of its parent's death.
+    """Pool initializer: end this worker as soon as its parent dies.
 
-    The parent is the process that started the worker, a fork server
-    included.  A terminated parent cannot shut its pool down, and its
-    workers would otherwise compute on and then block on the result pipe.
+    A terminated parent cannot shut its pool down, and its workers would
+    otherwise compute on and then block on the result pipe.  The worker
+    waits on multiprocessing's sentinel of the parent, which it holds from
+    its start under every start method, so a parent that died before this
+    initializer ran is seen too.
     """
-    parent = os.getppid()
+    import multiprocessing  # here: `import didperm` does not load it
 
     def watch():
-        while os.getppid() == parent:
-            sleep(0.25)
+        multiprocessing.parent_process().join()
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()

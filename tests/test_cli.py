@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import io
 import math
+import multiprocessing
 import os
 import re
 import signal
@@ -276,6 +277,83 @@ def test_terminated_run_ends_its_workers(tmp_path):
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=10)
+
+
+# A parent of a two-worker pool; argv: the start method ("" for the
+# platform's default) and the initializer.  It writes a line "workers <pid>
+# <pid>", and each worker a line "running" once it runs, in any order; one
+# write a line keeps each line whole.
+POOL_PARENT = """
+import concurrent.futures, multiprocessing, os, sys, time
+
+from didperm.inference import _exit_with_parent
+
+
+def late_exit_with_parent():
+    time.sleep(0.5)
+    _exit_with_parent()
+
+
+def work():
+    os.write(1, b"running\\n")
+    time.sleep(60)
+
+
+if __name__ == "__main__":
+    context = multiprocessing.get_context(sys.argv[1] or None)
+    initializer = globals()[sys.argv[2]]
+    pool = concurrent.futures.ProcessPoolExecutor(2, mp_context=context, initializer=initializer)
+    for _ in range(2):
+        pool.submit(work)
+    os.write(1, " ".join(["workers", *map(str, pool._processes)]).encode() + b"\\n")
+    time.sleep(60)
+"""
+
+
+def _kill_pool_parent(tmp_path, method, initializer, wait_running):
+    """SIGKILL a POOL_PARENT, and fail unless both its workers end within 5 s."""
+    script = tmp_path / "pool_parent.py"
+    script.write_text(POOL_PARENT)
+    path = [str(Path(inference.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.Popen(
+        [sys.executable, str(script), method, initializer],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+        text=True,
+    )
+    try:
+        workers, running = [], 0
+        while not workers or running < (2 if wait_running else 0):
+            line = proc.stdout.readline()
+            assert line, "the parent ended before its pool ran"
+            if line.startswith("workers"):
+                workers = [int(pid) for pid in line.split()[1:]]
+            running += line == "running\n"
+        assert len(workers) == 2, "no pool of two started"
+        proc.kill()
+        assert proc.wait(timeout=5) == -signal.SIGKILL
+        deadline = time.monotonic() + 5
+        while any(_running(pid) for pid in workers):
+            assert time.monotonic() < deadline, "a worker outlived its killed parent"
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc process states")
+class TestPoolWorkersEndWithTheirParent:
+    def test_parent_killed_before_the_initializer_runs(self, tmp_path):
+        _kill_pool_parent(tmp_path, "", "late_exit_with_parent", wait_running=False)
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_parent_killed_under_each_start_method(self, tmp_path, method):
+        _kill_pool_parent(tmp_path, method, "_exit_with_parent", wait_running=True)
 
 
 class TestCmdEnumerate:
