@@ -62,7 +62,7 @@ def _read_only(values, dtype) -> np.ndarray:
     """
     arr = np.asarray(values)
     if arr.dtype != dtype or arr.flags.writeable or not arr.flags.owndata:
-        arr = np.array(values, dtype=dtype)
+        arr = arr.astype(dtype)
         arr.flags.writeable = False
     return arr
 

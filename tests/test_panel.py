@@ -94,6 +94,10 @@ class TestDidFromMeans:
         with pytest.raises(ValueError, match="non-negative"):
             CellMeans(means=np.ones((2, 2)), counts=np.array([[3, 3], [-1, 3]]))
 
+    def test_cells_must_be_two_by_two(self):
+        with pytest.raises(ValueError, match="2x2"):
+            CellMeans(means=np.ones(4), counts=np.full(4, 3))
+
     @pytest.mark.parametrize(
         "value",
         [
