@@ -72,8 +72,9 @@ def _as_binary(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector")
-    # Strings are refused before np.isin, whose comparison of text with
-    # numbers warns on old numpy instead of returning False.
+    # Non-numeric dtypes such as text are refused before np.isin: numpy
+    # before 1.25 warns, rather than answering False, when it compares
+    # text with numbers.
     if arr.dtype.kind not in "biufcO" or not np.isin(arr, (0, 1)).all():
         raise ValueError(f"{name} must contain only 0/1 values")
     return _read_only(arr, np.int64)

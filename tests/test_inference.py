@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import didperm.inference as inference
+import didperm.ingest as ingest
 import didperm.randomize as randomize
 import didperm.spaces as spaces
 from didperm import (
@@ -30,10 +31,12 @@ from didperm import (
     enumerate_null,
     exactness_audit,
     generator_for,
+    load_panel,
     make_fixture,
     make_histogram,
     randomization_p_value,
     simulate_null,
+    write_fixture_csv,
 )
 from didperm import test_significance as significance_test
 from didperm.datasets import INPRESS
@@ -711,6 +714,34 @@ class TestNullDistributionValidation:
         view = getattr(dataclasses.replace(result, **{field: held[:]}), field)
         assert not view.flags.writeable and not np.shares_memory(view, held)
         assert getattr(dataclasses.replace(result, **{field: held}), field) is held
+
+    @pytest.mark.parametrize(
+        "module, result, field, produce",
+        [
+            (ingest, "PanelSample", "y", lambda path: load_panel(write_fixture_csv(path, FOUR_POINT))),
+            (inference, "NullDistribution", "values", lambda path: enumerate_null(FOUR_POINT, DUAL_FIXED)),
+            (
+                inference,
+                "NullDistribution",
+                "values",
+                lambda path: simulate_null(FOUR_POINT, AFFECTED_FIXED, iterations=20),
+            ),
+        ],
+        ids=["load_panel", "enumerate_null", "simulate_null"],
+    )
+    def test_producers_hand_over_without_a_copy(
+        self, monkeypatch, tmp_path, module, result, field, produce
+    ):
+        # The array a producer has just built is the one its result holds.
+        handed = []
+        build = getattr(module, result)
+
+        def capture(**fields):
+            handed.append(fields[field])
+            return build(**fields)
+
+        monkeypatch.setattr(module, result, capture)
+        assert getattr(produce(tmp_path / "panel.csv"), field) is handed[0]
 
 
 def product_walk(sample, scheme):
