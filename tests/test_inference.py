@@ -687,16 +687,16 @@ class TestNullDistributionValidation:
             (lambda: exactness_audit(6, 3, 3, AFFECTED_FIXED), "level_counts"),
         ],
         ids=[
-            "PanelSample.y",
-            "PanelSample.time",
-            "PanelSample.affected",
-            "CellMeans.means",
-            "CellMeans.counts",
-            "NullDistribution.values",
-            "NullDistribution.values-monte-carlo",
-            "UniformityReport.statistic_values",
-            "UniformityReport.p_levels",
-            "UniformityReport.level_counts",
+            "sample.y",
+            "sample.time",
+            "sample.affected",
+            "cells.means",
+            "cells.counts",
+            "exact.values",
+            "monte-carlo.values",
+            "audit.statistic_values",
+            "audit.p_levels",
+            "audit.level_counts",
         ],
     )
     def test_values_are_held_read_only(self, result, field):
@@ -718,8 +718,18 @@ class TestNullDistributionValidation:
     @pytest.mark.parametrize(
         "module, result, field, produce",
         [
-            (ingest, "PanelSample", "y", lambda path: load_panel(write_fixture_csv(path, FOUR_POINT))),
-            (inference, "NullDistribution", "values", lambda path: enumerate_null(FOUR_POINT, DUAL_FIXED)),
+            (
+                ingest,
+                "PanelSample",
+                "y",
+                lambda path: load_panel(write_fixture_csv(path, FOUR_POINT)),
+            ),
+            (
+                inference,
+                "NullDistribution",
+                "values",
+                lambda path: enumerate_null(FOUR_POINT, DUAL_FIXED),
+            ),
             (
                 inference,
                 "NullDistribution",
