@@ -3,7 +3,9 @@
 Subcommands: test (Monte Carlo), enumerate (exact), space (relabeling-space
 accounting), audit (finite-sample validity), power (size/power study).
 Statistical decisions never affect the exit status; only operational
-failures do, each class with its own nonzero code.
+failures do, each class with its own nonzero code.  An argument refused
+after argparse, by a flag check here or by the library, raises ValueError,
+which `main` alone turns into the usage exit.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ EXIT_ESTIMATION = 4
 EXIT_SPACE = 5
 EXIT_DEGENERATE = 6
 EXIT_IO = 7
-
-
-class _UsageError(Exception):
-    """Invalid flag combination detected after argparse."""
 
 
 def _probability(text: str) -> float:
@@ -169,14 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _columns(args) -> ColumnMap:
-    try:
-        return ColumnMap(
-            outcome_column=args.outcome_col,
-            time_column=args.time_col,
-            affected_column=args.affected_col,
-        )
-    except ValueError as exc:  # two flags name the same column
-        raise _UsageError(str(exc)) from None
+    return ColumnMap(
+        outcome_column=args.outcome_col,
+        time_column=args.time_col,
+        affected_column=args.affected_col,
+    )
 
 
 def _scheme(args) -> RandomizationScheme:
@@ -240,16 +235,12 @@ def _space_margins(args) -> tuple[int, int, int]:
         did_value(sample)  # an inestimable sample, e.g. a constant label column: EmptyCellError
         return sample.n, sample.n_affected, sample.n_time
     if args.n is None or args.n_affected is None or args.n_time is None:
-        raise _UsageError("either --input or all of --n/--n-affected/--n-time are required")
+        raise ValueError("either --input or all of --n/--n-affected/--n-time are required")
     return args.n, args.n_affected, args.n_time
 
 
 def cmd_space(args) -> None:
-    margins = _space_margins(args)
-    try:
-        stats = space_stats(*margins)
-    except ValueError as exc:  # margin flags out of range; an estimable panel's are not
-        raise _UsageError(str(exc)) from None
+    stats = space_stats(*_space_margins(args))
     n = stats.n
     rows = [
         ("single margin log size", stats.log_size_single, stirling_log_binomial(n, stats.p_affected)),
@@ -273,13 +264,10 @@ def cmd_space(args) -> None:
 
 def cmd_audit(args) -> None:
     if args.n is None or args.n_affected is None or args.n_time is None:
-        raise _UsageError("--n, --n-affected, and --n-time are required")
-    try:
-        report = exactness_audit(
-            args.n, args.n_affected, args.n_time, _scheme(args), outcome_seed=args.seed
-        )
-    except ValueError as exc:  # margins out of range, or no estimable relabeling
-        raise _UsageError(str(exc)) from None
+        raise ValueError("--n, --n-affected, and --n-time are required")
+    report = exactness_audit(
+        args.n, args.n_affected, args.n_time, _scheme(args), outcome_seed=args.seed
+    )
     print(
         f"audited {report.estimable_relabelings} estimable relabelings "
         f"(of {report.total_relabelings} total)"
@@ -298,19 +286,16 @@ def cmd_audit(args) -> None:
 
 
 def cmd_power(args) -> None:
-    try:
-        result = run_power_study(
-            cell_n=args.cell_n,
-            delta=args.delta,
-            noise_sd=args.noise_sd,
-            replications=args.reps,
-            alpha=args.alpha,
-            iterations=args.iterations,
-            mode=Mode(args.mode),
-            master_seed=args.seed,
-        )
-    except ValueError as exc:  # a non-finite delta or noise_sd, or outcomes that overflow
-        raise _UsageError(str(exc)) from None
+    result = run_power_study(
+        cell_n=args.cell_n,
+        delta=args.delta,
+        noise_sd=args.noise_sd,
+        replications=args.reps,
+        alpha=args.alpha,
+        iterations=args.iterations,
+        mode=Mode(args.mode),
+        master_seed=args.seed,
+    )
     if args.reps == 1:
         print("warning: a single replication yields a 0-or-1 rejection rate", file=sys.stderr)
     print(result.render())
@@ -321,7 +306,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except _UsageError as exc:
+    except ValueError as exc:  # a flag check, or the library, refused an argument
         print(f"didperm: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (EmptyFileError, MalformedRowError, MissingColumnError) as exc:

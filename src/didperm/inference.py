@@ -331,10 +331,10 @@ def simulate_null(
     master_seed : int
         Unsigned 64-bit seed identifying the whole run.
     workers : int
-        Most processes to use; each takes a run of whole blocks.  The pool
-        never exceeds the block count or the CPUs this process may run on,
-        so a large value starts no more processes than can run at once.
-        Affects speed only.
+        Most processes to use, >= 1; each takes a run of whole blocks.
+        The pool never exceeds the block count or the CPUs this process
+        may run on, so a large value starts no more processes than can
+        run at once.  Affects speed only.
 
     Raises
     ------
@@ -342,9 +342,14 @@ def simulate_null(
         If the original sample is inestimable.
     TooManyDegenerateDrawsError
         If some iteration cannot find an estimable relabeling.
+    ValueError
+        If `iterations` or `workers` is below 1, or a relabeling's value
+        is not finite (its outcomes overflow the float range).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     generator_for(master_seed)  # validates the seed range
     did_value(sample)  # raises EmptyCellError when the sample is inestimable
 
@@ -419,6 +424,9 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
     SpaceTooLargeError
         If the space size exceeds `ENUMERATION_CAP`; use `simulate_null`
         instead.
+    ValueError
+        If a relabeling's value is not finite (its outcomes overflow the
+        float range).
     """
     n = sample.n
     size = space_size(n, sample.n_affected, sample.n_time, scheme)

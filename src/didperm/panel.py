@@ -11,7 +11,7 @@ coefficient of the saturated two-way OLS model
 Both estimators are provided; for the saturated 2x2 design they agree exactly,
 and the OLS coefficients are solved in closed form from the cell means.
 
-This module also holds the three statistic kernels.  `_cell_means` sums
+This module also holds the three statistic kernels.  `_cell_sums` sums
 the cells of many labelings at once in one pass over their labels, for
 the observed value (`compute_cell_means`) and, through `_block_cells`,
 for every Monte Carlo draw.  `_product_cells` gives the DiD values of
@@ -21,9 +21,10 @@ four-means formula.  `_agreement_draws` gives, at balanced dual fixed
 margins, the DiD of agreement sets from their sums: of the sets that
 Monte Carlo draws, and of every set, weighed by its relabelings, for the
 exact null's law.  Each takes outcomes prepared once per run and gives
-values with their estimability.  Beside the kernels sit the bounds on
-their rounding (`_cell_means_tolerance` and `_product_cells_tolerance`,
-both of which cover `_agreement_draws`) within which `inference` counts ties.
+values with their estimability, under one floating-point rule (`_quiet`).
+Beside the kernels sit the bounds on their rounding
+(`_cell_means_tolerance` and `_product_cells_tolerance`, both of which
+cover `_agreement_draws`) within which `inference` counts ties.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
@@ -175,39 +176,50 @@ class OlsFit:
     residual_sum_squares: float
 
 
-def _cell_means(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-labeling cell counts and means, each (rows, 4), of (..., n) label arrays.
+def _quiet() -> np.errstate:
+    """The kernels' one floating-point rule: divide, invalid and overflow are silent.
+
+    An empty cell's mean is 0/0 = NaN, and a value whose outcomes overflow
+    the float range is inf or NaN.  Neither warns: estimability marks the
+    first, and `did_from_means` or the finiteness check of
+    `inference.NullDistribution` refuses the second with ValueError.
+    """
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
+def _cell_sums(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-labeling cell counts and outcome sums, each (rows, 4), of (..., n) label arrays.
 
     `affected` and `time` broadcast together; every index of their leading
     axes is one labeling, rows in C order, with cell index 2*affected + time.
     One bincount over the row-offset index 4*row + cell and the first rows*n
     entries of `y`, the outcomes tiled once per run, visits every row's
     entries in their own order, so each row's sums are bit-identical to a
-    bincount of that row alone.  An empty cell's mean is 0/0 = NaN.
+    bincount of that row alone.  A cell's mean is its sum over its count.
     """
     cells = (2 * affected + time).reshape(-1, np.shape(affected)[-1])
     rows = cells.shape[0]
     idx = (cells + 4 * np.arange(rows)[:, None]).ravel()
     counts = np.bincount(idx, minlength=4 * rows).reshape(rows, 4)
     sums = np.bincount(idx, weights=y[: idx.size], minlength=4 * rows).reshape(rows, 4)
-    with np.errstate(invalid="ignore"):
-        return counts, sums / counts
+    return counts, sums
 
 
 def _block_cells(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """DiD values of many labelings of `y` at once, and which are estimable.
 
     The statistic call behind every Monte Carlo draw: labels (a `randomize`
-    draw, int8 or int64) and tiled outcomes as in `_cell_means` in, (values,
+    draw, int8 or int64) and tiled outcomes as in `_cell_sums` in, (values,
     estimable) out, each of length rows.  The value of a row with an empty
     cell is NaN, and `estimable` is False there.
     """
-    counts, means = _cell_means(affected, time, y)
-    return _did_from_cells(*means.T), counts.all(axis=1)
+    counts, sums = _cell_sums(affected, time, y)
+    with _quiet():
+        return _did_from_cells(*(sums / counts).T), counts.all(axis=1)
 
 
 def _cell_means_tolerance(y: np.ndarray) -> float:
-    """8*n*eps*max|y|, the tie tolerance of DiD values from `_cell_means`.
+    """8*n*eps*max|y|, the tie tolerance of DiD values from `_cell_sums`.
 
     eps is the float64 machine epsilon.  A cell mean adds at most n
     outcomes one after another, so it rounds by about n_cell*eps/2*max|y|,
@@ -292,7 +304,7 @@ def _product_cells(affected, time, y: np.ndarray, scale: float) -> tuple[np.ndar
     No sum of outcomes goes through BLAS or depends on how rows are
     blocked, so a value does not depend on the block size, thread count
     or BLAS build.  Inclusion-exclusion rounds differently from
-    `_cell_means`, by up to `_product_cells_tolerance`.  The value of a
+    `_cell_sums`, by up to `_product_cells_tolerance`.  The value of a
     pair with an empty cell is not finite, and `estimable` is False there.
     """
     n = y.size
@@ -317,7 +329,7 @@ def _product_cells(affected, time, y: np.ndarray, scale: float) -> tuple[np.ndar
     s2 = s_affected - s3
     s1 = s_time - s3
     s0 = (total - s_affected) - s1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with _quiet():
         values = _did_from_cells(s0 / c0, s1 / c1, s2 / c2, s3 / c3) * scale
     estimable = np.minimum(np.minimum(c0, c1), np.minimum(c2, c3)) > 0
     return values.ravel(), estimable.ravel()
@@ -334,7 +346,7 @@ def _agreement_draws(c, drawn, y: np.ndarray, scale: float, total: float):
     For row r, c[r] = |A & T| and `drawn` gives a set G_r of 2c[r]
     observations: a `randomize.draw_agreement_sets` draw, or a
     `randomize.enumerate_agreement_sets` set.  `y` holds the outcomes
-    centred and scaled by `_scaled`, tiled as in `_cell_means`, `total` the
+    centred and scaled by `_scaled`, tiled as in `_cell_sums`, `total` the
     sum of one row, and `scale` is the power of two of `_scaled`, negated
     when the sets are the complements of the agreement sets, whose values
     are the negations.  A row's value is then
@@ -353,7 +365,7 @@ def _agreement_draws(c, drawn, y: np.ndarray, scale: float, total: float):
     * A (rows, n) indicator `drawn` (multi-row blocks, and enumeration):
       S_D and S_{D^c} of every row start at 0.0 and add their terms in
       observation order, in one bincount over the row-offset index
-      2*row + indicator, as in `_cell_means`.  So a value depends on its
+      2*row + indicator, as in `_cell_sums`.  So a value depends on its
       set alone, and a set with count c and its complement with count
       h - c give values that negate bit for bit.  S_D adds 2c terms of
       size at most M with 2c - 1 roundings, so S_D/c is off by at most
@@ -397,7 +409,7 @@ def _agreement_draws(c, drawn, y: np.ndarray, scale: float, total: float):
             inside, outside = outside, inside
     half = n // 2
     estimable = (c >= 1) & (c <= half - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with _quiet():
         values = (inside / c - outside / (half - c)) * scale
     return values, estimable
 
@@ -424,7 +436,7 @@ def _did_from_cells(m0, m1, m2, m3):
 
     (treated change) - (control change) = (m3 - m2) - (m1 - m0), with this
     grouping kept explicit.  The observed value and every Monte Carlo or
-    product-form value is this function of cell means, from `_cell_means`
+    product-form value is this function of cell means, from `_cell_sums`
     or `_product_cells`, except at dual fixed margins with n_affected =
     n_time = n/2.  There `_agreement_draws` (Monte Carlo and enumeration)
     regroups it as (m3 + m0) - (m1 + m2), which the equal cell counts
@@ -439,8 +451,9 @@ def compute_cell_means(sample: PanelSample) -> CellMeans:
     Empty cells are represented (count 0, mean NaN) rather than rejected,
     so callers can decide how to treat inestimable relabelings.
     """
-    counts, means = _cell_means(sample.affected, sample.time, sample.y)
-    return CellMeans(means=means.reshape(2, 2), counts=counts.reshape(2, 2))
+    counts, sums = _cell_sums(sample.affected, sample.time, sample.y)
+    with _quiet():
+        return CellMeans(means=(sums / counts).reshape(2, 2), counts=counts.reshape(2, 2))
 
 
 def did_from_means(cells: CellMeans) -> float:
@@ -460,7 +473,7 @@ def did_from_means(cells: CellMeans) -> float:
     for (g, t), count in np.ndenumerate(cells.counts):  # CellMeans holds them 2x2
         if count == 0:
             raise EmptyCellError(affected=g, time=t)
-    with np.errstate(over="ignore", invalid="ignore"):  # such a value raises below
+    with _quiet():  # such a value raises below
         value = float(_did_from_cells(*cells.means.reshape(4)))
     if not np.isfinite(value):
         raise ValueError("DiD value must be finite")

@@ -64,6 +64,49 @@ def _spliced(edits):
     return data
 
 
+# Each subcommand's flags with values in their domain; a drawn argv takes
+# some of them and may overwrite one with a value outside every domain.
+# Two column flags may name one column ("x" names none), and any margin
+# flag may be missing.
+_COLUMN_FLAGS = {
+    flag: st.sampled_from(["y", "time", "affected", "x"])
+    for flag in ("--outcome-col", "--time-col", "--affected-col")
+}
+_SCHEME_FLAGS = {
+    "--scheme": st.sampled_from(["affected", "dual"]),
+    "--mode": st.sampled_from(["fixed", "bernoulli"]),
+}
+_MARGIN_FLAGS = {
+    flag: st.sampled_from(["2", "3", "4", "6"]) for flag in ("--n", "--n-affected", "--n-time")
+}
+ARGV_FLAGS = {
+    "test": {
+        **_COLUMN_FLAGS,
+        **_SCHEME_FLAGS,
+        "--iterations": st.sampled_from(["1", "50"]),
+        "--alpha": st.sampled_from(["0.05", "0.5"]),
+        "--seed": st.just("7"),
+        "--bins": st.just("5"),
+        "--workers": st.sampled_from(["1", "2"]),
+    },
+    "enumerate": {**_COLUMN_FLAGS, **_SCHEME_FLAGS, "--alpha": st.just("0.05"), "--bins": st.just("5")},
+    "space": {**_COLUMN_FLAGS, **_MARGIN_FLAGS},
+    "audit": {**_SCHEME_FLAGS, **_MARGIN_FLAGS, "--seed": st.just("7")},
+    "power": {
+        "--cell-n": st.sampled_from(["2", "5"]),
+        "--delta": st.sampled_from(["0.5", "-1e308"]),
+        "--noise-sd": st.sampled_from(["1", "1e300"]),
+        "--reps": st.just("1"),
+        "--iterations": st.sampled_from(["9", "50"]),
+        "--alpha": st.just("0.05"),
+        "--seed": st.just("7"),
+        "--mode": _SCHEME_FLAGS["--mode"],
+    },
+}
+OUT_OF_DOMAIN = ["0", "-1", "nan", "inf", "1e308"]
+SMALL = ("--iterations", "--reps")  # always given
+
+
 def _predicted_exits(path):
     """The (test, enumerate) exit codes of `path`, from the library calls behind them."""
     try:
@@ -719,6 +762,44 @@ class TestExitCodes:
             argv = argv + ["--input", minimal_csv]
         assert main(argv) == EXIT_USAGE
         assert "didperm: usage error:" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_any_argv_ends_in_one_documented_refusal(self, tmp_path_factory, data):
+        command = data.draw(st.sampled_from(sorted(ARGV_FLAGS)), label="command")
+        work = tmp_path_factory.mktemp("argv")
+        panel = work / "minimal.csv"
+        panel.write_text(MINIMAL)
+        argv = [command]
+        if command in ("test", "enumerate"):
+            argv += ["--input", str(panel), "--output", str(work / "r.json")]
+        elif command == "space" and data.draw(st.booleans(), label="--input"):
+            argv += ["--input", str(panel)]
+        flags = {}
+        for flag, values in ARGV_FLAGS[command].items():
+            # their defaults, 15,000 iterations and 500 replications, are not small
+            value = data.draw(values if flag in SMALL else st.none() | values, label=flag)
+            if value is not None:
+                flags[flag] = value
+        bad = st.tuples(st.sampled_from(sorted(ARGV_FLAGS[command])), st.sampled_from(OUT_OF_DOMAIN))
+        bad = data.draw(st.none() | bad, label="out of domain")
+        if bad:
+            flags[bad[0]] = bad[1]
+        for flag, value in flags.items():
+            argv += [flag, value]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refused a flag's value
+                assert exc.code == EXIT_USAGE
+                return
+        lines = err.getvalue().splitlines()
+        if code == EXIT_OK:
+            assert not any(line.startswith("didperm: ") for line in lines)
+        else:
+            assert EXIT_USAGE <= code <= EXIT_IO
+            assert len(lines) == 1 and lines[0].startswith("didperm: ")
 
     def test_too_few_rows_is_an_input_error(self, tmp_path):
         path = tmp_path / "short.csv"

@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import math
 import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -207,6 +208,11 @@ class TestSimulateNull:
             simulate_null(FOUR_POINT, DUAL_FIXED, iterations=0)
         with pytest.raises(ValueError):
             simulate_null(FOUR_POINT, DUAL_FIXED, iterations=10, master_seed=-1)
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            simulate_null(FOUR_POINT, DUAL_FIXED, iterations=10, workers=workers)
 
     def test_retry_cap_exhaustion_raises(self, monkeypatch):
         # find a seed whose first block has a degenerate main draw on the
@@ -649,6 +655,60 @@ class TestTestSignificance:
                 rejected += 1
                 assert result.p_value_corrected <= alpha + 2 / (999 + 1)
         assert rejected >= 1
+
+
+# Each observed cell holds 1.5e308 and -1.5e308, so every cell mean and the
+# observed DiD are 0.0, but a relabeling that puts 1.5e308 twice in one
+# cell overflows.
+OVERFLOWING = PanelSample(
+    y=[1.5e308, -1.5e308] * 4, time=[0] * 4 + [1] * 4, affected=[0, 0, 1, 1] * 2
+)
+BUILDERS = {
+    "simulate_null": lambda sample, scheme: simulate_null(sample, scheme, iterations=30),
+    "enumerate_null": enumerate_null,
+}
+LARGEST = float(np.finfo(np.float64).max)
+DOCUMENTED = (EmptyCellError, ValueError, TooManyDegenerateDrawsError, SpaceTooLargeError)
+
+
+class TestBuildersEndInANullOrADocumentedError:
+    """No relabeling of finite outcomes, however large, lets a warning out of a builder."""
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_overflowed_value_is_refused_as_not_finite(self, builder, scheme):
+        assert did_value(OVERFLOWING) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="null distribution values must all be finite"):
+                BUILDERS[builder](OVERFLOWING, scheme)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        labels=st.integers(4, 10).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            )
+        ),
+        outcomes=st.lists(
+            st.sampled_from([0.0, 1.0, -2.5, 1.5e308, -1.5e308, LARGEST, -LARGEST])
+            | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=10,
+            max_size=10,
+        ),
+        scheme=st.sampled_from(ALL_SCHEMES),
+    )
+    def test_any_finite_panel_ends_in_a_null_or_a_documented_error(self, labels, outcomes, scheme):
+        time, affected = labels
+        sample = PanelSample(y=outcomes[: len(time)], time=time, affected=affected)
+        for build in BUILDERS.values():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    assert isinstance(build(sample, scheme), NullDistribution)
+                except DOCUMENTED:
+                    pass
 
 
 class TestNullDistributionValidation:
