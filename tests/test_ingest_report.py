@@ -73,6 +73,11 @@ LOAD_PANEL_SHAPES = {
     "clean": CLEAN,
     "bom": b"\xef\xbb\xbf" + CLEAN,
     "crlf": CLEAN.replace(b"\n", b"\r\n"),
+    "mixed-lf-crlf": b"y,time,affected\r\n1.5,0,0\n-2.25,1,0\r\n3e-3,0,1\n5,1,1\r\n0.1,1,1\n",
+    "cr": CLEAN.replace(b"\n", b"\r"),
+    # csv reads "\r\r\n" as a line end, then an empty line
+    "crlf-cr-crlf": CLEAN.replace(b"\n", b"\r\n").replace(b"3e-3,0,1\r", b"3e-3,0,1\r\r"),
+    "crlf-bad-label": CLEAN.replace(b"3e-3,0,1", b"3e-3,0,2").replace(b"\n", b"\r\n"),
     "quoted": b'y,time,affected,note\n"1.5",0,0,a\n2,"1",0,"two\nlines"\n3,0,"1","c"\n5,1,1,"d"\n',
     "no-final-newline": CLEAN[:-1],
     "padded-label": CLEAN.replace(b"5,1,1", b"5, 1,1"),
@@ -97,6 +102,10 @@ LOAD_PANEL_PINS = {
     "clean": ("060ac5c7e49aad0d", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
     "bom": ("060ac5c7e49aad0d", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
     "crlf": ("060ac5c7e49aad0d", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
+    "mixed-lf-crlf": ("060ac5c7e49aad0d", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
+    "cr": ("060ac5c7e49aad0d", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
+    "crlf-cr-crlf": (MalformedRowError, 4, "row 4: expected 3 fields, got 0"),
+    "crlf-bad-label": (MalformedRowError, 3, "row 3: column 'affected' must be 0 or 1, got '2'"),
     "quoted": ("31e940776cbed9fe", [0, 1, 0, 1], [0, 0, 1, 1]),
     "no-final-newline": ("060ac5c7e49aad0d", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
     "padded-label": ("060ac5c7e49aad0d", [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]),
