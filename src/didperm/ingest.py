@@ -156,12 +156,14 @@ def _bulk(batch: bytes, layout):
     """Outcome, time and affected arrays of a plainly clean batch, else None.
 
     Plainly clean: printable ASCII lines without a quote, none blank,
-    each ending in "\n" (or the file) with the header's field count, no
-    field over csv's limit, labels of exactly "0" or "1", and outcomes
-    that np.loadtxt reads as finite.  csv.reader and float read such
-    lines to the same values, and find no fault in them.
+    each ending in "\n" or "\r\n" (or the file) with the header's field
+    count, no field over csv's limit, labels of exactly "0" or "1", and
+    outcomes that np.loadtxt reads as finite.  csv.reader and float read
+    such lines to the same values, and find no fault in them.
     """
     width, (y_pos, t_pos, a_pos) = layout
+    if b"\r" in batch:  # a lone "\r" is left, and sends the batch to the streaming parser
+        batch = batch.replace(b"\r\n", b"\n")
     if not batch.endswith(b"\n"):
         batch += b"\n"
     data = np.frombuffer(batch, np.uint8)
@@ -205,7 +207,7 @@ def _parse(batches, path: Path, columns: ColumnMap):
     # Drop the byte-order mark that spreadsheet exports put before the header.
     first = next(batches, b"").removeprefix(b"\xef\xbb\xbf")
     header, _, body = first.partition(b"\n")
-    fields = _plain_header(header)
+    fields = _plain_header(header.removesuffix(b"\r"))
     parts, layout = [], None
     if fields is None:
         batches = itertools.chain([first], batches)

@@ -368,6 +368,16 @@ class TestLoadPanel:
         assert sample.time.tolist() == time and sample.affected.tolist() == affected
         assert sample.time.dtype == sample.affected.dtype == np.int64
 
+    def test_bulk_parses_a_clean_crlf_batch(self):
+        body = CLEAN.partition(b"\n")[2]
+        layout = (3, [0, 1, 2])
+        lf = ingest._bulk(body, layout)
+        crlf = ingest._bulk(body.replace(b"\n", b"\r\n"), layout)
+        assert lf is not None and crlf is not None
+        assert [part.tolist() for part in crlf] == [part.tolist() for part in lf]
+        # a lone "\r" leaves the batch to the streaming parser
+        assert ingest._bulk(body.replace(b"-2.25,1,0\n", b"-2.25,1,0\r"), layout) is None
+
     @settings(max_examples=300, deadline=None, database=None)
     @given(
         content=panel_files(),
