@@ -105,6 +105,7 @@ def run_power_study(
         raise ValueError("noise_sd must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    generator_for(master_seed)  # refuses a seed as simulate_null does; derive_seed would wrap it
 
     rejections = {margins: 0 for margins in Margins}
     for rep in range(replications):
