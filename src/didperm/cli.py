@@ -105,73 +105,10 @@ def _add_margin_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n-time", type=_positive_int, help="count of time=1 labels")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="didperm",
-        description="Doubly randomized significance testing for the 2x2 DiD coefficient.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    test = sub.add_parser("test", help="Monte Carlo significance test")
-    _add_input_flags(test)
-    _add_scheme_flags(test)
-    test.add_argument("--iterations", type=_positive_int, default=DEFAULT_ITERATIONS)
-    test.add_argument("--alpha", type=_probability, default=0.05)
-    test.add_argument("--seed", type=_seed, default=0)
-    test.add_argument("--bins", type=_positive_int, default=50, help="histogram bins")
-    test.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="most processes to use; never more than the blocks or usable CPUs",
-    )
-    test.add_argument("--output", help="report path (default: ./test_report.json)")
-    test.set_defaults(func=cmd_test)
-
-    enum = sub.add_parser("enumerate", help="exact test over the full relabeling space")
-    _add_input_flags(enum)
-    _add_scheme_flags(enum)
-    enum.add_argument("--alpha", type=_probability, default=0.05)
-    enum.add_argument("--bins", type=_positive_int, default=50)
-    enum.add_argument("--output", help="report path (default: ./enumerate_report.json)")
-    enum.set_defaults(func=cmd_enumerate)
-
-    space = sub.add_parser("space", help="relabeling-space sizes, gain, and entropies")
-    _add_input_flags(space, required=False)
-    _add_margin_flags(space)
-    space.set_defaults(func=cmd_space)
-
-    audit = sub.add_parser("audit", help="exhaustive finite-sample validity audit")
-    _add_scheme_flags(audit)
-    _add_margin_flags(audit)
-    audit.add_argument("--seed", type=_seed, default=0, help="outcome-draw seed")
-    audit.set_defaults(func=cmd_audit)
-
-    power = sub.add_parser("power", help="size/power comparison of both margin settings")
-    power.add_argument("--cell-n", type=_positive_int, default=20, help="observations per cell")
-    power.add_argument("--delta", type=float, default=0.0, help="treatment effect size")
-    power.add_argument("--noise-sd", type=_positive_float, default=1.0)
-    power.add_argument("--reps", type=_positive_int, default=500, help="replications")
-    power.add_argument(
-        "--iterations",
-        type=_positive_int,
-        default=999,
-        help="null draws per replication (smaller default than `test` for tractability)",
-    )
-    power.add_argument("--alpha", type=_probability, default=0.05)
-    power.add_argument("--seed", type=_seed, default=0)
-    _add_mode_flag(power)
-    power.set_defaults(func=cmd_power)
-
-    return parser
-
-
-def _columns(args) -> ColumnMap:
-    return ColumnMap(
-        outcome_column=args.outcome_col,
-        time_column=args.time_col,
-        affected_column=args.affected_col,
-    )
+def _sample(args):
+    """The `--input` panel and its observed DiD: an inestimable panel fails here, before any null."""
+    sample = load_panel(args.input, ColumnMap(args.outcome_col, args.time_col, args.affected_col))
+    return sample, did_value(sample)
 
 
 def _scheme(args) -> RandomizationScheme:
@@ -208,8 +145,7 @@ def _emit_report(args, sample, observed: float, dist, default_name: str, tail: s
 
 
 def cmd_test(args) -> None:
-    sample = load_panel(args.input, _columns(args))
-    observed = did_value(sample)  # an inestimable sample fails before the null is built
+    sample, observed = _sample(args)
     dist = simulate_null(
         sample,
         _scheme(args),
@@ -222,8 +158,7 @@ def cmd_test(args) -> None:
 
 
 def cmd_enumerate(args) -> None:
-    sample = load_panel(args.input, _columns(args))
-    observed = did_value(sample)
+    sample, observed = _sample(args)
     dist = enumerate_null(sample, _scheme(args))
     _emit_report(args, sample, observed, dist, "enumerate_report.json")
 
@@ -231,8 +166,7 @@ def cmd_enumerate(args) -> None:
 def _space_margins(args) -> tuple[int, int, int]:
     """(n, n_affected, n_time) of the `--input` panel, or of the margin flags."""
     if args.input:
-        sample = load_panel(args.input, _columns(args))
-        did_value(sample)  # an inestimable sample, e.g. a constant label column: EmptyCellError
+        sample, _ = _sample(args)
         return sample.n, sample.n_affected, sample.n_time
     if args.n is None or args.n_affected is None or args.n_time is None:
         raise ValueError("either --input or all of --n/--n-affected/--n-time are required")
@@ -301,9 +235,67 @@ def cmd_power(args) -> None:
     print(result.render())
 
 
+# Built once, at import, after the commands it names; main parses every argv with it.
+_PARSER = argparse.ArgumentParser(
+    prog="didperm",
+    description="Doubly randomized significance testing for the 2x2 DiD coefficient.",
+)
+_commands = _PARSER.add_subparsers(dest="command", required=True)
+
+_test = _commands.add_parser("test", help="Monte Carlo significance test")
+_add_input_flags(_test)
+_add_scheme_flags(_test)
+_test.add_argument("--iterations", type=_positive_int, default=DEFAULT_ITERATIONS)
+_test.add_argument("--alpha", type=_probability, default=0.05)
+_test.add_argument("--seed", type=_seed, default=0)
+_test.add_argument("--bins", type=_positive_int, default=50, help="histogram bins")
+_test.add_argument(
+    "--workers",
+    type=_positive_int,
+    default=1,
+    help="most processes to use; never more than the blocks or usable CPUs",
+)
+_test.add_argument("--output", help="report path (default: ./test_report.json)")
+_test.set_defaults(func=cmd_test)
+
+_enum = _commands.add_parser("enumerate", help="exact test over the full relabeling space")
+_add_input_flags(_enum)
+_add_scheme_flags(_enum)
+_enum.add_argument("--alpha", type=_probability, default=0.05)
+_enum.add_argument("--bins", type=_positive_int, default=50)
+_enum.add_argument("--output", help="report path (default: ./enumerate_report.json)")
+_enum.set_defaults(func=cmd_enumerate)
+
+_space = _commands.add_parser("space", help="relabeling-space sizes, gain, and entropies")
+_add_input_flags(_space, required=False)
+_add_margin_flags(_space)
+_space.set_defaults(func=cmd_space)
+
+_audit = _commands.add_parser("audit", help="exhaustive finite-sample validity audit")
+_add_scheme_flags(_audit)
+_add_margin_flags(_audit)
+_audit.add_argument("--seed", type=_seed, default=0, help="outcome-draw seed")
+_audit.set_defaults(func=cmd_audit)
+
+_power = _commands.add_parser("power", help="size/power comparison of both margin settings")
+_power.add_argument("--cell-n", type=_positive_int, default=20, help="observations per cell")
+_power.add_argument("--delta", type=float, default=0.0, help="treatment effect size")
+_power.add_argument("--noise-sd", type=_positive_float, default=1.0)
+_power.add_argument("--reps", type=_positive_int, default=500, help="replications")
+_power.add_argument(
+    "--iterations",
+    type=_positive_int,
+    default=999,
+    help="null draws per replication (smaller default than `test` for tractability)",
+)
+_power.add_argument("--alpha", type=_probability, default=0.05)
+_power.add_argument("--seed", type=_seed, default=0)
+_add_mode_flag(_power)
+_power.set_defaults(func=cmd_power)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         args.func(args)
     except ValueError as exc:  # a flag check, or the library, refused an argument

@@ -1,5 +1,6 @@
 """CLI tests: subcommands, reports, exit codes, reproducibility."""
 
+import argparse
 import concurrent.futures
 import contextlib
 import io
@@ -1008,3 +1009,27 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_IO
+
+
+class TestOneParser:
+    def test_main_builds_no_parser(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(2):
+            assert main(["space", "--n", "8", "--n-affected", "4", "--n-time", "4"]) == EXIT_OK
+        assert built == []
+
+    def test_no_flag_value_carries_over_to_the_next_call(self, brand_csv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["test", "--input", brand_csv, "--iterations", "200"]
+        assert main([*argv, "--seed", "5", "--bins", "7", "--output", "a.json"]) == EXIT_OK
+        assert main(argv) == EXIT_OK
+        flagged, defaults = read_report(tmp_path / "a.json"), read_report(tmp_path / "test_report.json")
+        assert (flagged.master_seed, len(flagged.histogram)) == (5, 7)
+        assert (defaults.master_seed, len(defaults.histogram)) == (0, 50)
