@@ -30,7 +30,7 @@ from .inference import (
     test_significance,
 )
 from .ingest import ColumnMap, load_panel
-from .panel import did_value
+from .panel import PanelSample, did_value
 from .power import run_power_study
 from .randomize import Margins, Mode, RandomizationScheme, _stream_contract
 from .report import DECISION_NOT_REJECTED, DECISION_REJECTED, Report, make_histogram, write_report
@@ -105,7 +105,7 @@ def _add_margin_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n-time", type=_positive_int, help="count of time=1 labels")
 
 
-def _sample(args):
+def _sample(args) -> tuple[PanelSample, float]:
     """The `--input` panel and its observed DiD: an inestimable panel fails here, before any null."""
     sample = load_panel(args.input, ColumnMap(args.outcome_col, args.time_col, args.affected_col))
     return sample, did_value(sample)
