@@ -45,32 +45,24 @@ EXIT_DEGENERATE = 6
 EXIT_IO = 7
 
 
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1: {text}")
-    return value
+def _number(kind, holds, rule: str):
+    """An argparse type: `text` read as `kind`, refused with `rule` unless it parses and `holds`."""
+
+    def parse(text: str):
+        try:
+            if holds(value := kind(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{rule}: {text}")
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"must be an unsigned 64-bit integer: {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text}")
-    return value
+_probability = _number(float, lambda v: 0.0 < v < 1.0, "must be a number strictly between 0 and 1")
+_positive_int = _number(int, lambda v: v >= 1, "must be an integer >= 1")
+_seed = _number(int, lambda v: 0 <= v < 2**64, "must be an unsigned 64-bit integer")
+_positive_float = _number(float, lambda v: v > 0, "must be a positive number")
 
 
 def _add_input_flags(sub: argparse.ArgumentParser, required: bool = True) -> None:
@@ -175,15 +167,12 @@ def _space_margins(args) -> tuple[int, int, int]:
 
 def cmd_space(args) -> None:
     stats = space_stats(*_space_margins(args))
-    n = stats.n
+    approx_single = stirling_log_binomial(stats.n, stats.p_affected)
+    approx_gain = stirling_log_binomial(stats.n, stats.p_time)
     rows = [
-        ("single margin log size", stats.log_size_single, stirling_log_binomial(n, stats.p_affected)),
-        ("dual gain (time margin)", stats.log_gain, stirling_log_binomial(n, stats.p_time)),
-        (
-            "dual log size",
-            stats.log_size_dual,
-            stirling_log_binomial(n, stats.p_affected) + stirling_log_binomial(n, stats.p_time),
-        ),
+        ("single margin log size", stats.log_size_single, approx_single),
+        ("dual gain (time margin)", stats.log_gain, approx_gain),
+        ("dual log size", stats.log_size_dual, approx_single + approx_gain),
     ]
     print(f"n={stats.n}  n_affected={stats.n_affected}  n_time={stats.n_time}")
     print(f"{'quantity':28s}{'exact (nats)':>16s}{'stirling (nats)':>18s}")

@@ -10,7 +10,7 @@ result is a Report equal field-for-field to the one written.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import get_type_hints
@@ -80,8 +80,14 @@ def make_histogram(dist: NullDistribution, bins: int) -> list[tuple[float, float
     ]
 
 
-def _json_fields(pairs) -> dict:
-    return {name: value.value if isinstance(value, Enum) else value for name, value in pairs}
+def _json_value(value):
+    """`json`'s hook: an enum's value, or a dataclass's fields in field order.
+
+    `fields` raises TypeError for anything else, as `json` asks of the hook.
+    """
+    if isinstance(value, Enum):
+        return value.value
+    return {f.name: getattr(value, f.name) for f in fields(value)}
 
 
 def _coerce(kind, value):
@@ -96,8 +102,8 @@ def write_report(report: Report, path) -> None:
     """Write a report as schema-versioned JSON with a fixed field order."""
     path = Path(path)
     try:
-        data = {"schema": SCHEMA_VERSION, **asdict(report, dict_factory=_json_fields)}
-        text = json.dumps(data, indent=2, allow_nan=False) + "\n"
+        data = {"schema": SCHEMA_VERSION, **_json_value(report)}
+        text = json.dumps(data, indent=2, allow_nan=False, default=_json_value) + "\n"
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc

@@ -746,6 +746,27 @@ class TestExitCodes:
             assert err.value.code == 2
 
     @pytest.mark.parametrize(
+        "argv, rule",
+        [
+            (["test", "--alpha", "abc"], "must be a number strictly between 0 and 1: abc"),
+            (["test", "--iterations", "2.5"], "must be an integer >= 1: 2.5"),
+            (["test", "--seed", "1.5"], "must be an unsigned 64-bit integer: 1.5"),
+            (["power", "--noise-sd", "x"], "must be a positive number: x"),
+            (["space", "--n", "abc"], "must be an integer >= 1: abc"),
+        ],
+    )
+    def test_unparsable_number_names_its_rule(self, argv, rule, minimal_csv, capsys):
+        if argv[0] == "test":
+            argv = argv + ["--input", minimal_csv]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        stderr = capsys.readouterr().err
+        assert f"argument {argv[1]}: {rule}\n" in stderr
+        assert "invalid" not in stderr
+        assert not any(name in stderr for name in ("_probability", "_positive", "_seed"))
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["test", "--time-col", "y"],
