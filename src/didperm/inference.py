@@ -342,6 +342,8 @@ def simulate_null(
         If the original sample is inestimable.
     TooManyDegenerateDrawsError
         If some iteration cannot find an estimable relabeling.
+    TypeError
+        If `master_seed` is not an integer (a float is refused, not truncated).
     ValueError
         If `iterations` or `workers` is below 1, or a relabeling's value
         is not finite (its outcomes overflow the float range).
@@ -598,6 +600,9 @@ def exactness_audit(
     ------
     SpaceTooLargeError
         If the space exceeds `ENUMERATION_CAP` relabelings.
+    TypeError
+        If n, a margin or `outcome_seed` is not an integer (a float is
+        refused, not truncated).
     ValueError
         If a margin is not strictly between 0 and n, or no relabeling in
         the space is estimable (e.g. a margin of 1).

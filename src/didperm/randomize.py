@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -118,11 +119,12 @@ def generator_for(master_seed: int, stream_index: int = 0) -> np.random.Generato
     """Fresh Generator for the stream (master_seed, stream_index).
 
     `simulate_null` keys block b of a run by (master_seed, b).  A stream
-    does not depend on evaluation order or on any other stream.
+    does not depend on evaluation order or on any other stream.  Either
+    argument may be a Python or numpy integer; a float raises TypeError.
     """
-    if not 0 <= int(master_seed) <= _MASK64:
+    if not 0 <= operator.index(master_seed) <= _MASK64:
         raise ValueError("master_seed must be an unsigned 64-bit integer")
-    if not 0 <= int(stream_index) <= _MASK64:
+    if not 0 <= operator.index(stream_index) <= _MASK64:
         raise ValueError("stream_index must be a non-negative 64-bit integer")
     key = np.array([master_seed, stream_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

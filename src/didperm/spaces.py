@@ -17,6 +17,7 @@ C(n, n/2).  Off balance the gain in distinct values is far larger.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -37,9 +38,9 @@ def log_binomial(n: int, k: int) -> float:
 
     Stays finite far beyond where the integer coefficient overflows a
     float; cross-checked against exact big-integer binomials in tests.
+    A non-integer argument raises TypeError: it is not truncated.
     """
-    n = int(n)
-    k = int(k)
+    n, k = operator.index(n), operator.index(k)
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
@@ -99,8 +100,9 @@ class PermutationSpaceStats:
 
 
 def _margins(n: int, n_affected: int, n_time: int) -> tuple[int, int, int]:
-    """(n, n_affected, n_time) as ints; ValueError unless 0 < n_affected < n and 0 < n_time < n."""
-    n, n_affected, n_time = int(n), int(n_affected), int(n_time)
+    """(n, n_affected, n_time) as ints; TypeError for a non-integer, and
+    ValueError unless 0 < n_affected < n and 0 < n_time < n."""
+    n, n_affected, n_time = operator.index(n), operator.index(n_affected), operator.index(n_time)
     if not 0 < n_affected < n:
         raise ValueError(f"need 0 < n_affected < n, got n_affected={n_affected}, n={n}")
     if not 0 < n_time < n:

@@ -102,6 +102,16 @@ class TestSimulateNull:
         assert dist.source is Source.MONTE_CARLO
         assert dist.degenerate_draws_discarded > 0  # 12/36 of dual draws degenerate
 
+    def test_non_integer_seed_is_refused_not_truncated(self):
+        with pytest.raises(TypeError):
+            simulate_null(FOUR_POINT, DUAL_FIXED, 50, master_seed=1.7)
+
+    def test_numpy_integer_seed_draws_the_same_stream(self):
+        dist = simulate_null(FOUR_POINT, DUAL_FIXED, 50, master_seed=5)
+        for seed in (np.uint64(5), np.int64(5)):
+            other = simulate_null(FOUR_POINT, DUAL_FIXED, 50, master_seed=seed)
+            assert np.array_equal(other.values, dist.values) and other.master_seed == 5
+
     def test_bit_identical_across_worker_counts(self, monkeypatch):
         # 2B + 7 iterations span three blocks, so worker chunks cut across
         # block boundaries; 5 workers exceed the block count.  Five CPUs
@@ -1117,6 +1127,20 @@ class TestExactnessAudit:
         expected = sorted(2 * k / 18 for k in range(1, 10) for _ in range(2))
         assert np.allclose(audit_p_values(report), expected, rtol=1e-12)
         assert report.worst_violation() <= 0.0
+
+    def test_non_integer_margins_are_refused_not_truncated(self):
+        with pytest.raises(TypeError):
+            exactness_audit(12.9, 6.7, 6.2, AFFECTED_FIXED)
+
+    def test_numpy_integer_arguments_audit_the_same_space(self):
+        report = exactness_audit(12, 6, 6, AFFECTED_FIXED, outcome_seed=5)
+        other = exactness_audit(
+            np.int64(12), np.uint64(6), np.int64(6), AFFECTED_FIXED, outcome_seed=np.uint64(5)
+        )
+        assert (other.n, other.n_affected, other.n_time) == (12, 6, 6)
+        assert other.total_relabelings == report.total_relabelings
+        assert np.array_equal(other.p_levels, report.p_levels)
+        assert np.array_equal(other.level_counts, report.level_counts)
 
     def test_matches_exact_rational_oracle(self):
         y = generator_for(5).standard_normal(6)

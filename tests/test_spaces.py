@@ -54,6 +54,12 @@ class TestLogBinomial:
             log_binomial(4, -1)
 
 
+    def test_non_integer_arguments_are_refused_not_truncated(self):
+        with pytest.raises(TypeError):
+            log_binomial(12.9, 6)
+        assert log_binomial(np.int64(12), np.uint64(5)) == log_binomial(12, 5)
+
+
 class TestSpaceStats:
     def test_four_observation_arithmetic(self):
         stats = space_stats(4, 2, 2)
@@ -89,6 +95,11 @@ class TestSpaceStats:
         for args in ((4, 0, 2), (4, 4, 2), (4, 2, 0), (4, 2, 4)):
             with pytest.raises(ValueError):
                 space_stats(*args)
+
+    def test_non_integer_margins_are_refused_not_truncated(self):
+        with pytest.raises(TypeError):
+            space_stats(12.9, 6, 6)
+        assert space_stats(np.int64(12), np.uint64(5), np.int64(6)) == space_stats(12, 5, 6)
 
     def test_gain_maximized_at_balanced_margin(self):
         for n in (12, 13):
