@@ -246,6 +246,12 @@ class TestSchemeAndSpaceSize:
         assert err.value.cap == ENUMERATION_CAP
 
 
+    def test_space_of_exactly_the_cap_is_enumerable_and_one_more_is_not(self):
+        assert space_size(ENUMERATION_CAP, 1, 1, AFFECTED_FIXED) == ENUMERATION_CAP
+        with pytest.raises(SpaceTooLargeError):
+            space_size(ENUMERATION_CAP + 1, 1, 1, AFFECTED_FIXED)
+
+
 class TestEnumerationWalk:
     @pytest.mark.parametrize("n, ones, block_rows", [(7, 3, 4), (6, 0, 3), (8, 4, 70), (8, 4, 1)])
     def test_combination_blocks_are_lexicographic(self, n, ones, block_rows):
