@@ -230,8 +230,8 @@ def _simulate_chunk(
 
     `relabel(rng, rows)` draws `rows` relabelings and values them, with
     estimability, in one kernel call on a prefix of the run's tiled `weights`:
-    agreement sets and `panel._agreement_draws` where the margins allow
-    (block-v3), label matrices and `panel._block_cells` elsewhere.
+    agreement sets and `panel._agreement_draws` at balanced dual fixed
+    margins, label matrices and `panel._block_cells` elsewhere.
     """
     y, time, affected, n = sample.y, sample.time, sample.affected, sample.n
     per_block = stream_block_rows(n)
@@ -317,7 +317,7 @@ def simulate_null(
     contract that `randomize` states.  The result is a pure function of
     (sample, scheme, iterations, master_seed) and is bit-identical for
     every `workers` value.  On a balanced dual fixed-margin space
-    (block-v3), each value of a multi-row block is bit for bit the one
+    (block-v4), each value of a multi-row block is bit for bit the one
     `enumerate_null` gives its agreement set.
 
     Parameters

@@ -33,19 +33,24 @@ mutable generator exists anywhere, so blocks can be produced concurrently
 and in any order with identical results.
 
 How a row is drawn is part of that contract, named by
-`_stream_contract`.  Up to n = 4096 (B > 1, contract block-v1) a
-fixed-margin row is a shuffle of the labels.  Past it (B = 1, contract
-block-v2) a row is a uniform subset of the positions of the rarer label,
-`Generator.choice(n, m, replace=False, shuffle=False)`, which is cheaper
-than a shuffle of all n labels (see `_draw_margin`).  Bernoulli rows are
-`random(n) < 1/2` at every n.  Dual fixed margins with n_affected =
-n_time = n/2 take contract block-v3 at every n: a block draws c = |A & T|
-for all its rows, then one agreement set of 2c members per row, and no
-label matrix (see `draw_agreement_sets`).
+`_stream_contract`, and depends on n alone.  Up to n = 4096 (B > 1,
+contract block-v4) every draw reads raw Philox words
+(`bit_generator.random_raw`), whose stream NEP 19 keeps fixed across
+numpy versions, and calls no `Generator` method: a fixed-margin row marks
+the m smallest of n words (`_smallest_keys`), a Bernoulli row takes n
+bits of ceil(n/64) words, and a balanced dual row takes c = |A & T| by
+inverse CDF from one word (`_count_thresholds`) and its agreement set as
+the 2c smallest of n words.  Past it (B = 1) rows keep numpy's
+algorithms: a fixed-margin row is a uniform subset of the positions of
+the rarer label, `Generator.choice(n, m, replace=False, shuffle=False)`
+(contract block-v2), a Bernoulli row `random(n) < 1/2`, and a balanced
+dual row one `hypergeometric` count and one `choice` (block-v3).  See
+`_draw_margin` and `draw_agreement_sets`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -159,38 +164,71 @@ def stream_block_rows(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // n)
 
 
+def _smallest_keys(rng: np.random.Generator, rows: int, n: int, m) -> np.ndarray:
+    """(rows, n) bool: the m smallest of n raw Philox words in each of `rows` rows.
+
+    Reads rows*n words, row-major, from `rng.bit_generator.random_raw`;
+    `m` is one count for every row or a (rows,) array of counts, each in
+    [0, n].  A row sort finds each row's (m+1)-th smallest key, and the
+    keys below it are marked.  Two equal keys at that cut, about
+    n**2 / 2**65 likely per row, would leave the row short of m; such a
+    row, and a row with m = n, is marked by a stable argsort instead,
+    which ranks equal keys by position.  So every row marks exactly m keys.
+    """
+    keys = rng.bit_generator.random_raw(rows * n).reshape(rows, n)
+    m = np.broadcast_to(m, (rows,))
+    ordered = np.sort(keys, axis=1)
+    at = np.arange(rows)
+    last, cut = ordered[at, np.maximum(m, 1) - 1], ordered[at, np.minimum(m, n - 1)]
+    marked = keys < cut[:, None]
+    for row in np.flatnonzero((last == cut) & (m > 0)).tolist():
+        marked[row, np.argsort(keys[row], kind="stable")[: m[row]]] = True
+    return marked
+
+
 def _draw_margin(
     rng: np.random.Generator, labels: np.ndarray, mode: Mode, rows: int
 ) -> np.ndarray:
-    """`rows` independent relabelings of the 0/1 vector `labels`, one per row.
+    """`rows` independent int8 relabelings of the 0/1 vector `labels`, one per row.
 
     FIXED_MARGINS rows are uniformly random rearrangements of `labels`, so
     each keeps its count of ones exactly; BERNOULLI rows are n independent
     fair coin flips and read only the length of `labels`.
     Rows are drawn from `rng` in row order.
 
-    How a fixed-margin row is drawn depends on n alone.  While
-    `stream_block_rows(n)` > 1, a row is a shuffle of int64 `labels`
-    (`Generator.permuted`).  Once it is 1 (n > 4096, stream contract
-    block-v2), a row is one `Generator.choice(n, m, replace=False,
-    shuffle=False)` of the m = min(ones, n - ones) positions of the rarer
-    label, which is then scattered into an int8 row of the other label.
-    At a tie the drawn positions take the label of observation 0.  Either
-    way `1 - labels` draws the same positions, so flipping a margin's
-    labels flips every row.  Bernoulli rows are int8 at every n.
+    A fixed-margin row gives the m = min(ones, n - ones) positions of the
+    rarer label that label, or at a tie the label of observation 0, and
+    the other label everywhere else; so `1 - labels` draws the same
+    positions, and flipping a margin's labels flips every row.  How the
+    positions and the coin flips are drawn depends on n alone:
+
+    * while `stream_block_rows(n)` > 1 (stream contract block-v4), the
+      positions are the m smallest of n raw Philox words (`_smallest_keys`),
+      and a Bernoulli row takes the first n bits of ceil(n/64) raw words:
+      observation j is bit j mod 64 of word j // 64, bit 0 the least
+      significant;
+    * once it is 1 (n > 4096, block-v2), the positions are one
+      `Generator.choice(n, m, replace=False, shuffle=False)`, and a
+      Bernoulli row is `Generator.random(n) < 1/2`.
     """
     n = labels.size
+    multi_row = stream_block_rows(n) > 1
     if mode is Mode.BERNOULLI:
         # A fair coin, not a setting: `space_size` and `_arrangements` count 2**n equal vectors.
-        return (rng.random((rows, n)) < 0.5).astype(np.int8)
-    if stream_block_rows(n) > 1:
-        out = np.tile(labels, (rows, 1))
-        return rng.permuted(out, axis=1, out=out)
+        if not multi_row:
+            return (rng.random((rows, n)) < 0.5).astype(np.int8)
+        words = rng.bit_generator.random_raw(rows * -(-n // 64)).reshape(rows, -1)
+        j = np.arange(n, dtype=np.uint64)
+        return ((words[:, j >> np.uint64(6)] >> (j & np.uint64(63))) & np.uint64(1)).astype(np.int8)
     ones = int(labels.sum())
     drawn = int(labels[0]) if 2 * ones == n else int(2 * ones < n)
+    m = min(ones, n - ones)
+    if multi_row:
+        marked = _smallest_keys(rng, rows, n, m)
+        return (marked if drawn else ~marked).view(np.int8)
     out = np.full((rows, n), 1 - drawn, dtype=np.int8)
     for row in out:
-        row[rng.choice(n, min(ones, n - ones), replace=False, shuffle=False)] = drawn
+        row[rng.choice(n, m, replace=False, shuffle=False)] = drawn
     return out
 
 
@@ -230,14 +268,35 @@ def is_balanced_dual_fixed(
 def _stream_contract(n: int, n_affected: int, n_time: int, scheme: RandomizationScheme) -> str:
     """The name of the rules by which `simulate_null` draws a run's rows.
 
-    block-v3 at balanced dual fixed margins (`draw_agreement_sets`);
-    otherwise block-v1 while blocks hold several rows (n <= 4096) and
-    block-v2 once they hold one (`_draw_margin`), whose Bernoulli rows
-    equal block-v1's.
+    block-v4 while blocks hold several rows (n <= 4096): every draw from
+    raw Philox words (`_draw_margin`, `draw_agreement_sets`).  Once they
+    hold one, block-v3 at balanced dual fixed margins
+    (`draw_agreement_sets`) and block-v2 otherwise (`_draw_margin`).
     """
-    if is_balanced_dual_fixed(n, n_affected, n_time, scheme):
-        return "block-v3"
-    return "block-v1" if stream_block_rows(n) > 1 else "block-v2"
+    if stream_block_rows(n) > 1:
+        return "block-v4"
+    return "block-v3" if is_balanced_dual_fixed(n, n_affected, n_time, scheme) else "block-v2"
+
+
+@functools.lru_cache(maxsize=16)
+def _count_thresholds(n: int) -> np.ndarray:
+    """uint64 T_0 .. T_{h-1}, T_k = floor(2**64 * P(c <= k)) for c hypergeometric(h, h, h), h = n/2.
+
+    P(c = k) = C(h, k)**2 / C(n, h), and the squares sum to C(n, h).  The
+    binomials come from the integer recurrence C(h, k + 1) =
+    C(h, k)*(h - k)/(k + 1), so every T_k is exact; T_h = 2**64 is left
+    out.  A table costs about 9 ms at n = 4096, so it is cached by n, read
+    only, rather than built per block.
+    """
+    h = n // 2
+    binomials = [1]
+    for k in range(h):
+        binomials.append(binomials[-1] * (h - k) // (k + 1))
+    cumulative = list(itertools.accumulate(b * b for b in binomials))
+    total = cumulative.pop()
+    table = np.array([(s << 64) // total for s in cumulative], dtype=np.uint64)
+    table.flags.writeable = False
+    return table
 
 
 def draw_agreement_sets(
@@ -248,17 +307,19 @@ def draw_agreement_sets(
     At n_affected = n_time = n/2 the count c of a uniform relabeling is
     hypergeometric (n/2 good, n/2 bad, n/2 drawn), and given c its
     agreement set is a uniform 2c-subset of the n observations, by
-    exchangeability.  So a block first draws c for all its rows, with one
-    `Generator.hypergeometric(n/2, n/2, n/2, size=rows)`, then G row by
-    row (stream contract block-v3):
+    exchangeability.  So a block first draws c for all its rows, then G
+    row by row:
 
-    * while `stream_block_rows(n)` > 1, G is given by its (rows, n) bool
-      indicator rank < 2c, rank one `Generator.permuted` row of 0..n-1 per
-      relabeling;
-    * once it is 1 (n > 4096, so `rows` is 1), by the positions of the
-      smaller of G and its complement: one `Generator.choice(n, m,
-      replace=False, shuffle=False)` of m = min(2c, n - 2c) positions,
-      which are G itself when 4c <= n.
+    * while `stream_block_rows(n)` > 1 (stream contract block-v4), c is
+      the inverse CDF of one raw Philox word per row,
+      `searchsorted(_count_thresholds(n), word, "right")`, and G, given by
+      its (rows, n) bool indicator, is the 2c smallest of n raw words per
+      row (`_smallest_keys`);
+    * once it is 1 (n > 4096, so `rows` is 1; block-v3), c is one
+      `Generator.hypergeometric(n/2, n/2, n/2)` and G is given by the
+      positions of the smaller of G and its complement: one
+      `Generator.choice(n, m, replace=False, shuffle=False)` of m =
+      min(2c, n - 2c) positions, which are G itself when 4c <= n.
 
     Rows with c = 0 or c = n/2 empty two cells.  G is the agreement set
     when observation 0's observed labels agree (affected_0 = time_0),
@@ -266,11 +327,12 @@ def draw_agreement_sets(
     (`inference._simulate_chunk`); so swapping the labels of one margin
     negates every value.
     """
+    if stream_block_rows(n) > 1:
+        words = rng.bit_generator.random_raw(rows)
+        c = np.searchsorted(_count_thresholds(n), words, side="right")
+        return c, _smallest_keys(rng, rows, n, 2 * c)
     half = n // 2
     c = rng.hypergeometric(half, half, half, size=rows)
-    if stream_block_rows(n) > 1:
-        ranks = rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
-        return c, ranks < 2 * c[:, None]
     (size,) = (2 * c).tolist()
     return c, rng.choice(n, min(size, n - size), replace=False, shuffle=False)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -230,33 +231,63 @@ def documented_block_rows(n):
     return max(1, 8192 // n)
 
 
+def raw_words(rng, count):
+    """The next `count` raw 64-bit words of `rng`'s bit stream, as Python ints."""
+    return rng.bit_generator.random_raw(count).tolist()
+
+
+def smallest_positions(words, m):
+    """Positions of the m smallest of `words`, equal words ranked by position."""
+    return [pos for _, pos in sorted(zip(words, range(len(words))))[:m]]
+
+
 def _replay_margin(rng, labels, fixed):
     """One relabeling of `labels` drawn from `rng` as the stream contract documents.
 
-    Up to n = 4096 (multi-row blocks) a fixed-margin row is a shuffle.
-    Past it (one-row blocks, block-v2) it is a `choice` of the m positions
-    of the rarer label (at a tie, the label of observation 0) with the
-    other label everywhere else.
+    A fixed-margin row gives the m positions of the rarer label (at a tie,
+    the label of observation 0) that label, and the other label everywhere
+    else.  Up to n = 4096 (multi-row blocks, block-v4) the positions are
+    those of the m smallest of n raw words, and a Bernoulli row is the
+    first n bits of ceil(n/64) raw words, bit j mod 64 of word j // 64.
+    Past it (one-row blocks, block-v2) the positions are a `choice`, and a
+    Bernoulli row is `random(n) < 1/2`.
     """
     n = len(labels)
+    multi_row = documented_block_rows(n) > 1
     if not fixed:
-        return (rng.random(n) < 0.5).astype(np.int64)
-    if documented_block_rows(n) > 1:
-        return rng.permutation(labels)
+        if not multi_row:
+            return (rng.random(n) < 0.5).astype(np.int64)
+        words = raw_words(rng, -(-n // 64))
+        return np.array([(words[j // 64] >> (j % 64)) & 1 for j in range(n)], dtype=np.int64)
     ones = int(np.sum(labels))
     if 2 * ones == n:
         rare = int(labels[0])
     else:
         rare = 1 if 2 * ones < n else 0
-    positions = rng.choice(n, min(ones, n - ones), replace=False, shuffle=False)
+    m = min(ones, n - ones)
+    if multi_row:
+        positions = smallest_positions(raw_words(rng, n), m)
+    else:
+        positions = rng.choice(n, m, replace=False, shuffle=False).tolist()
     row = [1 - rare] * n
-    for pos in positions.tolist():
+    for pos in positions:
         row[pos] = rare
     return np.array(row, dtype=np.int64)
 
 
+def count_cdf(n):
+    """P(c <= k), k = 0 .. n/2, exactly: c = |A & T| of a uniform balanced dual relabeling.
+
+    c is hypergeometric (n/2 good, n/2 bad, n/2 drawn): P(c = k) =
+    C(n/2, k)**2 / C(n, n/2).
+    """
+    h = n // 2
+    total = math.comb(n, h)
+    return list(itertools.accumulate(Fraction(math.comb(h, k) ** 2, total) for k in range(h + 1)))
+
+
 def balanced_dual_fixed(sample, dual, fixed):
-    """Whether a run of `sample` takes stream contract block-v3: dual fixed margins, both n/2."""
+    """Whether a run of `sample` draws agreement sets: dual fixed margins, both n/2."""
     n = len(sample.y)
     return dual and fixed and 2 * int(np.sum(sample.affected)) == n == 2 * int(np.sum(sample.time))
 
@@ -295,7 +326,7 @@ def agreement_did_fraction(y, affected, time):
 
 
 def agreement_draws_bound(y):
-    """(3n + 4)*eps*max|y - c|, c the midrange: the rounding bound of a block-v3 value.
+    """(3n + 4)*eps*max|y - c|, c the midrange: the rounding bound of an agreement-set value.
 
     `panel._agreement_draws` derives it for one-row blocks, and for
     indicator rows (multi-row blocks and enumeration) the tighter
@@ -307,36 +338,47 @@ def agreement_draws_bound(y):
 
 
 def _replay_agreement_set(rng, n, c, agrees):
-    """The agreement set of one block-v3 row with count c, as a 0/1 list.
+    """The agreement set of one balanced row with count c, as a 0/1 list.
 
-    Multi-row blocks: G = {i : perm_i < 2c} for one permutation of
-    0..n-1.  One-row blocks: a `choice` of min(2c, n - 2c) positions,
+    Multi-row blocks (block-v4): G is the 2c smallest of n raw words.
+    One-row blocks (block-v3): a `choice` of min(2c, n - 2c) positions,
     which are G when 4c <= n and its complement otherwise.  The agreement
     set is G when observation 0's observed labels agree, else not G.
     """
+    inside = [0] * n
     if documented_block_rows(n) > 1:
-        perm = rng.permutation(n).tolist()
-        inside = [int(rank < 2 * c) for rank in perm]
+        for pos in smallest_positions(raw_words(rng, n), 2 * c):
+            inside[pos] = 1
     else:
-        positions = rng.choice(n, min(2 * c, n - 2 * c), replace=False, shuffle=False)
-        inside = [0] * n
-        for pos in positions.tolist():
+        for pos in rng.choice(n, min(2 * c, n - 2 * c), replace=False, shuffle=False).tolist():
             inside[pos] = 1
         if 4 * c > n:
             inside = [1 - bit for bit in inside]
     return inside if agrees else [1 - bit for bit in inside]
 
 
-def _replay_agreement_rows(rng, sample, rows):
-    """`rows` block-v3 relabelings from `rng`: every count c first, then each row's set."""
-    n = len(sample.y)
+def _replay_counts(rng, n, rows):
+    """The counts c of `rows` balanced rows: every count before any set.
+
+    Multi-row blocks (block-v4): c is the number of thresholds
+    floor(2**64 * P(c <= k)), k < n/2, at most one raw word.  One-row
+    blocks (block-v3): a `hypergeometric` draw.
+    """
     half = n // 2
-    counts = rng.hypergeometric(half, half, half, size=rows).tolist()
+    if documented_block_rows(n) == 1:
+        return rng.hypergeometric(half, half, half, size=rows).tolist()
+    thresholds = [math.floor(p * 2**64) for p in count_cdf(n)[:-1]]
+    return [sum(t <= word for t in thresholds) for word in raw_words(rng, rows)]
+
+
+def _replay_agreement_rows(rng, sample, rows):
+    """`rows` balanced relabelings from `rng`: every count c first, then each row's set."""
+    n = len(sample.y)
     agrees = int(sample.affected[0]) == int(sample.time[0])
     out = []
-    for c in counts:
+    for c in _replay_counts(rng, n, rows):
         agreement = _replay_agreement_set(rng, n, c, agrees)
-        out.append(labeling_of(agreement, c if agrees else half - c))
+        out.append(labeling_of(agreement, c if agrees else n // 2 - c))
     return out
 
 
@@ -346,8 +388,8 @@ def replay_block(sample, dual, fixed, master_seed, block, rows, max_attempts=100
     Block `block` reads generator_for(master_seed, block): the
     affected labels of all `rows` rows, then (dual) the time labels of all
     rows; then each degenerate row, in row order, redraws affected and
-    (dual) time from the same stream until estimable.  Under block-v3
-    (`balanced_dual_fixed`) the main draw is each row's count c = |A & T|,
+    (dual) time from the same stream until estimable.  Where
+    `balanced_dual_fixed` holds, the main draw is each row's count c = |A & T|,
     then each row's agreement set, and a redraw is one count and one set;
     a row is given as the relabeling `labeling_of` its set.  Returns
     (labels, discarded, failed_row): `labels` lists the final

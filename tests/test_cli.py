@@ -253,10 +253,10 @@ class TestCmdTest:
         # INPRESS has both margins n/2 = 40; the minimal panel both at 2.
         out = str(tmp_path / "report.json")
         for path, flags, contract in (
-            (inpress_csv, [], "block-v3"),
-            (minimal_csv, [], "block-v3"),
-            (inpress_csv, ["--scheme", "affected"], "block-v1"),
-            (inpress_csv, ["--mode", "bernoulli"], "block-v1"),
+            (inpress_csv, [], "block-v4"),
+            (minimal_csv, [], "block-v4"),
+            (inpress_csv, ["--scheme", "affected"], "block-v4"),
+            (inpress_csv, ["--mode", "bernoulli"], "block-v4"),
         ):
             code = main(["test", "--input", path, "--iterations", "50", "--output", out, *flags])
             assert code == 0
@@ -897,7 +897,7 @@ class TestExitCodes:
             st.sampled_from(["0", "1", "true", "nan", "1e308", "-1.7e308", "x", ""]),
         ),
     )
-    # Both margins n/2, so `test` draws agreement sets (block-v3); observation
+    # Both margins n/2, so `test` draws agreement sets (block-v4); observation
     # 0's labels agree in the first and differ in the second.
     @example(cells=[0, 1, 2, 3], outcomes=["4e307", "0", "1", "-2.5", "0", "0"], dropped=0, edit=None)
     @example(cells=[1, 0, 3, 2], outcomes=["-2.5", "4e307", "0", "4e307", "0", "0"], dropped=0, edit=None)
@@ -927,7 +927,7 @@ class TestExitCodes:
         # ... with one outcome near the float range, whose centred sums overflow
         huge=st.tuples(st.integers(0, 9), st.floats(5e307, 9e307), st.sampled_from(["", "-"])),
     )
-    # Both margins n/2 = 4: block-v3, observation 0 agreeing, then differing.
+    # Both margins n/2 = 4: agreement sets, observation 0 agreeing, then differing.
     @example(cells=[0, 1, 2, 3] * 2, outcomes=["0", "1", "-2.5", "0.5"] * 2 + ["0"] * 2, huge=(0, 8.5e307, "-"))
     @example(cells=[1, 0, 3, 2] * 2, outcomes=["0", "1", "-2.5", "0.5"] * 2 + ["0"] * 2, huge=(5, 8.5e307, ""))
     def test_any_panel_with_one_huge_outcome_ends_in_a_documented_exit(

@@ -4,26 +4,31 @@ The `simulate_null` pins hold the stream contract fixed; the report pins
 hold the bytes that `didperm enumerate` and `didperm test` write, and
 `AUDIT_PINS` the lines that `didperm audit` prints.
 
-The replay tests compare `simulate_null` with an oracle that draws from
-the same numpy `Generator`, so a numpy release that changed `permuted`,
-`choice`, `hypergeometric`, `random` or Philox would move both sides
-alike and leave them agreeing.  These pins would not move with it.
+The replay tests (`helpers.replay_block`) compare `simulate_null` with an
+oracle that shares no draw code with it.  Up to n = 4096 (multi-row
+blocks, stream contract block-v4) both sides read only Philox's raw
+words, whose stream NEP 19 keeps fixed across numpy versions: the oracle
+ranks them with Python's `sorted` and builds the count thresholds in
+exact rationals.  Past it (one-row blocks) both sides still call the
+same `Generator` methods (`choice`, `hypergeometric`, `random`), so a
+numpy release that changed one of them would move both sides alike and
+leave them agreeing.  These pins would not move with it.
 
 Each pin is the SHA-256 of a run's values (little-endian float64 bytes)
 and its discard count, for the four schemes on one deterministic panel
 per n, over 2B + 5 iterations (three stream blocks).  n = 5, 80 and
-4096 take multi-row blocks; their pins, and every Bernoulli pin, predate
-the block-v2 subset draw and are unchanged by it.  The fixed-margin
-pins at n = 5000 (one-row blocks) pin block-v2 itself.  The n = 5 panel
+4096 take multi-row blocks, so their pins hold block-v4.  The pins at
+n = 5000 (one-row blocks) hold block-v2: its subset draw at fixed
+margins, and `random(n) < 1/2` rows under Bernoulli.  The n = 5 panel
 discards thousands of degenerate draws, so its pins cover the redraw
 order too.
 
-`digest_panel` has n/3 affected, so none of those pins reaches stream
-contract block-v3, which draws agreement sets at dual fixed margins with
-both margins n/2.  `BALANCED_PINS` pin block-v3 the same way, at n = 80
-(multi-row blocks) and n = 5000 (one-row blocks), on a panel with both
+`digest_panel` has n/3 affected, so none of those pins reaches the
+agreement-set draw, taken at dual fixed margins with both margins n/2.
+`BALANCED_PINS` pin it the same way, at n = 80 (multi-row blocks,
+block-v4) and n = 5000 (one-row blocks, block-v3), on a panel with both
 margins n/2.  The `test` report pin (INPRESS, 20 observations per cell,
-dual fixed margins) is balanced too, so it also pins block-v3.
+dual fixed margins) is balanced and multi-row, so it also pins block-v4.
 
 `EXACT_PINS` pin `enumerate_null` the same way: the SHA-256 of its
 values, in increasing order, and its discard count.  Dual fixed margins
@@ -68,18 +73,18 @@ MASTER_SEED = 11
 
 # (n, margins, mode) -> (SHA-256 of the values, degenerate draws discarded)
 PINS = {
-    (5, "affected", "fixed"): ("08c7f0a53b85c702c0085892dd8c6deceba953d261afd4ddf04ba68469041d7c", 2089),
-    (5, "affected", "bernoulli"): ("7a077bedb16410cf886962b1e4204142b2b5d04fbfa1b3655a599ecf0d876bba", 5631),
-    (5, "dual", "fixed"): ("fef2dc6c9b3d1251a79e539981b8a8e7cce6e75b9a6d5b7c7df393f8d7a808a6", 2211),
-    (5, "dual", "bernoulli"): ("c219b1c3f47b2f2d17121b094dc794fc9da117294fc4809aa4f29979beacd562", 10797),
-    (80, "affected", "fixed"): ("f6f029778c13355546eb050d42f6b31975a3f62a6cb904a83dfdd94f4d299794", 0),
-    (80, "affected", "bernoulli"): ("f495e16950dbc2f575aeca34e0392d51484936096a40be70dc90d4283b9ea980", 0),
-    (80, "dual", "fixed"): ("edc68f2699595d52c6b1665f3e992c5f6fdca543553c45bf4779d9792bb43cdb", 0),
-    (80, "dual", "bernoulli"): ("d052b48c99df227aefcd6dd0f24e0ed969ca694fc5c9612a2616069854b16841", 0),
-    (4096, "affected", "fixed"): ("0225d07aec050785aeb3e3afeb626a196b1994b741f16f49aab452dc10e92825", 0),
-    (4096, "affected", "bernoulli"): ("427b7113c43d9b2308f54d7753f6912521783879c6a1fbf64c33e460a9f890bd", 0),
-    (4096, "dual", "fixed"): ("2a0ee1635c63a9061a95de12c5c956be54b768778ac1294333f97dfb36e4f880", 0),
-    (4096, "dual", "bernoulli"): ("a89d0e41a79600e0e24ca90b4f7ff0c35c66686460e3096290fe7838f83b2652", 0),
+    (5, "affected", "fixed"): ("62520182073e7d2e161c301926e4ba1c32069b4a27c0bc0cb9aca13052b56b41", 2257),
+    (5, "affected", "bernoulli"): ("3d460b17a753d265ad52e85619a87b1a8fe4cac1c9622909748a9a526f4ce2f4", 5558),
+    (5, "dual", "fixed"): ("aa9ee8992aa29f982f6cdf35fa3c8e4d8f16112f76a08ca3ed3f434d72c0f1c4", 2164),
+    (5, "dual", "bernoulli"): ("24e8bf6b2b2c47fcf6cc4d88ac00da0bf47f9d1944f78309c90e2006ca3b743c", 10674),
+    (80, "affected", "fixed"): ("57e3406136ef87c014543f77749b30f7175a0fc3ac6cb11ef8dd12e5809e5f6a", 0),
+    (80, "affected", "bernoulli"): ("7dea4f1ec3d0ad2a8880233f9aebe85614d4671098ba77c2f3cbc05fa7229bf6", 0),
+    (80, "dual", "fixed"): ("d8dc9dc96b5d2d2c947e2035a55d31df5167ec84c142ccd39e465646648a7c08", 0),
+    (80, "dual", "bernoulli"): ("e825fd6a6e4717ff5b84a4b8fcad19c99c265e41a2ef4cc67af3a8a18f38851c", 0),
+    (4096, "affected", "fixed"): ("b9f53455c47bc85b841d6c3716f78cb5176f18a819069534e2814f58c668286d", 0),
+    (4096, "affected", "bernoulli"): ("aef2f1ca2a9aacc1842d85b67dc487d9d45badb2789164cee004189210cde810", 0),
+    (4096, "dual", "fixed"): ("55d70bb0d664a4f81ebd4ed54cbf5b984407f8d34a438fb338d9ac84a7414326", 0),
+    (4096, "dual", "bernoulli"): ("004375faa500a5e65ba4403eac0f14f045954dc3396c1ce0b69cb892a719ed1a", 0),
     (5000, "affected", "fixed"): ("829184d3cd3979c68159b871f164baf48e3c9ac8dec510474b678bf6598239f4", 0),
     (5000, "affected", "bernoulli"): ("b630e1fa2df81ec6cad0eb6a82fafa3c4763d4c2b1c58aa384ec7d8f3bd84c61", 0),
     (5000, "dual", "fixed"): ("05599492f27482880df62397c5fb5d69bbf8307fb4594f0af262b3801ab339a6", 0),
@@ -89,7 +94,7 @@ PINS = {
 
 # n -> (SHA-256 of the values, degenerate draws discarded), dual fixed margins
 BALANCED_PINS = {
-    80: ("f82446cced54ea5b72962f2430f853f14e4634ecdbabd178a3d4a42cfa1c0a65", 0),
+    80: ("1272e076d8eedc9bd524bd381f2a54e4395b0518cba0bfe288ad8e9f3232de7d", 0),
     5000: ("cbd526fc400414f152a23478fb2012754989fbd6728dae315ebb8657e0d01517", 0),
 }
 
@@ -165,7 +170,7 @@ def test_simulate_null_digest(n, margins, mode):
     assert run_digest(digest_panel(n), scheme) == PINS[n, margins, mode], (
         f"the simulate_null stream for n={n}, {margins}/{mode} changed under "
         f"numpy {np.__version__}; the pins hold the documented stream contract "
-        "(block-v1 up to n = 4096, block-v2 past it)"
+        "(block-v4 up to n = 4096, block-v2 past it)"
     )
 
 
@@ -174,7 +179,8 @@ def test_balanced_dual_fixed_digest(n):
     scheme = RandomizationScheme(Margins.DUAL, Mode.FIXED_MARGINS)
     assert run_digest(balanced_digest_panel(n), scheme) == BALANCED_PINS[n], (
         f"the simulate_null stream for n={n}, dual/fixed with both margins n/2, "
-        f"changed under numpy {np.__version__}; the pins hold stream contract block-v3"
+        f"changed under numpy {np.__version__}; the pins hold stream contracts "
+        "block-v4 (n = 80) and block-v3 (n = 5000)"
     )
 
 
@@ -209,7 +215,7 @@ REPORT_PINS = {
     "test": (
         20,
         ["--iterations", "3000", "--seed", "11"],
-        "df7d9c9ed363935cc87dd8ebf045fe971fbd1419ced1ddc7cf843d3438f5976b",
+        "e00e51a867204977fa3b71bd5fac896cbce4b69ae713bebf9bdb08abf162c303",
     ),
 }
 

@@ -173,8 +173,8 @@ class TestSimulateNull:
     def test_matches_independent_stream_replay(self, scheme):
         # Reference: replay each block's stream row by row with the
         # documented draw order (affected rows, then time rows, then
-        # redraws of degenerate rows; under block-v3 counts, then agreement
-        # sets, then redraws).  The four-point panel, both margins n/2,
+        # redraws of degenerate rows; with both margins n/2 counts, then
+        # agreement sets, then redraws).  The four-point panel, both margins n/2,
         # crosses two block boundaries.  At n = 5000 every block is one row
         # (block-v2 subset draws, or block-v3 for `balanced`, whose
         # observation 0 disagrees); with an affected margin of 2, about half
@@ -196,7 +196,7 @@ class TestSimulateNull:
             assert len(blocks) == block_count
             assert np.allclose(dist.values, brute, rtol=1e-12, atol=0)
             if balanced_dual_fixed(sample, dual, fixed):
-                # block-v3 values come from sums over the agreement sets, within
+                # agreement-set values come from sums over the sets, within
                 # the kernel's rounding bound of their exact values
                 exact = [agreement_did_fraction(sample.y, a, t) for a, t in labels]
                 bound = agreement_draws_bound(sample.y)
@@ -1021,6 +1021,32 @@ class TestAgreementDrawLaw:
         assert abs(mc.degenerate_draws_discarded - mean) < 5 * sd
 
 
+class TestUnbalancedDualDrawLaw:
+    """Multi-row dual fixed-margin draws with unequal margins against `enumerate_null`'s law."""
+
+    @pytest.mark.parametrize("n_affected, period", [(3, 2), (6, 3)])
+    def test_matches_exact_law(self, n_affected, period):
+        # n = 10, the first n_affected observations affected and every
+        # period-th post: margins (3, 5) and (6, 4), 30,240 and 44,100
+        # relabelings.  Both margins are drawn as the smallest raw words of
+        # a row.  DKW: P(sup |F_mc - F| > eps) <= 2 exp(-2 m eps**2), so at a
+        # false-alarm rate of 1e-3 and m = 20000 draws eps is about 0.0138.
+        # The product walk and the draw kernel can round one relabeling
+        # apart, so values that tie within the enumeration's tolerance are
+        # merged first.
+        i = np.arange(10)
+        sample = PanelSample(
+            y=generator_for(1010).standard_normal(10),
+            time=i % period == 0,
+            affected=i < n_affected,
+        )
+        exact = enumerate_null(sample, DUAL_FIXED)
+        iterations = 20_000
+        mc = simulate_null(sample, DUAL_FIXED, iterations=iterations, master_seed=n_affected)
+        eps = math.sqrt(math.log(2 / 1e-3) / (2 * iterations))
+        assert sup_cdf_distance(*merge_ties(exact.tie_tolerance, mc.values, exact.values)) <= eps
+
+
 class TestOneRowBlockLaw:
     """The one-row draws, run at n = 8 by shrinking the block budget.
 
@@ -1058,7 +1084,7 @@ class TestOneRowBlockLaw:
 def small_panels(draw):
     """Estimable panels of 4 to 10 observations, half of them with balanced margins."""
     n = draw(st.integers(4, 10))
-    if draw(st.booleans(), label="balanced"):  # block-v3 and the agreement-set route
+    if draw(st.booleans(), label="balanced"):  # the agreement-set draw and route
         n -= n % 2
         c = draw(st.integers(1, n // 2 - 1))
         cells = [0, 3] * c + [1, 2] * (n // 2 - c)

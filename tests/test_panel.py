@@ -286,7 +286,7 @@ class TestAgreementCells:
 
 
 class TestAgreementDraws:
-    """The block-v3 kernel's degenerate rows; its rounding is tested through `simulate_null`."""
+    """The agreement-set kernel's degenerate rows; its rounding is tested through `simulate_null`."""
 
     def test_degenerate_counts_are_not_estimable(self):
         y = adversarial_outcomes("offset", 8)

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import didperm.inference as inference
 from didperm import (
     ENUMERATION_CAP,
     Margins,
@@ -19,13 +21,16 @@ from didperm import (
 )
 from didperm.randomize import (
     _combinations,
+    _count_thresholds,
+    _draw_margin,
+    _smallest_keys,
     _stream_contract,
     draw_agreement_sets,
     draw_relabelings,
     enumerate_agreement_sets,
     space_size,
 )
-from helpers import arrangements_fixed, documented_block_rows, kernel_stat, replay_run
+from helpers import arrangements_fixed, count_cdf, documented_block_rows, kernel_stat, replay_run
 
 SAMPLE = PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=[0, 1, 0, 1], affected=[0, 0, 1, 1])
 AFFECTED_FIXED = RandomizationScheme(Margins.AFFECTED_ONLY, Mode.FIXED_MARGINS)
@@ -282,11 +287,13 @@ class TestStreamContract:
     @pytest.mark.parametrize(
         "n, n_affected, n_time, scheme, contract",
         [
-            (80, 40, 40, AFFECTED_FIXED, "block-v1"),  # both margins n/2, one relabeled
-            (4096, 2048, 2048, DUAL_BERNOULLI, "block-v1"),
+            (80, 40, 40, AFFECTED_FIXED, "block-v4"),  # both margins n/2, one relabeled
+            (4096, 2048, 2048, DUAL_BERNOULLI, "block-v4"),
+            (80, 40, 40, DUAL_FIXED, "block-v4"),
+            (4096, 2048, 2048, DUAL_FIXED, "block-v4"),
+            (4097, 1366, 2048, AFFECTED_FIXED, "block-v2"),
             (5000, 1667, 2500, DUAL_FIXED, "block-v2"),
             (5000, 2500, 2500, AFFECTED_BERNOULLI, "block-v2"),
-            (80, 40, 40, DUAL_FIXED, "block-v3"),
             (5000, 2500, 2500, DUAL_FIXED, "block-v3"),
         ],
     )
@@ -319,3 +326,86 @@ class TestDrawAgreementSets:
         expected = 70_000 * np.array([math.comb(4, k) ** 2 for k in range(5)]) / 70
         observed = np.bincount(c, minlength=5)
         assert float(((observed - expected) ** 2 / expected).sum()) < 18.5
+
+
+class WordStream:
+    """A stand-in for a Generator whose bit stream is the given 64-bit words, in order."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+        self.read = 0
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        out = self.words[self.read : self.read + size]
+        self.read += size
+        assert out.size == size, "the draw read past the crafted words"
+        return out
+
+
+class TestRawWordDraws:
+    """Block-v4 draws: the smallest raw words of a row, and c by inverse CDF."""
+
+    def test_tie_at_the_cut_marks_exactly_m_lower_position_first(self):
+        # Row 0 ties 3 and 3 at the cut of m = 2, row 1 ties 7, 7 and 7 at
+        # the cut of m = 1; both take the lower positions.  Row 2 has its
+        # tie below the cut and takes both tied words.
+        words = [[5, 3, 3, 9, 1], [7, 8, 7, 9, 7], [2, 2, 0, 9, 8]]
+        marked = _smallest_keys(WordStream(np.ravel(words)), 3, 5, np.array([2, 1, 3]))
+        assert marked.tolist() == [
+            [False, True, False, False, True],
+            [True, False, False, False, False],
+            [True, True, True, False, False],
+        ]
+        marked = _smallest_keys(WordStream(words[0]), 1, 5, 2)
+        assert marked.tolist() == [[False, True, False, False, True]]
+
+    def test_tied_words_through_each_draw(self):
+        # Every word equal: the lowest positions are the smallest.  A
+        # fixed-margin row gives them the rarer label.  At n = 4, T_0 and
+        # T_1 are 2**64 / 6 and 5 * 2**64 / 6: word 0 draws c = 0, and so
+        # no member, the largest word c = 2 and every member.
+        margin = _draw_margin(WordStream([2**40] * 6), np.array([0, 1, 1, 1, 1, 0]), Mode.FIXED_MARGINS, 1)
+        assert margin.tolist() == [[0, 0, 1, 1, 1, 1]]
+        c, inside = draw_agreement_sets(WordStream([0, 2**64 - 1] + [5] * 8), 4, 2)
+        assert c.tolist() == [0, 2] and inside.tolist() == [[False] * 4, [True] * 4]
+        c, inside = draw_agreement_sets(WordStream([2**62] + [5] * 4), 4, 1)
+        assert c.tolist() == [1] and inside.tolist() == [[True, True, False, False]]
+
+    def test_bernoulli_bits_are_read_by_shifts(self):
+        # Observation j is bit j mod 64 of word j // 64, bit 0 the least significant.
+        words = [0b1011, 1 << 63, 1]
+        row = _draw_margin(WordStream(words), np.zeros(130, dtype=np.int64), Mode.BERNOULLI, 1)[0]
+        assert np.flatnonzero(row).tolist() == [0, 1, 3, 127, 128]
+
+    @pytest.mark.parametrize("margins", list(Margins))
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_multi_row_runs_read_only_the_bit_stream(self, monkeypatch, margins, mode):
+        # Each block's stream is replaced by a stand-in that offers its bit
+        # generator and nothing else, so a `Generator` method would raise.
+        # n = 6 redraws many degenerate rows; n = 80 with both margins n/2
+        # draws agreement sets under dual fixed margins.
+        scheme = RandomizationScheme(margins, mode)
+        small = PanelSample(y=[0.5, 1.0, 2.0, 3.5, 5.0, 8.0], time=[0, 1, 0, 1, 0, 1], affected=[0, 0, 1, 1, 0, 1])
+        cells = np.arange(80) % 4
+        balanced = PanelSample(y=np.sin(np.arange(80.0)), time=cells % 2, affected=cells // 2)
+        expected = [simulate_null(sample, scheme, iterations=300, master_seed=3) for sample in (small, balanced)]
+
+        class BitsOnly:
+            def __init__(self, rng):
+                self.bit_generator = rng.bit_generator
+
+        monkeypatch.setattr(inference, "generator_for", lambda *key: BitsOnly(generator_for(*key)))
+        for sample, dist in zip((small, balanced), expected):
+            again = simulate_null(sample, scheme, iterations=300, master_seed=3)
+            assert again.values.tobytes() == dist.values.tobytes()
+            assert again.degenerate_draws_discarded == dist.degenerate_draws_discarded
+        assert expected[0].degenerate_draws_discarded > 0
+
+    @pytest.mark.parametrize("n", [4, 6, 80, 4096])
+    def test_count_thresholds_are_the_exact_cdf_rounded_down(self, n):
+        thresholds = _count_thresholds(n).tolist()
+        cdf = count_cdf(n)
+        assert len(thresholds) == n // 2 and cdf[-1] == 1
+        for t, p in zip(thresholds, cdf):
+            assert 0 <= p - Fraction(t, 2**64) < Fraction(1, 2**64)
