@@ -60,9 +60,13 @@ class Report:
 def make_histogram(dist: NullDistribution, bins: int) -> list[tuple[float, float, int]]:
     """Equal-width histogram of the retained null values.
 
-    Bins span [min, max]; each bin is closed on the left and open on the
-    right except the last, which is closed.  Counts always sum to the
-    number of retained draws.
+    Bins span [min, max], as `np.histogram` makes them; each bin is closed
+    on the left and open on the right except the last, which is closed.
+    A span that numpy cannot split into `bins` bins of positive width (a
+    few ulps wide, or equal values so large that numpy's +-0.5 rounds
+    away) is widened on each side by half of max(1, |min|, |max|): to
+    [-0.5, 0.5] for values within an ulp of 0, as numpy's rule for equal
+    values would.  Counts always sum to the number of retained draws.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
@@ -71,7 +75,12 @@ def make_histogram(dist: NullDistribution, bins: int) -> list[tuple[float, float
     law, m = dist._law, dist.iterations_retained
     # The edges of `np.histogram`, and its counts read off the sorted law:
     # bin i holds the values v with edges[i] <= v < edges[i + 1].
-    edges = np.histogram_bin_edges([law.order_statistic(0), law.order_statistic(m - 1)], bins=bins)
+    lo, hi = law.order_statistic(0), law.order_statistic(m - 1)
+    try:
+        edges = np.histogram_bin_edges([lo, hi], bins=bins)
+    except ValueError:  # too many bins for the span
+        pad = 0.5 * max(1.0, abs(lo), abs(hi))
+        edges = np.histogram_bin_edges([lo - pad, hi + pad], bins=bins)
     below = np.concatenate([[0], law.count_below(edges[1:-1]), [m]])
     counts = np.diff(below)
     return [

@@ -203,6 +203,20 @@ class TestCmdTest:
         assert sum(c for _, _, c in report.histogram) == 250
         assert len(report.histogram) == 9
 
+    def test_null_too_narrow_for_numpy_bins_writes_a_report(self, tmp_path):
+        # One nonzero outcome, the least subnormal: every null value lies
+        # within an ulp of 0, a span numpy cannot split into 50 bins.
+        rows = [f"{'5e-324' if i == 0 else '0'},{i % 2},{i // 2 % 2}" for i in range(8)]
+        path = tmp_path / "tiny.csv"
+        path.write_text("y,time,affected\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "report.json"
+        argv = ["test", "--input", str(path), "--iterations", "50", "--output", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK
+        histogram = read_report(out).histogram
+        assert len(histogram) == 50 and (histogram[0][0], histogram[-1][1]) == (-0.5, 0.5)
+        assert sum(c for _, _, c in histogram) == 50
+
     def test_byte_identical_across_worker_counts(self, inpress_csv, tmp_path, monkeypatch):
         # Three CPUs are claimed so that 3 workers start 3 processes on any host.
         monkeypatch.setattr(inference, "_usable_cpus", lambda: 3)

@@ -535,6 +535,20 @@ class TestHistogram:
         sigma = np.sqrt(counts + mirrored + 1.0)
         assert np.all(np.abs(counts - mirrored) <= 5.0 * sigma)
 
+    @pytest.mark.parametrize(
+        "values, edges",
+        [
+            ([0.0, 5e-324], (-0.5, 0.5)),
+            ([-1.0, -1.0 + 2**-53], (-1.5, -0.5 + 2**-53)),
+            ([-(2.0**60)] * 3, (-1.5 * 2**60, -0.5 * 2**60)),
+        ],
+    )
+    def test_span_too_narrow_to_split_is_widened(self, values, edges):
+        hist = make_histogram(mock_distribution(values), bins=50)
+        assert len(hist) == 50 and (hist[0][0], hist[-1][1]) == edges
+        assert all(lo < hi for lo, hi, _ in hist)
+        assert sum(count for _, _, count in hist) == len(values)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             make_histogram(mock_distribution([1.0]), bins=0)
@@ -552,9 +566,18 @@ class TestHistogram:
         bins=st.integers(1, 60),
     )
     @example(values=[0.3], bins=3)
+    @example(values=[0.0, 5e-324], bins=2)
     def test_matches_numpy_histogram(self, values, bins):
         hist = make_histogram(mock_distribution(values), bins=bins)
-        counts, edges = np.histogram(np.array(values), bins=bins)
+        values = np.array(values)
+        try:
+            counts, edges = np.histogram(values, bins=bins)
+        except ValueError:
+            # numpy cannot split the span into `bins` positive widths: it is
+            # widened by half of max(1, |min|, |max|) on each side.
+            lo, hi = float(values.min()), float(values.max())
+            pad = 0.5 * max(1.0, abs(lo), abs(hi))
+            counts, edges = np.histogram(values, bins=bins, range=(lo - pad, hi + pad))
         assert [c for _, _, c in hist] == counts.tolist()
         assert np.array([lo for lo, _, _ in hist] + [hist[-1][1]]).tobytes() == edges.tobytes()
 
