@@ -164,25 +164,27 @@ def stream_block_rows(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // n)
 
 
-def _smallest_keys(rng: np.random.Generator, rows: int, n: int, m) -> np.ndarray:
-    """(rows, n) bool: the m smallest of n raw Philox words in each of `rows` rows.
+def _smallest_keys(rng: np.random.Generator, n: int, counts: np.ndarray) -> np.ndarray:
+    """(rows, n) bool: in row r, the counts[r] smallest of n raw Philox words.
 
-    Reads rows*n words, row-major, from `rng.bit_generator.random_raw`;
-    `m` is one count for every row or a (rows,) array of counts, each in
-    [0, n].  A row sort finds each row's (m+1)-th smallest key, and the
-    keys below it are marked.  Two equal keys at that cut, about
+    Reads rows*n words, row-major, from `rng.bit_generator.random_raw`,
+    one row per entry of the (rows,) int array `counts`, each in [0, n].
+    A row sort finds each row's (m+1)-th smallest key, m = counts[r], and
+    the keys below it are marked.  Two equal keys at that cut, about
     n**2 / 2**65 likely per row, would leave the row short of m; such a
     row, and a row with m = n, is marked by a stable argsort instead,
     which ranks equal keys by position.  So every row marks exactly m keys.
     """
+    rows = counts.size
     keys = rng.bit_generator.random_raw(rows * n).reshape(rows, n)
-    m = np.broadcast_to(m, (rows,))
     ordered = np.sort(keys, axis=1)
     at = np.arange(rows)
-    last, cut = ordered[at, np.maximum(m, 1) - 1], ordered[at, np.minimum(m, n - 1)]
+    last, cut = ordered[at, np.maximum(counts, 1) - 1], ordered[at, np.minimum(counts, n - 1)]
     marked = keys < cut[:, None]
-    for row in np.flatnonzero((last == cut) & (m > 0)).tolist():
-        marked[row, np.argsort(keys[row], kind="stable")[: m[row]]] = True
+    short = (last == cut) & (counts > 0)
+    if short.any():
+        for row in np.flatnonzero(short).tolist():
+            marked[row, np.argsort(keys[row], kind="stable")[: counts[row]]] = True
     return marked
 
 
@@ -224,7 +226,7 @@ def _draw_margin(
     drawn = int(labels[0]) if 2 * ones == n else int(2 * ones < n)
     m = min(ones, n - ones)
     if multi_row:
-        marked = _smallest_keys(rng, rows, n, m)
+        marked = _smallest_keys(rng, n, np.full(rows, m))
         return (marked if drawn else ~marked).view(np.int8)
     out = np.full((rows, n), 1 - drawn, dtype=np.int8)
     for row in out:
@@ -330,7 +332,7 @@ def draw_agreement_sets(
     if stream_block_rows(n) > 1:
         words = rng.bit_generator.random_raw(rows)
         c = np.searchsorted(_count_thresholds(n), words, side="right")
-        return c, _smallest_keys(rng, rows, n, 2 * c)
+        return c, _smallest_keys(rng, n, 2 * c)
     half = n // 2
     c = rng.hypergeometric(half, half, half, size=rows)
     (size,) = (2 * c).tolist()

@@ -361,7 +361,7 @@ def _replay_counts(rng, n, rows):
     """The counts c of `rows` balanced rows: every count before any set.
 
     Multi-row blocks (block-v4): c is the number of thresholds
-    floor(2**64 * P(c <= k)), k < n/2, at most one raw word.  One-row
+    floor(2**64 * P(c <= k)), k < n/2, at or below one raw word.  One-row
     blocks (block-v3): a `hypergeometric` draw.
     """
     half = n // 2

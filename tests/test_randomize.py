@@ -351,13 +351,13 @@ class TestRawWordDraws:
         # the cut of m = 1; both take the lower positions.  Row 2 has its
         # tie below the cut and takes both tied words.
         words = [[5, 3, 3, 9, 1], [7, 8, 7, 9, 7], [2, 2, 0, 9, 8]]
-        marked = _smallest_keys(WordStream(np.ravel(words)), 3, 5, np.array([2, 1, 3]))
+        marked = _smallest_keys(WordStream(np.ravel(words)), 5, np.array([2, 1, 3]))
         assert marked.tolist() == [
             [False, True, False, False, True],
             [True, False, False, False, False],
             [True, True, True, False, False],
         ]
-        marked = _smallest_keys(WordStream(words[0]), 1, 5, 2)
+        marked = _smallest_keys(WordStream(words[0]), 5, np.array([2]))
         assert marked.tolist() == [[False, True, False, False, True]]
 
     def test_tied_words_through_each_draw(self):
