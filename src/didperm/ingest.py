@@ -123,7 +123,7 @@ def _layout(header, path: Path, columns: ColumnMap):
 
 
 def _parse_records(records, path: Path, columns: ColumnMap, layout=None, parsed: int = 0):
-    """Outcome, time and affected arrays of data records, numbered on from `parsed`.
+    """Outcome, and int8 time and affected, arrays of data records, numbered on from `parsed`.
 
     Without a `layout` the first record is the header.
     """
@@ -141,7 +141,7 @@ def _parse_records(records, path: Path, columns: ColumnMap, layout=None, parsed:
     except csv.Error as exc:
         # csv reads one line at a time, so the reader is still on the faulty record.
         raise MalformedRowError(0 if layout is None else parsed + len(y) + 1, str(exc)) from None
-    return np.array(y, dtype=np.float64), np.array(time, np.uint8), np.array(affected, np.uint8)
+    return np.array(y, dtype=np.float64), np.array(time, np.int8), np.array(affected, np.int8)
 
 
 def _plain_header(line: bytes):
@@ -153,7 +153,7 @@ def _plain_header(line: bytes):
 
 
 def _bulk(batch: bytes, layout):
-    """Outcome, time and affected arrays of a plainly clean batch, else None.
+    """Outcome, and int8 time and affected, arrays of a plainly clean batch, else None.
 
     Plainly clean: printable ASCII lines without a quote, none blank,
     each ending in "\n" or "\r\n" (or the file) with the header's field
@@ -185,7 +185,7 @@ def _bulk(batch: bytes, layout):
         label = data[ends[pos::width] - 1] - np.uint8(ord("0"))
         if ((lengths[pos::width] != 1) | (label > 1)).any():
             return None
-        labels.append(label)
+        labels.append(label.view(np.int8))
     text = io.StringIO(batch.decode())
     try:
         y = np.loadtxt(text, delimiter=",", usecols=y_pos, comments=None, ndmin=1)
@@ -202,7 +202,8 @@ def _parse(batches, path: Path, columns: ColumnMap):
     Clean batches are parsed in bulk.  From the first batch that is not,
     the streaming parser reads on, numbering rows on from the bulk rows
     and keeping the header already read; a header that is not plain
-    leaves the whole file to it.
+    leaves the whole file to it.  Both parsers give int8 labels, so the
+    parts join without a cast.
     """
     # Drop the byte-order mark that spreadsheet exports put before the header.
     first = next(batches, b"").removeprefix(b"\xef\xbb\xbf")
@@ -263,7 +264,8 @@ def load_panel(path, columns: ColumnMap = ColumnMap()) -> PanelSample:
     if overflows.size:
         row = int(overflows[0]) + 1
         raise MalformedRowError(row, f"twice the sum of |{columns.outcome_column}| overflows here")
-    y.flags.writeable = False  # so the sample keeps it without a copy
+    for arr in (y, time, affected):
+        arr.flags.writeable = False  # so the sample keeps it without a copy
     return PanelSample(y=y, time=time, affected=affected)
 
 

@@ -69,16 +69,23 @@ def _read_only(values, dtype) -> np.ndarray:
 
 
 def _as_binary(values, name: str) -> np.ndarray:
-    """A 0/1 label vector as read-only int64, checked on the caller's dtype."""
+    """A 0/1 label vector in the one label format, read-only int8.
+
+    Every label vector of a sample, drawn block or enumerated block is
+    int8.  The values are checked on the caller's dtype, each entry
+    `== 0` or `== 1`, so no entry is cast before it is checked; the
+    vector is then kept or converted once by the `_read_only` rule, and
+    `load_panel`'s read-only int8 labels are kept as they are.
+    """
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector")
-    # Non-numeric dtypes such as text are refused before np.isin: numpy
-    # before 1.25 warns, rather than answering False, when it compares
-    # text with numbers.
-    if arr.dtype.kind not in "biufcO" or not np.isin(arr, (0, 1)).all():
+    # Non-numeric dtypes such as text are refused before the comparison:
+    # numpy before 1.25 warns, rather than answering False, when it
+    # compares text with numbers.
+    if arr.dtype.kind not in "biufcO" or not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name} must contain only 0/1 values")
-    return _read_only(arr, np.int64)
+    return _read_only(arr, np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +105,8 @@ class PanelSample:
     (all four cells non-empty) is checked at estimation time, not here,
     so relabeled samples that empty a cell can still be represented.
     The vectors are held read-only (`_read_only`): `y` as float64, the
-    labels as int64.
+    labels as int8 (`_as_binary`).  Label arithmetic whose result can
+    leave [-128, 127] needs a cast first: int8 wraps silently.
     """
 
     y: np.ndarray
@@ -208,8 +216,8 @@ def _cell_sums(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _block_cells(affected, time, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """DiD values of many labelings of `y` at once, and which are estimable.
 
-    The statistic call behind every Monte Carlo draw: labels (a `randomize`
-    draw, int8 or int64) and tiled outcomes as in `_cell_sums` in, (values,
+    The statistic call behind every Monte Carlo draw: int8 labels (a
+    `randomize` draw) and tiled outcomes as in `_cell_sums` in, (values,
     estimable) out, each of length rows.  The value of a row with an empty
     cell is NaN, and `estimable` is False there.
     """

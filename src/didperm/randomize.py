@@ -33,19 +33,21 @@ mutable generator exists anywhere, so blocks can be produced concurrently
 and in any order with identical results.
 
 How a row is drawn is part of that contract, named by
-`_stream_contract`, and depends on n alone.  Up to n = 4096 (B > 1,
-contract block-v4) every draw reads raw Philox words
-(`bit_generator.random_raw`), whose stream NEP 19 keeps fixed across
-numpy versions, and calls no `Generator` method: a fixed-margin row marks
-the m smallest of n words (`_smallest_keys`), a Bernoulli row takes n
-bits of ceil(n/64) words, and a balanced dual row takes c = |A & T| by
-inverse CDF from one word (`_count_thresholds`) and its agreement set as
-the 2c smallest of n words.  Past it (B = 1) rows keep numpy's
-algorithms: a fixed-margin row is a uniform subset of the positions of
-the rarer label, `Generator.choice(n, m, replace=False, shuffle=False)`
-(contract block-v2), a Bernoulli row `random(n) < 1/2`, and a balanced
-dual row one `hypergeometric` count and one `choice` (block-v3).  See
+`_stream_contract`, and depends on n alone.  A Bernoulli row at every n
+takes the first n bits of ceil(n/64) raw Philox words (`_bits`).  Up to
+n = 4096 (B > 1, contract block-v4) every other draw reads raw words
+too (`bit_generator.random_raw`), whose stream NEP 19 keeps fixed across
+numpy versions, and so calls no `Generator` method: a fixed-margin row
+marks the m smallest of n words (`_smallest_keys`), and a balanced dual
+row takes c = |A & T| by inverse CDF from one word (`_count_thresholds`)
+and its agreement set as the 2c smallest of n words.  Past it (B = 1)
+fixed-margin rows keep numpy's algorithms: a row is a uniform subset of
+the positions of the rarer label, `Generator.choice(n, m,
+replace=False, shuffle=False)` (contract block-v2), and a balanced dual
+row one `hypergeometric` count and one `choice` (block-v3).  See
 `_draw_margin` and `draw_agreement_sets`.
+
+Every label vector here is int8, the format of `PanelSample`'s labels.
 """
 
 from __future__ import annotations
@@ -188,6 +190,16 @@ def _smallest_keys(rng: np.random.Generator, n: int, counts: np.ndarray) -> np.n
     return marked
 
 
+def _bits(words: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n) int8: in row r, bit j mod 64 of words[r, j // 64] for j < n, bit 0 the least significant.
+
+    The bytes of each uint64 word are read little-endian, whatever the
+    host's byte order, so a row is the same on every host.
+    """
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little").view(np.int8)
+
+
 def _draw_margin(
     rng: np.random.Generator, labels: np.ndarray, mode: Mode, rows: int
 ) -> np.ndarray:
@@ -198,34 +210,29 @@ def _draw_margin(
     fair coin flips and read only the length of `labels`.
     Rows are drawn from `rng` in row order.
 
+    A Bernoulli row, at every n (stream contract block-v4), takes the
+    first n bits of ceil(n/64) raw Philox words (`_bits`): observation j
+    is bit j mod 64 of word j // 64, bit 0 the least significant.
+
     A fixed-margin row gives the m = min(ones, n - ones) positions of the
     rarer label that label, or at a tie the label of observation 0, and
     the other label everywhere else; so `1 - labels` draws the same
     positions, and flipping a margin's labels flips every row.  How the
-    positions and the coin flips are drawn depends on n alone:
+    positions are drawn depends on n alone:
 
-    * while `stream_block_rows(n)` > 1 (stream contract block-v4), the
-      positions are the m smallest of n raw Philox words (`_smallest_keys`),
-      and a Bernoulli row takes the first n bits of ceil(n/64) raw words:
-      observation j is bit j mod 64 of word j // 64, bit 0 the least
-      significant;
-    * once it is 1 (n > 4096, block-v2), the positions are one
-      `Generator.choice(n, m, replace=False, shuffle=False)`, and a
-      Bernoulli row is `Generator.random(n) < 1/2`.
+    * while `stream_block_rows(n)` > 1 (block-v4), they are the m
+      smallest of n raw Philox words (`_smallest_keys`);
+    * once it is 1 (n > 4096, block-v2), they are one
+      `Generator.choice(n, m, replace=False, shuffle=False)`.
     """
     n = labels.size
-    multi_row = stream_block_rows(n) > 1
     if mode is Mode.BERNOULLI:
         # A fair coin, not a setting: `space_size` and `_arrangements` count 2**n equal vectors.
-        if not multi_row:
-            return (rng.random((rows, n)) < 0.5).astype(np.int8)
-        words = rng.bit_generator.random_raw(rows * -(-n // 64)).reshape(rows, -1)
-        j = np.arange(n, dtype=np.uint64)
-        return ((words[:, j >> np.uint64(6)] >> (j & np.uint64(63))) & np.uint64(1)).astype(np.int8)
+        return _bits(rng.bit_generator.random_raw(rows * -(-n // 64)).reshape(rows, -1), n)
     ones = int(labels.sum())
     drawn = int(labels[0]) if 2 * ones == n else int(2 * ones < n)
     m = min(ones, n - ones)
-    if multi_row:
+    if stream_block_rows(n) > 1:
         marked = _smallest_keys(rng, n, np.full(rows, m))
         return (marked if drawn else ~marked).view(np.int8)
     out = np.full((rows, n), 1 - drawn, dtype=np.int8)
@@ -244,13 +251,11 @@ def draw_relabelings(
     """(affected, time) label matrices of `rows` relabelings drawn from `rng`.
 
     The affected matrix is drawn first, then the time matrix in the dual
-    scheme; under AFFECTED_ONLY every time row is `time` itself, in the
-    dtype of the affected rows.
+    scheme; under AFFECTED_ONLY every time row is `time` itself.
     """
     new_affected = _draw_margin(rng, affected, scheme.mode, rows)
     if scheme.margins is Margins.DUAL:
         return new_affected, _draw_margin(rng, time, scheme.mode, rows)
-    time = time.astype(new_affected.dtype, copy=False)
     return new_affected, np.broadcast_to(time, (rows, time.size))
 
 
@@ -270,12 +275,13 @@ def is_balanced_dual_fixed(
 def _stream_contract(n: int, n_affected: int, n_time: int, scheme: RandomizationScheme) -> str:
     """The name of the rules by which `simulate_null` draws a run's rows.
 
-    block-v4 while blocks hold several rows (n <= 4096): every draw from
-    raw Philox words (`_draw_margin`, `draw_agreement_sets`).  Once they
-    hold one, block-v3 at balanced dual fixed margins
+    block-v4 while blocks hold several rows (n <= 4096), and for
+    Bernoulli runs at every n: every draw from raw Philox words
+    (`_draw_margin`, `draw_agreement_sets`).  Fixed-margin runs whose
+    blocks hold one row are block-v3 at balanced dual fixed margins
     (`draw_agreement_sets`) and block-v2 otherwise (`_draw_margin`).
     """
-    if stream_block_rows(n) > 1:
+    if stream_block_rows(n) > 1 or scheme.mode is Mode.BERNOULLI:
         return "block-v4"
     return "block-v3" if is_balanced_dual_fixed(n, n_affected, n_time, scheme) else "block-v2"
 
@@ -353,7 +359,7 @@ def _arrangements(n: int, ones: int, mode: Mode, block_rows: int):
 
     Fixed margins: the C(n, ones) arrangements, lexicographic in the
     positions of their ones.  Bernoulli: all 2**n binary vectors in
-    integer order (bit j = observation j).
+    integer order (bit j = observation j, as `_bits` reads it).
     """
     if mode is Mode.FIXED_MARGINS:
         for positions in _combinations(n, ones, block_rows):
@@ -361,10 +367,8 @@ def _arrangements(n: int, ones: int, mode: Mode, block_rows: int):
             block[np.arange(len(positions))[:, None], positions] = 1
             yield block
         return
-    shifts = np.arange(n, dtype=np.uint64)
     for start in range(0, 1 << n, block_rows):
-        ints = np.arange(start, min(start + block_rows, 1 << n), dtype=np.uint64)
-        yield ((ints[:, None] >> shifts) & np.uint64(1)).astype(np.int8)
+        yield _bits(np.arange(start, min(start + block_rows, 1 << n), dtype=np.uint64)[:, None], n)
 
 
 def enumerate_relabelings(
@@ -386,7 +390,7 @@ def enumerate_relabelings(
         step = max(1, _ENUM_ENTRIES // n)
         t_blocks = list(_arrangements(n, int(time.sum()), scheme.mode, step))
     else:
-        t_blocks = [time.astype(np.int8)[None, :]]
+        t_blocks = [time[None, :]]
     t_rows = sum(block.shape[0] for block in t_blocks)
     a_rows = max(1, _ENUM_ENTRIES // (t_rows * n))
     for a_block in _arrangements(n, int(affected.sum()), scheme.mode, a_rows):

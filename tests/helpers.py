@@ -244,19 +244,16 @@ def smallest_positions(words, m):
 def _replay_margin(rng, labels, fixed):
     """One relabeling of `labels` drawn from `rng` as the stream contract documents.
 
-    A fixed-margin row gives the m positions of the rarer label (at a tie,
-    the label of observation 0) that label, and the other label everywhere
-    else.  Up to n = 4096 (multi-row blocks, block-v4) the positions are
-    those of the m smallest of n raw words, and a Bernoulli row is the
-    first n bits of ceil(n/64) raw words, bit j mod 64 of word j // 64.
-    Past it (one-row blocks, block-v2) the positions are a `choice`, and a
-    Bernoulli row is `random(n) < 1/2`.
+    A Bernoulli row, at every n (block-v4), is the first n bits of
+    ceil(n/64) raw words, bit j mod 64 of word j // 64.  A fixed-margin
+    row gives the m positions of the rarer label (at a tie, the label of
+    observation 0) that label, and the other label everywhere else.  Up
+    to n = 4096 (multi-row blocks, block-v4) the positions are those of
+    the m smallest of n raw words; past it (one-row blocks, block-v2)
+    they are a `choice`.
     """
     n = len(labels)
-    multi_row = documented_block_rows(n) > 1
     if not fixed:
-        if not multi_row:
-            return (rng.random(n) < 0.5).astype(np.int64)
         words = raw_words(rng, -(-n // 64))
         return np.array([(words[j // 64] >> (j % 64)) & 1 for j in range(n)], dtype=np.int64)
     ones = int(np.sum(labels))
@@ -265,7 +262,7 @@ def _replay_margin(rng, labels, fixed):
     else:
         rare = 1 if 2 * ones < n else 0
     m = min(ones, n - ones)
-    if multi_row:
+    if documented_block_rows(n) > 1:
         positions = smallest_positions(raw_words(rng, n), m)
     else:
         positions = rng.choice(n, m, replace=False, shuffle=False).tolist()

@@ -6,22 +6,23 @@ hold the bytes that `didperm enumerate` and `didperm test` write, and
 
 The replay tests (`helpers.replay_block`) compare `simulate_null` with an
 oracle that shares no draw code with it.  Up to n = 4096 (multi-row
-blocks, stream contract block-v4) both sides read only Philox's raw
-words, whose stream NEP 19 keeps fixed across numpy versions: the oracle
-ranks them with Python's `sorted` and builds the count thresholds in
-exact rationals.  Past it (one-row blocks) both sides still call the
-same `Generator` methods (`choice`, `hypergeometric`, `random`), so a
-numpy release that changed one of them would move both sides alike and
-leave them agreeing.  These pins would not move with it.
+blocks), and for Bernoulli rows at every n (stream contract block-v4),
+both sides read only Philox's raw words, whose stream NEP 19 keeps fixed
+across numpy versions: the oracle ranks them with Python's `sorted`,
+reads Bernoulli bits by shifts of Python ints and builds the count
+thresholds in exact rationals.  Fixed-margin rows past n = 4096 (one-row
+blocks) call the same `Generator` methods on both sides (`choice`,
+`hypergeometric`), so a numpy release that changed one of them would
+move both sides alike and leave them agreeing.  These pins would not
+move with it.
 
 Each pin is the SHA-256 of a run's values (little-endian float64 bytes)
 and its discard count, for the four schemes on one deterministic panel
 per n, over 2B + 5 iterations (three stream blocks).  n = 5, 80 and
-4096 take multi-row blocks, so their pins hold block-v4.  The pins at
-n = 5000 (one-row blocks) hold block-v2: its subset draw at fixed
-margins, and `random(n) < 1/2` rows under Bernoulli.  The n = 5 panel
-discards thousands of degenerate draws, so its pins cover the redraw
-order too.
+4096 take multi-row blocks, so their pins hold block-v4.  At n = 5000
+(one-row blocks) the fixed-margin pins hold block-v2's subset draw, and
+the Bernoulli pins block-v4's raw-word rows.  The n = 5 panel discards
+thousands of degenerate draws, so its pins cover the redraw order too.
 
 `digest_panel` has n/3 affected, so none of those pins reaches the
 agreement-set draw, taken at dual fixed margins with both margins n/2.
@@ -86,9 +87,9 @@ PINS = {
     (4096, "dual", "fixed"): ("55d70bb0d664a4f81ebd4ed54cbf5b984407f8d34a438fb338d9ac84a7414326", 0),
     (4096, "dual", "bernoulli"): ("004375faa500a5e65ba4403eac0f14f045954dc3396c1ce0b69cb892a719ed1a", 0),
     (5000, "affected", "fixed"): ("829184d3cd3979c68159b871f164baf48e3c9ac8dec510474b678bf6598239f4", 0),
-    (5000, "affected", "bernoulli"): ("b630e1fa2df81ec6cad0eb6a82fafa3c4763d4c2b1c58aa384ec7d8f3bd84c61", 0),
+    (5000, "affected", "bernoulli"): ("04f4bbcf373076d1844a8dbf946322e156a3bef991fba805c1916dbfe44b96f7", 0),
     (5000, "dual", "fixed"): ("05599492f27482880df62397c5fb5d69bbf8307fb4594f0af262b3801ab339a6", 0),
-    (5000, "dual", "bernoulli"): ("67c5f01c47f3f01e0bc628b6354de0132da6e97587f438d0e0008d4ba9758325", 0),
+    (5000, "dual", "bernoulli"): ("c063cde5fa146feb225d9305233be33b638fc79cc22c8a77a752aeec17093604", 0),
 }
 
 

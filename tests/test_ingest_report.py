@@ -366,7 +366,22 @@ class TestLoadPanel:
         sample = load_panel(path)
         assert hashlib.sha256(sample.y.tobytes()).hexdigest()[:16] == digest
         assert sample.time.tolist() == time and sample.affected.tolist() == affected
-        assert sample.time.dtype == sample.affected.dtype == np.int64
+        assert sample.time.dtype == sample.affected.dtype == np.int8
+
+    def test_labels_are_read_only_int8_from_both_parsers(self, tmp_path):
+        # The first batches go to the bulk parser, the quoted last row to
+        # the streaming parser; the sample keeps the joined labels as built.
+        rows = 40_000
+        body = b"y,time,affected\n" + b"1.5,0,0\n2,1,1\n" * (rows // 2) + b'"3",0,1\n'
+        path = tmp_path / "panel.csv"
+        path.write_bytes(body)
+        assert len(body) > ingest._BATCH_BYTES
+        sample = load_panel(path)
+        assert sample.n == rows + 1
+        for labels in (sample.time, sample.affected):
+            assert labels.dtype == np.int8
+            assert not labels.flags.writeable and labels.flags.owndata
+        assert sample.time[-2:].tolist() == [1, 0] and sample.affected[-2:].tolist() == [1, 1]
 
     def test_bulk_parses_a_clean_crlf_batch(self):
         body = CLEAN.partition(b"\n")[2]

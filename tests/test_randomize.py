@@ -293,7 +293,7 @@ class TestStreamContract:
             (4096, 2048, 2048, DUAL_FIXED, "block-v4"),
             (4097, 1366, 2048, AFFECTED_FIXED, "block-v2"),
             (5000, 1667, 2500, DUAL_FIXED, "block-v2"),
-            (5000, 2500, 2500, AFFECTED_BERNOULLI, "block-v2"),
+            (5000, 2500, 2500, AFFECTED_BERNOULLI, "block-v4"),
             (5000, 2500, 2500, DUAL_FIXED, "block-v3"),
         ],
     )
