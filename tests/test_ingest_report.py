@@ -368,7 +368,7 @@ class TestLoadPanel:
         assert sample.time.tolist() == time and sample.affected.tolist() == affected
         assert sample.time.dtype == sample.affected.dtype == np.int8
 
-    def test_labels_are_read_only_int8_from_both_parsers(self, tmp_path):
+    def test_sample_keeps_the_int8_labels_of_both_parsers(self, tmp_path, monkeypatch):
         # The first batches go to the bulk parser, the quoted last row to
         # the streaming parser; the sample keeps the joined labels as built.
         rows = 40_000
@@ -376,11 +376,17 @@ class TestLoadPanel:
         path = tmp_path / "panel.csv"
         path.write_bytes(body)
         assert len(body) > ingest._BATCH_BYTES
+        handed = {}
+
+        def sample_of(**vectors):
+            handed.update(vectors)
+            return PanelSample(**vectors)
+
+        monkeypatch.setattr(ingest, "PanelSample", sample_of)
         sample = load_panel(path)
         assert sample.n == rows + 1
-        for labels in (sample.time, sample.affected):
-            assert labels.dtype == np.int8
-            assert not labels.flags.writeable and labels.flags.owndata
+        assert sample.time is handed["time"] and sample.affected is handed["affected"]
+        assert sample.time.dtype == sample.affected.dtype == np.int8
         assert sample.time[-2:].tolist() == [1, 0] and sample.affected[-2:].tolist() == [1, 1]
 
     def test_bulk_parses_a_clean_crlf_batch(self):

@@ -322,6 +322,24 @@ class TestEstimatorProperties:
             assert did_value(shuffled) == pytest.approx(did_value(s), rel=1e-12)
 
 
+# dtype -> (entries that are 0 or 1, entries of any value); every text
+# entry, "0" and "1" too, is unequal to 0 and 1.
+LABEL_ENTRIES = {
+    "bool": (np.bool_, st.booleans(), st.booleans()),
+    "int8": (np.int8, st.integers(0, 1), st.integers(-128, 127)),
+    "uint8": (np.uint8, st.integers(0, 1), st.integers(0, 255)),
+    "int64": (np.int64, st.integers(0, 1), st.integers(-(2**63), 2**63 - 1)),
+    "float": (np.float64, st.sampled_from([0.0, -0.0, 1.0]), st.floats()),
+    "complex": (np.complex128, st.sampled_from([0j, 1 + 0j]), st.complex_numbers()),
+    "object": (
+        object,
+        st.sampled_from([0, 1, 0.0, 1.0, False, True, Fraction(1)]),
+        st.sampled_from([0, 1, 2, -1, 0.5, 1.0, True, Fraction(1, 2), "1", None]),
+    ),
+    "text": (str, st.sampled_from(["0", "1"]), st.text(max_size=2)),
+}
+
+
 class TestPanelSampleValidation:
     def test_rejects_nonbinary_labels(self):
         with pytest.raises(ValueError):
@@ -375,53 +393,33 @@ class TestPanelSampleValidation:
             s = PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=labels, affected=[0, 0, 1, 1])
         assert s.time.tolist() == [0, 1, 0, 1]
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_labels_are_accepted_iff_every_entry_is_zero_or_one(self, data):
+        dtype, binary, anything = LABEL_ENTRIES[data.draw(st.sampled_from(sorted(LABEL_ENTRIES)))]
+        n = data.draw(st.integers(4, 12))
+        entries = data.draw(st.lists(data.draw(st.sampled_from([binary, anything])), min_size=n, max_size=n))
+        labels = np.array(entries, dtype=dtype)
+        panel = dict(y=np.arange(n, dtype=np.float64), time=labels, affected=np.arange(n) % 2)
+        if not all(v == 0 or v == 1 for v in labels.tolist()):
+            with pytest.raises(ValueError, match="time must contain only 0/1 values"):
+                PanelSample(**panel)
+            return
+        with warnings.catch_warnings():  # complex labels warn as numpy casts them
+            warnings.simplefilter("ignore", getattr(np, "exceptions", np).ComplexWarning)
+            time = PanelSample(**panel).time
+        assert time.dtype == np.int8 and not time.flags.writeable
+        assert time.tolist() == labels.tolist()
 
-# dtype -> (entries that are 0 or 1, entries of any value); every text
-# entry, "0" and "1" too, is unequal to 0 and 1.
-LABEL_ENTRIES = {
-    "bool": (np.bool_, st.booleans(), st.booleans()),
-    "int8": (np.int8, st.integers(0, 1), st.integers(-128, 127)),
-    "uint8": (np.uint8, st.integers(0, 1), st.integers(0, 255)),
-    "int64": (np.int64, st.integers(0, 1), st.integers(-(2**63), 2**63 - 1)),
-    "float": (np.float64, st.sampled_from([0.0, -0.0, 1.0]), st.floats()),
-    "complex": (np.complex128, st.sampled_from([0j, 1 + 0j]), st.complex_numbers()),
-    "object": (
-        object,
-        st.sampled_from([0, 1, 0.0, 1.0, False, True, Fraction(1)]),
-        st.sampled_from([0, 1, 2, -1, 0.5, 1.0, True, Fraction(1, 2), "1", None]),
-    ),
-    "text": (str, st.sampled_from(["0", "1"]), st.text(max_size=2)),
-}
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(data=st.data())
-def test_labels_are_accepted_iff_every_entry_is_zero_or_one(data):
-    dtype, binary, anything = LABEL_ENTRIES[data.draw(st.sampled_from(sorted(LABEL_ENTRIES)))]
-    n = data.draw(st.integers(4, 12))
-    entries = data.draw(st.lists(data.draw(st.sampled_from([binary, anything])), min_size=n, max_size=n))
-    labels = np.array(entries, dtype=dtype)
-    panel = dict(y=np.arange(n, dtype=np.float64), time=labels, affected=np.arange(n) % 2)
-    if not all(v == 0 or v == 1 for v in labels.tolist()):
-        with pytest.raises(ValueError, match="time must contain only 0/1 values"):
-            PanelSample(**panel)
-        return
-    with warnings.catch_warnings():  # complex labels warn as numpy casts them
-        warnings.simplefilter("ignore", getattr(np, "exceptions", np).ComplexWarning)
-        time = PanelSample(**panel).time
-    assert time.dtype == np.int8 and not time.flags.writeable
-    assert time.tolist() == labels.tolist()
-
-
-def test_read_only_int8_labels_are_kept_without_a_copy():
-    time, affected = np.array([0, 1, 0, 1], np.int8), np.array([0, 0, 1, 1], np.int8)
-    time.flags.writeable = False
-    affected.flags.writeable = False
-    s = PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=time, affected=affected)
-    assert s.time is time and s.affected is affected
-    writeable = np.array([0, 1, 0, 1], np.int8)
-    s = PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=writeable, affected=affected)
-    assert s.time is not writeable and not s.time.flags.writeable
+    def test_read_only_int8_labels_are_kept_without_a_copy(self):
+        time, affected = np.array([0, 1, 0, 1], np.int8), np.array([0, 0, 1, 1], np.int8)
+        time.flags.writeable = False
+        affected.flags.writeable = False
+        s = PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=time, affected=affected)
+        assert s.time is time and s.affected is affected
+        writeable = np.array([0, 1, 0, 1], np.int8)
+        s = PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=writeable, affected=affected)
+        assert s.time is not writeable and not s.time.flags.writeable
 
 
 def test_construction_peaks_within_the_sample_size():
