@@ -238,11 +238,15 @@ def test_report_digest(command, tmp_path):
 
 # (n, n_affected, n_time, margins, mode) -> SHA-256 of the `didperm audit`
 # stdout (outcome seed 0).  Balanced and unbalanced dual fixed spaces, dual
-# Bernoulli and affected-only fixed margins.
+# Bernoulli and affected-only fixed margins.  Two spaces have walks whose
+# values tie, so the audit merges equal points: dual Bernoulli (9, 4, 5),
+# 186,480 values on 94,988 points, and dual fixed (10, 4, 4), where the
+# group/time swap puts 40,740 values on 16,292 points.
 AUDIT_PINS = {
     (12, 6, 6, "dual", "fixed"): "99a5386f36f0b2ac84ce5e6fb6c6b331bc22e3e8197da7507f2ed75b3fca53db",
     (12, 4, 6, "dual", "fixed"): "1804da6bc009ff112471763787c52cac2bc7a9299788890538a705979c0d16e8",
     (10, 5, 5, "dual", "fixed"): "15c63d6c8de0c1494aff6d46f29c214e0ebb3181b5c6d536bb9e4f2bf4bf4cc2",
+    (10, 4, 4, "dual", "fixed"): "bf440e841905c9b63059c9a3ffb0df1af9a02225dea146e11297065ce10a518e",
     (9, 4, 5, "dual", "bernoulli"): "ffe17d1cc429a1a55e0007074c92b8be0ab7538fc377569a317fc5c22191eee7",
     (8, 4, 4, "affected", "fixed"): "4d23a236bb99503dba8cda30653c05b3e6329d697ef2f2b87d20a673288e1bc3",
 }
