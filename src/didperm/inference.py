@@ -11,15 +11,16 @@ builders read: label blocks, one kernel call, keep or redraw.  Balanced
 dual fixed-margin spaces instead draw, or enumerate, agreement sets,
 whose values `panel._agreement_draws` gives.  Both builders record the
 tie tolerance of their kernel, within which `_Law.count_as_extreme`
-counts ties.  An exact null is its law: its values are the distinct
-values repeated by their counts, in increasing order.
+counts ties.  An exact null is its law: its values are the law's
+points repeated by their counts, in increasing order.
 `test_significance` turns a distribution into a two-sided quantile
 decision plus p-values, and `exactness_audit` verifies the finite-sample
 validity guarantee P(p <= alpha) <= alpha exhaustively on enumerable
 spaces.  All of them, and `report.make_histogram`, read a distribution's
-sorted law (`_Law`: distinct values and cumulative counts), which gives
-the results that numpy's quantile, histogram and counting rules give on
-the values.  Only this module reads the law's arrays.
+sorted law (`_Law`: points in increasing order with cumulative counts,
+equal points not merged), which gives the results that numpy's quantile,
+histogram and counting rules give on the values; only the audit merges
+equal points.  Only this module reads the law's arrays.
 
 Relabelings that empty a cell leave the DiD contrast undefined.  Such
 draws are discarded and, in the Monte Carlo path, redrawn from the same
@@ -94,25 +95,19 @@ class Source(Enum):
 
 @dataclass(frozen=True, eq=False)
 class _Law:
-    """The sorted law of a null: its distinct values and how many values lie below each.
+    """The sorted law of a null: its values in increasing order, and how many lie below each.
 
-    `support` holds the distinct values in increasing order; `below[i]`
-    counts the values less than `support[i]`, and `below[-1]` is the
-    count m of all values.  Every consumer of a null (p-values, quantiles,
-    histogram, exactness audit) reads this law, not the values.
+    `support` holds the law's points, non-decreasing, equal points not
+    merged; `below[i]` counts the values before point i, and `below[-1]`
+    is the count m of all values.  A point stands for `below[i + 1] -
+    below[i]` values: one for a Monte Carlo null or a product walk, the
+    relabelings of an agreement set on that route.  Every consumer of a
+    null (p-values, quantiles, histogram, exactness audit) reads this law,
+    not the values; only the audit merges equal points.
     """
 
     support: np.ndarray
     below: np.ndarray
-
-    @classmethod
-    def of(cls, ordered: np.ndarray, counts: np.ndarray | None = None) -> "_Law":
-        """The law of the non-decreasing `ordered`, each taken `counts` times (once when omitted)."""
-        edge = np.ones(ordered.size + 1, dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=edge[1:-1])
-        starts = np.flatnonzero(edge)  # where each distinct value starts, then the end
-        below = starts if counts is None else np.concatenate([[0], np.cumsum(counts)])[starts]
-        return cls(ordered[starts[:-1]], below)
 
     def order_statistic(self, k: int) -> float:
         """The k-th smallest value, 0-based."""
@@ -124,8 +119,8 @@ class _Law:
         numpy takes the virtual index (m - 1)*q.  From m - 1 on it reads
         the largest value; below, the order statistics at its floor and the
         next one, between which it interpolates with a two-sided lerp.  The
-        law cannot tell -0.0 from 0.0, so a zero result may differ from
-        numpy's in its sign.
+        table may order -0.0 and 0.0 otherwise than numpy's partition, so a
+        zero result may differ from numpy's in its sign.
         """
         m = int(self.below[-1])
         virtual = (m - 1) * q
@@ -192,7 +187,7 @@ class NullDistribution:
     @functools.cached_property
     def _law(self) -> _Law:
         """The sorted law of `values`; exact enumeration fills it as it builds them."""
-        return _Law.of(np.sort(self.values))
+        return _Law(np.sort(self.values), np.arange(self.values.size + 1))
 
 
 @dataclass(frozen=True)
@@ -439,7 +434,7 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
         by_set, estimable = _agreement_draws(c, sets, weights, scale, float(np.sum(outcomes)))
         by_set, relabelings = by_set[estimable], relabelings[estimable]
         order = np.argsort(by_set)
-        law = _Law.of(by_set[order], relabelings[order])
+        law = _Law(by_set[order], np.concatenate([[0], np.cumsum(relabelings[order])]))
         values = np.repeat(law.support, np.diff(law.below))
     else:
         values = np.empty(size, dtype=np.float64)
@@ -451,7 +446,7 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
             pos += kept
         values.resize(pos, refcheck=False)  # in place: no view of the buffer is left
         values.sort()
-        law = _Law.of(values)
+        law = _Law(values, np.arange(pos + 1))
     values.flags.writeable = False  # so the distribution keeps it without a copy
     dist = NullDistribution(
         values=values,
@@ -589,8 +584,9 @@ def exactness_audit(
     through exact symmetries of the space), or taken from `outcomes` when
     given.  The statistics are the values of `enumerate_null`, in
     increasing order.  Each p-value is that of `randomization_p_value` for
-    its own statistic, read off the null's law once per distinct value,
-    and the report keeps the p-values as their law: each attained level
+    its own statistic.  The audit merges the law's equal points, the one
+    reader that does, and reads the p-value once per distinct point; the
+    report keeps the p-values as their law: each attained level
     with its count of relabelings.  So relabelings that tie in exact
     arithmetic (sign flips of one margin, the group/time swap of the dual
     scheme with n_affected = n_time, equal cell counts) tie here too,
@@ -622,9 +618,13 @@ def exactness_audit(
     if dist.iterations_retained == 0:
         raise ValueError("no estimable relabeling exists in this space")
 
+    # One p-value per distinct point: the audit alone merges equal points,
+    # at the indices where each distinct point starts, then the end.
     law = dist._law
-    by_support = law.count_as_extreme(law.support, dist.tie_tolerance) / law.below[-1]
-    p_levels, level = np.unique(by_support, return_inverse=True)
+    starts = np.flatnonzero(np.concatenate([[True], law.support[1:] != law.support[:-1], [True]]))
+    merged = _Law(law.support[starts[:-1]], law.below[starts])
+    p = merged.count_as_extreme(merged.support, dist.tie_tolerance) / law.below[-1]
+    p_levels, level = np.unique(p, return_inverse=True)
     return UniformityReport(
         n=n,
         n_affected=n_affected,
@@ -633,5 +633,5 @@ def exactness_audit(
         total_relabelings=dist.iterations_requested,
         statistic_values=dist.values,
         p_levels=p_levels,
-        level_counts=np.bincount(level, weights=np.diff(law.below)).astype(np.int64),
+        level_counts=np.bincount(level, weights=np.diff(merged.below)).astype(np.int64),
     )

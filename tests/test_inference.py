@@ -537,6 +537,14 @@ class TestEnumerateNull:
         assert single.iterations_requested == round(math.exp(stats.log_size_single))
         assert dual.iterations_requested == round(math.exp(stats.log_size_dual))
 
+    @pytest.mark.parametrize("scheme", [DUAL_FIXED, DUAL_BERNOULLI, AFFECTED_FIXED])
+    def test_walk_law_is_the_values_buffer(self, scheme):
+        # The product walk's law is its sorted values, one point each, with
+        # no copy: the points are the very array the distribution holds.
+        dist = enumerate_null(balanced_sample(9, "integers"), scheme)
+        assert dist._law.support is dist.values
+        assert np.array_equal(dist._law.below, np.arange(dist.iterations_retained + 1))
+
 
 class TestQuantiles:
     # The decision bounds are the alpha/2 and 1 - alpha/2 quantiles.
@@ -887,14 +895,14 @@ class TestAgreementSetRoute:
     )
     def test_law_is_that_of_the_values(self, n, scheme, outcomes):
         # Every exact null is its law: the values are non-decreasing, and
-        # the law that `enumerate_null` fills as it builds them is the one
-        # `np.unique` gives on them.
+        # the law that `enumerate_null` fills as it builds them, its points
+        # each repeated by its count, is the values bit for bit.
         dist = enumerate_null(balanced_sample(n, outcomes), scheme)
         assert np.all(dist.values[1:] >= dist.values[:-1])
-        support, counts = np.unique(dist.values, return_counts=True)
         assert "_law" in vars(dist)
-        assert dist._law.support.tobytes() == support.tobytes()
-        assert np.array_equal(dist._law.below, np.concatenate([[0], np.cumsum(counts)]))
+        law = dist._law
+        assert law.below[0] == 0 and np.all(np.diff(law.below) > 0)
+        assert np.repeat(law.support, np.diff(law.below)).tobytes() == dist.values.tobytes()
 
     @pytest.mark.parametrize(
         "scheme, ones",
@@ -965,12 +973,20 @@ class TestSortedLaw:
     @settings(max_examples=100, deadline=None, database=None)
     @given(values=TIED, data=st.data())
     def test_weighted_law_is_that_of_the_repeated_values(self, values, data):
+        # The table of the agreement-set route: each point stands for its
+        # count of values, and equal points are not merged.  Its points
+        # repeated by their counts are the sorted values bit for bit, and
+        # it gives numpy's quantile and the count rule on those values.
         counts = np.array(data.draw(st.lists(st.integers(1, 5), min_size=len(values), max_size=len(values))))
         order = np.argsort(values)
-        law = _Law.of(np.array(values)[order], counts[order])
-        support, repeats = np.unique(np.repeat(values, counts), return_counts=True)
-        assert law.support.tobytes() == support.tobytes()
-        assert np.array_equal(law.below, np.concatenate([[0], np.cumsum(repeats)]))
+        law = _Law(np.array(values)[order], np.concatenate([[0], np.cumsum(counts[order])]))
+        repeated = np.sort(np.repeat(values, counts))
+        assert np.repeat(law.support, np.diff(law.below)).tobytes() == repeated.tobytes()
+        q = data.draw(LEVELS)
+        assert np.float64(law.quantile(q)).tobytes() == np.quantile(repeated, q).tobytes()
+        observed, tol = data.draw(st.floats(-1e3, 1e3)), data.draw(st.sampled_from([0.0, 2**-52, 0.7]))
+        count = np.count_nonzero(np.abs(repeated) >= abs(observed) - tol)
+        assert law.count_as_extreme(observed, tol) == count
 
 
 class TestOracleConvergence:
@@ -1293,6 +1309,21 @@ class TestExactnessAudit:
         dist = enumerate_null(sample, DUAL_FIXED)
         assert report.statistic_values.tobytes() == dist.values.tobytes()
         scanned = [randomization_p_value(s, dist)[0] for s in report.statistic_values]
+        levels, counts = np.unique(scanned, return_counts=True)
+        assert report.p_levels.tobytes() == levels.tobytes()
+        assert report.level_counts.tobytes() == counts.tobytes()
+
+    @pytest.mark.parametrize("n, k", [(8, 3), (9, 4)])
+    def test_merges_the_equal_points_of_a_walk(self, n, k):
+        # At n_affected = n_time != n/2 the product walk meets the
+        # group/time swap, so its unmerged law holds equal points; the
+        # audit gives each one p-value and weighs it by all its values.
+        positions = np.arange(n)
+        y = generator_for(n).standard_normal(n)
+        report = exactness_audit(n, k, k, DUAL_FIXED, outcomes=y)
+        dist = enumerate_null(PanelSample(y=y, time=positions < k, affected=positions < k), DUAL_FIXED)
+        assert np.unique(dist.values).size < dist.iterations_retained
+        scanned = [randomization_p_value(s, dist)[0] for s in dist.values]
         levels, counts = np.unique(scanned, return_counts=True)
         assert report.p_levels.tobytes() == levels.tobytes()
         assert report.level_counts.tobytes() == counts.tobytes()
