@@ -73,9 +73,10 @@ def _as_binary(values, name: str) -> np.ndarray:
 
     Every label vector of a sample, drawn block or enumerated block is
     int8.  The values are checked on the caller's dtype, each entry
-    `== 0` or `== 1`, so no entry is cast before it is checked; the
-    vector is then kept or converted once by the `_read_only` rule, and
-    `load_panel`'s read-only int8 labels are kept as they are.
+    `== 0` or `== 1`, and no entry is ever cast: an int8 vector is kept
+    or copied by the `_read_only` rule, so `load_panel`'s read-only int8
+    labels are kept as they are, and any other is converted from its
+    `== 1` answers.
     """
     arr = np.asarray(values)
     if arr.ndim != 1:
@@ -83,9 +84,9 @@ def _as_binary(values, name: str) -> np.ndarray:
     # Non-numeric dtypes such as text are refused before the comparison:
     # numpy before 1.25 warns, rather than answering False, when it
     # compares text with numbers.
-    if arr.dtype.kind not in "biufcO" or not ((arr == 0) | (arr == 1)).all():
+    if arr.dtype.kind not in "biufcO" or not ((arr == 0) | (ones := arr == 1)).all():
         raise ValueError(f"{name} must contain only 0/1 values")
-    return _read_only(arr, np.int8)
+    return _read_only(arr if arr.dtype == np.int8 else ones, np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +96,8 @@ class PanelSample:
     Parameters
     ----------
     y : array_like of float
-        Observed outcomes. Must be finite.
+        Observed outcomes. Must be real and finite: each entry is read
+        as `float()` reads it, so a complex one raises ValueError.
     time : array_like of {0, 1}
         0 for the pre period, 1 for the post period.
     affected : array_like of {0, 1}
@@ -114,7 +116,11 @@ class PanelSample:
     affected: np.ndarray
 
     def __post_init__(self):
-        y = _read_only(self.y, np.float64)
+        y = np.asarray(self.y)
+        try:  # as float(): numpy's cast would keep a complex entry's real part
+            y = _read_only(y if y.dtype.kind != "c" else y.astype(object), np.float64)
+        except (TypeError, OverflowError):
+            raise ValueError("y must contain only real numbers") from None
         if y.ndim != 1:
             raise ValueError("y must be a 1-d vector")
         if not np.isfinite(y).all():

@@ -1,5 +1,6 @@
 """Estimator tests: cell means, four-means DiD, and the closed-form OLS path."""
 
+import math
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -333,11 +334,37 @@ LABEL_ENTRIES = {
     "complex": (np.complex128, st.sampled_from([0j, 1 + 0j]), st.complex_numbers()),
     "object": (
         object,
-        st.sampled_from([0, 1, 0.0, 1.0, False, True, Fraction(1)]),
-        st.sampled_from([0, 1, 2, -1, 0.5, 1.0, True, Fraction(1, 2), "1", None]),
+        st.sampled_from([0, 1, 0.0, 1.0, False, True, Fraction(1), 0j, 1 + 0j]),
+        st.sampled_from([0, 1, 2, -1, 0.5, 1.0, True, Fraction(1, 2), "1", None, 1j, 1 + 1j]),
     ),
     "text": (str, st.sampled_from(["0", "1"]), st.text(max_size=2)),
 }
+
+
+# dtype -> entries of y; `None` and nan read as nan, and 10**400 is
+# past the float range.
+OUTCOME_ENTRIES = {
+    "float": (np.float64, st.floats()),
+    "int": (np.int64, st.integers(-(2**63), 2**63 - 1)),
+    "bool": (np.bool_, st.booleans()),
+    "complex": (np.complex128, st.complex_numbers()),
+    "object": (
+        object,
+        st.one_of(
+            st.integers(), st.floats(), st.complex_numbers(),
+            st.sampled_from([True, Fraction(1, 3), None, 10**400, 1 + 0j]),
+        ),
+    ),
+}
+
+
+def finite_float(v):
+    """float(v) if it is finite, else None (also where float() refuses v)."""
+    try:
+        v = float(v)
+    except (TypeError, OverflowError):
+        return None
+    return v if math.isfinite(v) else None
 
 
 class TestPanelSampleValidation:
@@ -387,11 +414,15 @@ class TestPanelSampleValidation:
         with pytest.raises(ValueError, match="time must contain only 0/1 values"):
             PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=labels, affected=[0, 0, 1, 1])
 
-    def test_complex_labels_warn_as_numpy_casts_them(self):
-        labels = np.array([0, 1, 0, 1], dtype=complex)
-        with pytest.warns(getattr(np, "exceptions", np).ComplexWarning):
+    @pytest.mark.parametrize("dtype", [complex, object])
+    def test_complex_labels_are_read_without_a_cast(self, dtype):
+        # Labels are converted from their `== 1` answers, so no entry is
+        # cast: no ComplexWarning, and no int() of a complex object.
+        labels = np.array([1 + 0j, 0j, 0j, 1 + 0j], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             s = PanelSample(y=[1.0, 2.0, 3.0, 5.0], time=labels, affected=[0, 0, 1, 1])
-        assert s.time.tolist() == [0, 1, 0, 1]
+        assert s.time.dtype == np.int8 and s.time.tolist() == [1, 0, 0, 1]
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(data=st.data())
@@ -405,11 +436,33 @@ class TestPanelSampleValidation:
             with pytest.raises(ValueError, match="time must contain only 0/1 values"):
                 PanelSample(**panel)
             return
-        with warnings.catch_warnings():  # complex labels warn as numpy casts them
-            warnings.simplefilter("ignore", getattr(np, "exceptions", np).ComplexWarning)
-            time = PanelSample(**panel).time
+        time = PanelSample(**panel).time
         assert time.dtype == np.int8 and not time.flags.writeable
         assert time.tolist() == labels.tolist()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_outcomes_build_a_sample_or_raise_value_error(self, data):
+        # Any outcome vector of these dtypes ends in the documented
+        # ValueError unless float() reads every entry as a finite float,
+        # and then in a sample whose y holds those floats.
+        dtype, entries = OUTCOME_ENTRIES[data.draw(st.sampled_from(sorted(OUTCOME_ENTRIES)))]
+        n = data.draw(st.integers(4, 8))
+        y = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)), dtype=dtype)
+        labels = dict(time=np.arange(n) % 2, affected=np.arange(n) // 2 % 2)
+        floats = [finite_float(v) for v in y.tolist()]
+        if None in floats:
+            with pytest.raises(ValueError):
+                PanelSample(y=y, **labels)
+            return
+        assert PanelSample(y=y, **labels).y.tolist() == floats
+
+    @pytest.mark.parametrize(
+        "y", [np.array([1 + 0j, 2, 3, 4], dtype=object), np.array([1, 2, 3, 4], dtype=complex)]
+    )
+    def test_complex_outcomes_are_refused(self, y):
+        with pytest.raises(ValueError, match="y must contain only real numbers"):
+            PanelSample(y=y, time=[0, 1, 0, 1], affected=[0, 0, 1, 1])
 
     def test_read_only_int8_labels_are_kept_without_a_copy(self):
         time, affected = np.array([0, 1, 0, 1], np.int8), np.array([0, 0, 1, 1], np.int8)
