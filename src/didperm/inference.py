@@ -446,7 +446,7 @@ def enumerate_null(sample: PanelSample, scheme: RandomizationScheme) -> NullDist
             pos += kept
         values.resize(pos, refcheck=False)  # in place: no view of the buffer is left
         values.sort()
-        law = _Law(values, np.arange(pos + 1))
+        law = _Law(values, np.arange(pos + 1, dtype=np.int32))  # ENUMERATION_CAP < 2**31
     values.flags.writeable = False  # so the distribution keeps it without a copy
     dist = NullDistribution(
         values=values,

@@ -117,7 +117,10 @@ class PanelSample:
 
     def __post_init__(self):
         y = np.asarray(self.y)
-        try:  # as float(): numpy's cast would keep a complex entry's real part
+        # Complex entries go through float(), which refuses them, as it
+        # refuses an integer past the float range; numpy's own complex
+        # cast would keep the real parts.
+        try:
             y = _read_only(y if y.dtype.kind != "c" else y.astype(object), np.float64)
         except (TypeError, OverflowError):
             raise ValueError("y must contain only real numbers") from None
