@@ -541,8 +541,10 @@ class TestEnumerateNull:
     def test_walk_law_is_the_values_buffer(self, scheme):
         # The product walk's law is its sorted values, one point each, with
         # no copy: the points are the very array the distribution holds.
+        # ENUMERATION_CAP keeps its counts below 2**31, so they are int32.
         dist = enumerate_null(balanced_sample(9, "integers"), scheme)
         assert dist._law.support is dist.values
+        assert randomize.ENUMERATION_CAP < 2**31 and dist._law.below.dtype == np.int32
         assert np.array_equal(dist._law.below, np.arange(dist.iterations_retained + 1))
 
 
