@@ -56,6 +56,7 @@ from .panel import (
 from .randomize import (
     ENUMERATION_CAP,
     RandomizationScheme,
+    _block_streams,
     draw_agreement_sets,
     draw_relabelings,
     enumerate_agreement_sets,
@@ -226,7 +227,8 @@ def _simulate_chunk(
     `relabel(rng, rows)` draws `rows` relabelings and values them, with
     estimability, in one kernel call on a prefix of the run's tiled `weights`:
     agreement sets and `panel._agreement_draws` at balanced dual fixed
-    margins, label matrices and `panel._block_cells` elsewhere.
+    margins, label matrices and `panel._block_cells` elsewhere.  The
+    blocks read their streams from one re-keyed generator (`_block_streams`).
     """
     y, time, affected, n = sample.y, sample.time, sample.affected, sample.n
     per_block = stream_block_rows(n)
@@ -250,9 +252,8 @@ def _simulate_chunk(
     attempts = MAX_RETRY_ATTEMPTS
     parts = []
     discarded = 0
-    for block in range(first_block, stop_block):
+    for block, rng in _block_streams(master_seed, range(first_block, stop_block)):
         lo = block * per_block
-        rng = generator_for(master_seed, block)
         values, estimable = relabel(rng, min(per_block, iterations - lo))
         for row in np.flatnonzero(~estimable).tolist():
             for attempt in range(1, attempts):
@@ -312,8 +313,18 @@ def simulate_null(
     contract that `randomize` states.  The result is a pure function of
     (sample, scheme, iterations, master_seed) and is bit-identical for
     every `workers` value.  On a balanced dual fixed-margin space
-    (block-v4), each value of a multi-row block is bit for bit the one
+    (block-v5), each value of a multi-row block is bit for bit the one
     `enumerate_null` gives its agreement set.
+
+    Contract block-v5 ranks the fixed-margin rows and agreement sets of
+    multi-row blocks (n <= 4096) by n 32-bit keys per row, the halves of
+    ceil(n/2) raw words, where block-v4 read a 64-bit word per key.
+    Equal keys at a row's cut, about n / 2**32 likely, are ranked by
+    position, so a row's law lies within that of the uniform law in total
+    variation (`randomize._smallest_keys`).  So the values, and
+    `didperm test` reports, of fixed-margin runs at n <= 4096 differ from
+    block-v4's.  Bernoulli rows are block-v4's, and runs of one-row
+    blocks (n > 4096) draw as before.
 
     Parameters
     ----------

@@ -96,8 +96,9 @@ class PanelSample:
     Parameters
     ----------
     y : array_like of float
-        Observed outcomes. Must be real and finite: each entry is read
-        as `float()` reads it, so a complex one raises ValueError.
+        Observed outcomes. Must be real and finite numbers: each entry is
+        read as `float()` reads it, so a complex one raises ValueError,
+        and so does text, even text that `float()` parses.
     time : array_like of {0, 1}
         0 for the pre period, 1 for the post period.
     affected : array_like of {0, 1}
@@ -119,9 +120,13 @@ class PanelSample:
         y = np.asarray(self.y)
         # Complex entries go through float(), which refuses them, as it
         # refuses an integer past the float range; numpy's own complex
-        # cast would keep the real parts.
+        # cast would keep the real parts.  Text is refused before any cast,
+        # as labels refuse it: numpy's cast and float() would parse "1.5".
+        kind = y.dtype.kind
+        if kind not in "biufcO" or kind == "O" and any(isinstance(v, (str, bytes)) for v in y.flat):
+            raise ValueError("y must contain only real numbers")
         try:
-            y = _read_only(y if y.dtype.kind != "c" else y.astype(object), np.float64)
+            y = _read_only(y if kind != "c" else y.astype(object), np.float64)
         except (TypeError, OverflowError):
             raise ValueError("y must contain only real numbers") from None
         if y.ndim != 1:

@@ -28,24 +28,34 @@ B = `stream_block_rows(n)` = max(1, 8192 // n) rows: iteration k (1-based)
 is row (k - 1) mod B of block (k - 1) // B, and block b reads the Philox
 stream `generator_for(master_seed, b)`.  A block draws its whole affected
 matrix first, then its time matrix (dual scheme); degenerate rows are
-redrawn from the same stream after that main draw, in row order.  No shared
-mutable generator exists anywhere, so blocks can be produced concurrently
-and in any order with identical results.
+redrawn from the same stream after that main draw, in row order.  No
+block's stream depends on another's, so blocks can be produced
+concurrently and in any order with identical results.  A run of blocks
+reads those streams from one generator re-keyed per block
+(`_block_streams`), which gives the words of a fresh `generator_for`.
 
 How a row is drawn is part of that contract, named by
 `_stream_contract`, and depends on n alone.  A Bernoulli row at every n
-takes the first n bits of ceil(n/64) raw Philox words (`_bits`).  Up to
-n = 4096 (B > 1, contract block-v4) every other draw reads raw words
-too (`bit_generator.random_raw`), whose stream NEP 19 keeps fixed across
-numpy versions, and so calls no `Generator` method: a fixed-margin row
-marks the m smallest of n words (`_smallest_keys`), and a balanced dual
-row takes c = |A & T| by inverse CDF from one word (`_count_thresholds`)
-and its agreement set as the 2c smallest of n words.  Past it (B = 1)
-fixed-margin rows keep numpy's algorithms: a row is a uniform subset of
-the positions of the rarer label, `Generator.choice(n, m,
-replace=False, shuffle=False)` (contract block-v2), and a balanced dual
-row one `hypergeometric` count and one `choice` (block-v3).  See
-`_draw_margin` and `draw_agreement_sets`.
+takes the first n bits of ceil(n/64) raw Philox words (`_bits`), as it
+did under block-v4.  Up to n = 4096 (B > 1, contract block-v5) every
+other draw reads raw words too (`bit_generator.random_raw`), whose stream
+NEP 19 keeps fixed across numpy versions, and so calls no `Generator`
+method: a fixed-margin row marks the m smallest of n 32-bit keys, the
+halves of ceil(n/2) words (`_smallest_keys`), and a balanced dual row
+takes c = |A & T| by inverse CDF from one 64-bit word
+(`_count_thresholds`) and its agreement set as the 2c smallest of n
+32-bit keys.  Equal keys at a row's cut, about n / 2**32 likely per row,
+are ranked by position, and that probability bounds the row's distance
+from the uniform law in total variation.  Block-v5 differs from
+block-v4, which read one 64-bit word per key, in those keys alone: the
+values, and `didperm test` reports, of fixed-margin runs at n <= 4096
+changed with it, and those of Bernoulli runs and one-row blocks did
+not.  Past n = 4096 (B = 1) fixed-margin
+rows keep numpy's algorithms: a row is a uniform subset of the
+positions of the rarer label, `Generator.choice(n, m, replace=False,
+shuffle=False)` (contract block-v2), and a balanced dual row one
+`hypergeometric` count and one `choice` (block-v3).  See `_draw_margin`
+and `draw_agreement_sets`.
 
 Every label vector here is int8, the format of `PanelSample`'s labels.
 """
@@ -166,19 +176,51 @@ def stream_block_rows(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // n)
 
 
-def _smallest_keys(rng: np.random.Generator, n: int, counts: np.ndarray) -> np.ndarray:
-    """(rows, n) bool: in row r, the counts[r] smallest of n raw Philox words.
+def _block_streams(master_seed: int, blocks) -> Iterator[tuple[int, np.random.Generator]]:
+    """Each block b of `blocks`, with the stream `generator_for(master_seed, b)` on one Generator.
 
-    Reads rows*n words, row-major, from `rng.bit_generator.random_raw`,
-    one row per entry of the (rows,) int array `counts`, each in [0, n].
+    Philox is keyed and counter-based, so setting the key (master_seed, b)
+    on one instance, with counter 0, an empty buffer and no 32-bit half
+    held back, gives the stream of a fresh instance with that key.  A run
+    of blocks builds one Philox and one Generator and re-keys them through
+    `bit_generator.state` per block: about 2 us against 11-17 us for
+    `generator_for`, which first seeds a throwaway `SeedSequence` (2-vCPU
+    host, numpy 2.4).  The
+    Generator yielded for one block is re-keyed for the next, so it is
+    read before the iteration goes on.
+    """
+    rng = generator_for(master_seed)
+    bit_generator = rng.bit_generator
+    state = bit_generator.state  # counter 0, buffer empty, has_uint32 0
+    key = state["state"]["key"]
+    for block in blocks:
+        key[1] = block
+        bit_generator.state = state
+        yield block, rng
+
+
+def _smallest_keys(rng: np.random.Generator, n: int, counts: np.ndarray) -> np.ndarray:
+    """(rows, n) bool: in row r, the counts[r] smallest of n 32-bit keys from raw Philox words.
+
+    One row per entry of the (rows,) int array `counts`, each in [0, n].
+    Row r reads the next ceil(n/2) words of `rng.bit_generator.random_raw`,
+    rows in order, and its key j is half j of them: word j // 2, low 32
+    bits first, whatever the host's byte order; an odd n drops the last
+    word's high half.  A row's keys depend on its own words alone, so a
+    one-row redraw reads them as a block's main draw does.
+
     A row sort finds each row's (m+1)-th smallest key, m = counts[r], and
     the keys below it are marked.  Two equal keys at that cut, about
-    n**2 / 2**65 likely per row, would leave the row short of m; such a
-    row, and a row with m = n, is marked by a stable argsort instead,
-    which ranks equal keys by position.  So every row marks exactly m keys.
+    n / 2**32 likely per row (about 1e-6 at n = 4096), would leave the row
+    short of m; such a row, and a row with m = n, is marked by a stable
+    argsort instead, which ranks equal keys by position.  So every row
+    marks exactly m keys.  The keys are exchangeable, so a row with no tie
+    at its cut marks a uniform m-subset, and the law of a row lies within
+    that tie probability of the uniform law in total variation.
     """
     rows = counts.size
-    keys = rng.bit_generator.random_raw(rows * n).reshape(rows, n)
+    words = rng.bit_generator.random_raw(rows * -(-n // 2)).reshape(rows, -1)
+    keys = words.astype("<u8", copy=False).view("<u4")[:, :n]
     ordered = np.sort(keys, axis=1)
     at = np.arange(rows)
     last, cut = ordered[at, np.maximum(counts, 1) - 1], ordered[at, np.minimum(counts, n - 1)]
@@ -210,9 +252,10 @@ def _draw_margin(
     fair coin flips and read only the length of `labels`.
     Rows are drawn from `rng` in row order.
 
-    A Bernoulli row, at every n (stream contract block-v4), takes the
-    first n bits of ceil(n/64) raw Philox words (`_bits`): observation j
-    is bit j mod 64 of word j // 64, bit 0 the least significant.
+    A Bernoulli row, at every n (stream contract block-v5, whose Bernoulli
+    rows are block-v4's), takes the first n bits of ceil(n/64) raw Philox
+    words (`_bits`): observation j is bit j mod 64 of word j // 64, bit 0
+    the least significant.
 
     A fixed-margin row gives the m = min(ones, n - ones) positions of the
     rarer label that label, or at a tie the label of observation 0, and
@@ -220,8 +263,10 @@ def _draw_margin(
     positions, and flipping a margin's labels flips every row.  How the
     positions are drawn depends on n alone:
 
-    * while `stream_block_rows(n)` > 1 (block-v4), they are the m
-      smallest of n raw Philox words (`_smallest_keys`);
+    * while `stream_block_rows(n)` > 1 (block-v5), they are the m
+      smallest of n 32-bit keys, the halves of ceil(n/2) raw Philox
+      words, equal keys at the cut (about n / 2**32 likely per row)
+      ranked by position (`_smallest_keys`);
     * once it is 1 (n > 4096, block-v2), they are one
       `Generator.choice(n, m, replace=False, shuffle=False)`.
     """
@@ -275,14 +320,15 @@ def is_balanced_dual_fixed(
 def _stream_contract(n: int, n_affected: int, n_time: int, scheme: RandomizationScheme) -> str:
     """The name of the rules by which `simulate_null` draws a run's rows.
 
-    block-v4 while blocks hold several rows (n <= 4096), and for
+    block-v5 while blocks hold several rows (n <= 4096), and for
     Bernoulli runs at every n: every draw from raw Philox words
-    (`_draw_margin`, `draw_agreement_sets`).  Fixed-margin runs whose
-    blocks hold one row are block-v3 at balanced dual fixed margins
-    (`draw_agreement_sets`) and block-v2 otherwise (`_draw_margin`).
+    (`_draw_margin`, `draw_agreement_sets`), ranks from 32-bit keys
+    (`_smallest_keys`).  Its Bernoulli rows are block-v4's.  Fixed-margin
+    runs whose blocks hold one row are block-v3 at balanced dual fixed
+    margins (`draw_agreement_sets`) and block-v2 otherwise (`_draw_margin`).
     """
     if stream_block_rows(n) > 1 or scheme.mode is Mode.BERNOULLI:
-        return "block-v4"
+        return "block-v5"
     return "block-v3" if is_balanced_dual_fixed(n, n_affected, n_time, scheme) else "block-v2"
 
 
@@ -318,11 +364,13 @@ def draw_agreement_sets(
     exchangeability.  So a block first draws c for all its rows, then G
     row by row:
 
-    * while `stream_block_rows(n)` > 1 (stream contract block-v4), c is
-      the inverse CDF of one raw Philox word per row,
+    * while `stream_block_rows(n)` > 1 (stream contract block-v5), c is
+      the inverse CDF of one 64-bit raw Philox word per row,
       `searchsorted(_count_thresholds(n), word, "right")`, and G, given by
-      its (rows, n) bool indicator, is the 2c smallest of n raw words per
-      row (`_smallest_keys`);
+      its (rows, n) bool indicator, is the 2c smallest of n 32-bit keys
+      per row, the halves of ceil(n/2) raw words, equal keys at the cut
+      (about n / 2**32 likely per row) ranked by position
+      (`_smallest_keys`);
     * once it is 1 (n > 4096, so `rows` is 1; block-v3), c is one
       `Generator.hypergeometric(n/2, n/2, n/2)` and G is given by the
       positions of the smaller of G and its complement: one

@@ -236,6 +236,14 @@ def raw_words(rng, count):
     return rng.bit_generator.random_raw(count).tolist()
 
 
+def row_keys(rng, n):
+    """The n 32-bit keys of one row: the next ceil(n/2) raw words split into halves, low half first."""
+    keys = []
+    for word in raw_words(rng, -(-n // 2)):
+        keys += [word & 0xFFFFFFFF, word >> 32]
+    return keys[:n]
+
+
 def smallest_positions(words, m):
     """Positions of the m smallest of `words`, equal words ranked by position."""
     return [pos for _, pos in sorted(zip(words, range(len(words))))[:m]]
@@ -244,13 +252,13 @@ def smallest_positions(words, m):
 def _replay_margin(rng, labels, fixed):
     """One relabeling of `labels` drawn from `rng` as the stream contract documents.
 
-    A Bernoulli row, at every n (block-v4), is the first n bits of
-    ceil(n/64) raw words, bit j mod 64 of word j // 64.  A fixed-margin
-    row gives the m positions of the rarer label (at a tie, the label of
-    observation 0) that label, and the other label everywhere else.  Up
-    to n = 4096 (multi-row blocks, block-v4) the positions are those of
-    the m smallest of n raw words; past it (one-row blocks, block-v2)
-    they are a `choice`.
+    A Bernoulli row, at every n (block-v5, as in block-v4), is the first n
+    bits of ceil(n/64) raw words, bit j mod 64 of word j // 64.  A
+    fixed-margin row gives the m positions of the rarer label (at a tie,
+    the label of observation 0) that label, and the other label
+    everywhere else.  Up to n = 4096 (multi-row blocks, block-v5) the
+    positions are those of the m smallest of the row's n 32-bit keys
+    (`row_keys`); past it (one-row blocks, block-v2) they are a `choice`.
     """
     n = len(labels)
     if not fixed:
@@ -263,7 +271,7 @@ def _replay_margin(rng, labels, fixed):
         rare = 1 if 2 * ones < n else 0
     m = min(ones, n - ones)
     if documented_block_rows(n) > 1:
-        positions = smallest_positions(raw_words(rng, n), m)
+        positions = smallest_positions(row_keys(rng, n), m)
     else:
         positions = rng.choice(n, m, replace=False, shuffle=False).tolist()
     row = [1 - rare] * n
@@ -337,14 +345,15 @@ def agreement_draws_bound(y):
 def _replay_agreement_set(rng, n, c, agrees):
     """The agreement set of one balanced row with count c, as a 0/1 list.
 
-    Multi-row blocks (block-v4): G is the 2c smallest of n raw words.
+    Multi-row blocks (block-v5): G is the 2c smallest of the row's n
+    32-bit keys (`row_keys`).
     One-row blocks (block-v3): a `choice` of min(2c, n - 2c) positions,
     which are G when 4c <= n and its complement otherwise.  The agreement
     set is G when observation 0's observed labels agree, else not G.
     """
     inside = [0] * n
     if documented_block_rows(n) > 1:
-        for pos in smallest_positions(raw_words(rng, n), 2 * c):
+        for pos in smallest_positions(row_keys(rng, n), 2 * c):
             inside[pos] = 1
     else:
         for pos in rng.choice(n, min(2 * c, n - 2 * c), replace=False, shuffle=False).tolist():
@@ -357,7 +366,7 @@ def _replay_agreement_set(rng, n, c, agrees):
 def _replay_counts(rng, n, rows):
     """The counts c of `rows` balanced rows: every count before any set.
 
-    Multi-row blocks (block-v4): c is the number of thresholds
+    Multi-row blocks (block-v5): c is the number of thresholds
     floor(2**64 * P(c <= k)), k < n/2, at or below one raw word.  One-row
     blocks (block-v3): a `hypergeometric` draw.
     """

@@ -267,10 +267,10 @@ class TestCmdTest:
         # INPRESS has both margins n/2 = 40; the minimal panel both at 2.
         out = str(tmp_path / "report.json")
         for path, flags, contract in (
-            (inpress_csv, [], "block-v4"),
-            (minimal_csv, [], "block-v4"),
-            (inpress_csv, ["--scheme", "affected"], "block-v4"),
-            (inpress_csv, ["--mode", "bernoulli"], "block-v4"),
+            (inpress_csv, [], "block-v5"),
+            (minimal_csv, [], "block-v5"),
+            (inpress_csv, ["--scheme", "affected"], "block-v5"),
+            (inpress_csv, ["--mode", "bernoulli"], "block-v5"),
         ):
             code = main(["test", "--input", path, "--iterations", "50", "--output", out, *flags])
             assert code == 0
@@ -911,7 +911,7 @@ class TestExitCodes:
             st.sampled_from(["0", "1", "true", "nan", "1e308", "-1.7e308", "x", ""]),
         ),
     )
-    # Both margins n/2, so `test` draws agreement sets (block-v4); observation
+    # Both margins n/2, so `test` draws agreement sets (block-v5); observation
     # 0's labels agree in the first and differ in the second.
     @example(cells=[0, 1, 2, 3], outcomes=["4e307", "0", "1", "-2.5", "0", "0"], dropped=0, edit=None)
     @example(cells=[1, 0, 3, 2], outcomes=["-2.5", "4e307", "0", "4e307", "0", "0"], dropped=0, edit=None)

@@ -6,11 +6,11 @@ hold the bytes that `didperm enumerate` and `didperm test` write, and
 
 The replay tests (`helpers.replay_block`) compare `simulate_null` with an
 oracle that shares no draw code with it.  Up to n = 4096 (multi-row
-blocks), and for Bernoulli rows at every n (stream contract block-v4),
+blocks), and for Bernoulli rows at every n (stream contract block-v5),
 both sides read only Philox's raw words, whose stream NEP 19 keeps fixed
-across numpy versions: the oracle ranks them with Python's `sorted`,
-reads Bernoulli bits by shifts of Python ints and builds the count
-thresholds in exact rationals.  Fixed-margin rows past n = 4096 (one-row
+across numpy versions: the oracle splits them into 32-bit keys by shifts
+of Python ints and ranks those with Python's `sorted`, reads Bernoulli
+bits by shifts too and builds the count thresholds in exact rationals.  Fixed-margin rows past n = 4096 (one-row
 blocks) call the same `Generator` methods on both sides (`choice`,
 `hypergeometric`), so a numpy release that changed one of them would
 move both sides alike and leave them agreeing.  These pins would not
@@ -19,17 +19,19 @@ move with it.
 Each pin is the SHA-256 of a run's values (little-endian float64 bytes)
 and its discard count, for the four schemes on one deterministic panel
 per n, over 2B + 5 iterations (three stream blocks).  n = 5, 80 and
-4096 take multi-row blocks, so their pins hold block-v4.  At n = 5000
+4096 take multi-row blocks, so their pins hold block-v5.  At n = 5000
 (one-row blocks) the fixed-margin pins hold block-v2's subset draw, and
-the Bernoulli pins block-v4's raw-word rows.  The n = 5 panel discards
+the Bernoulli pins block-v5's raw-word rows.  Block-v5's Bernoulli rows
+are block-v4's, so the Bernoulli pins did not move with it; its
+fixed-margin pins at n = 5, 80 and 4096 did.  The n = 5 panel discards
 thousands of degenerate draws, so its pins cover the redraw order too.
 
 `digest_panel` has n/3 affected, so none of those pins reaches the
 agreement-set draw, taken at dual fixed margins with both margins n/2.
 `BALANCED_PINS` pin it the same way, at n = 80 (multi-row blocks,
-block-v4) and n = 5000 (one-row blocks, block-v3), on a panel with both
+block-v5) and n = 5000 (one-row blocks, block-v3), on a panel with both
 margins n/2.  The `test` report pin (INPRESS, 20 observations per cell,
-dual fixed margins) is balanced and multi-row, so it also pins block-v4.
+dual fixed margins) is balanced and multi-row, so it also pins block-v5.
 
 `EXACT_PINS` pin `enumerate_null` the same way: the SHA-256 of its
 values, in increasing order, and its discard count.  Dual fixed margins
@@ -74,17 +76,17 @@ MASTER_SEED = 11
 
 # (n, margins, mode) -> (SHA-256 of the values, degenerate draws discarded)
 PINS = {
-    (5, "affected", "fixed"): ("62520182073e7d2e161c301926e4ba1c32069b4a27c0bc0cb9aca13052b56b41", 2257),
+    (5, "affected", "fixed"): ("d121fcedc65f7902a26280c42a9c59511ebc68df434029cc7daad9666fcc2869", 2256),
     (5, "affected", "bernoulli"): ("3d460b17a753d265ad52e85619a87b1a8fe4cac1c9622909748a9a526f4ce2f4", 5558),
-    (5, "dual", "fixed"): ("aa9ee8992aa29f982f6cdf35fa3c8e4d8f16112f76a08ca3ed3f434d72c0f1c4", 2164),
+    (5, "dual", "fixed"): ("e2009702283faf402b9e0450961b7b095ecf39470258e6ef3abc0a2fa6499bb9", 2161),
     (5, "dual", "bernoulli"): ("24e8bf6b2b2c47fcf6cc4d88ac00da0bf47f9d1944f78309c90e2006ca3b743c", 10674),
-    (80, "affected", "fixed"): ("57e3406136ef87c014543f77749b30f7175a0fc3ac6cb11ef8dd12e5809e5f6a", 0),
+    (80, "affected", "fixed"): ("e10fe54cb5092d461356dc5836bb2a1117bff2f94fd20ad30557deb3e47507bd", 0),
     (80, "affected", "bernoulli"): ("7dea4f1ec3d0ad2a8880233f9aebe85614d4671098ba77c2f3cbc05fa7229bf6", 0),
-    (80, "dual", "fixed"): ("d8dc9dc96b5d2d2c947e2035a55d31df5167ec84c142ccd39e465646648a7c08", 0),
+    (80, "dual", "fixed"): ("f68feb07a38d7402db27d226d313229ca0f7bed547dc17969bfe126c87fdaa61", 0),
     (80, "dual", "bernoulli"): ("e825fd6a6e4717ff5b84a4b8fcad19c99c265e41a2ef4cc67af3a8a18f38851c", 0),
-    (4096, "affected", "fixed"): ("b9f53455c47bc85b841d6c3716f78cb5176f18a819069534e2814f58c668286d", 0),
+    (4096, "affected", "fixed"): ("bf913a83803acc2423dec70ce865fd6273ef0b78f3955d18138c417d85efadb5", 0),
     (4096, "affected", "bernoulli"): ("aef2f1ca2a9aacc1842d85b67dc487d9d45badb2789164cee004189210cde810", 0),
-    (4096, "dual", "fixed"): ("55d70bb0d664a4f81ebd4ed54cbf5b984407f8d34a438fb338d9ac84a7414326", 0),
+    (4096, "dual", "fixed"): ("e9009690c9f4457a4dd241b5b58136b65f4637ce9f90e25a5efbcdb3f04120cb", 0),
     (4096, "dual", "bernoulli"): ("004375faa500a5e65ba4403eac0f14f045954dc3396c1ce0b69cb892a719ed1a", 0),
     (5000, "affected", "fixed"): ("829184d3cd3979c68159b871f164baf48e3c9ac8dec510474b678bf6598239f4", 0),
     (5000, "affected", "bernoulli"): ("04f4bbcf373076d1844a8dbf946322e156a3bef991fba805c1916dbfe44b96f7", 0),
@@ -95,7 +97,7 @@ PINS = {
 
 # n -> (SHA-256 of the values, degenerate draws discarded), dual fixed margins
 BALANCED_PINS = {
-    80: ("1272e076d8eedc9bd524bd381f2a54e4395b0518cba0bfe288ad8e9f3232de7d", 0),
+    80: ("628aa9ffae382f950cff661cbc41eea7690453376d1c22d597f46b46dbf4d275", 0),
     5000: ("cbd526fc400414f152a23478fb2012754989fbd6728dae315ebb8657e0d01517", 0),
 }
 
@@ -171,7 +173,7 @@ def test_simulate_null_digest(n, margins, mode):
     assert run_digest(digest_panel(n), scheme) == PINS[n, margins, mode], (
         f"the simulate_null stream for n={n}, {margins}/{mode} changed under "
         f"numpy {np.__version__}; the pins hold the documented stream contract "
-        "(block-v4 up to n = 4096, block-v2 past it)"
+        "(block-v5 up to n = 4096, block-v2 past it)"
     )
 
 
@@ -181,7 +183,7 @@ def test_balanced_dual_fixed_digest(n):
     assert run_digest(balanced_digest_panel(n), scheme) == BALANCED_PINS[n], (
         f"the simulate_null stream for n={n}, dual/fixed with both margins n/2, "
         f"changed under numpy {np.__version__}; the pins hold stream contracts "
-        "block-v4 (n = 80) and block-v3 (n = 5000)"
+        "block-v5 (n = 80) and block-v3 (n = 5000)"
     )
 
 
@@ -216,7 +218,7 @@ REPORT_PINS = {
     "test": (
         20,
         ["--iterations", "3000", "--seed", "11"],
-        "e00e51a867204977fa3b71bd5fac896cbce4b69ae713bebf9bdb08abf162c303",
+        "d034160c159b213acd310705f0d345880f8031d172f3d7b6b0a45e606cb65cf0",
     ),
 }
 

@@ -208,6 +208,31 @@ class TestSimulateNull:
             if sample is sparse and fixed or sample is FOUR_POINT and dual and fixed:
                 assert dist.degenerate_draws_discarded > 0
 
+    @pytest.mark.parametrize("agrees", [True, False])
+    def test_one_row_balanced_draw_at_c_of_n_over_4_matches_the_replay(self, agrees):
+        # At n = 5000 a balanced row (one-row blocks, block-v3) draws the
+        # positions of the smaller of G and its complement, which at
+        # c = n/4 both hold n/2 members: the positions are then G itself.
+        # The seed is the first whose one-row run the replay oracle draws
+        # with c = n/4, about 2.3% of seeds.  Integer outcomes of midrange
+        # 0 make every sum exact, so the value is S_D/c - S_(not D)/c in
+        # float division, bit for bit.
+        n, c = 5000, 1250
+        y = (np.arange(n) * 7919 % 7 - 3).astype(np.float64)
+        cells = np.arange(n) % 4 if agrees else (np.arange(n) + 1) % 4
+        sample = PanelSample(y=y, time=cells % 2, affected=cells // 2)
+        for seed in range(1000):
+            ((affected, time),), _, _ = replay_block(sample, True, True, seed, 0, 1)
+            if int(np.sum(affected & time)) == c:
+                break
+        else:
+            pytest.fail("no seed below 1000 draws c = n/4")
+        dist = simulate_null(sample, DUAL_FIXED, iterations=1, master_seed=seed)
+        agreement = affected == time
+        expected = float(y[agreement].sum()) / c - float(y[~agreement].sum()) / c
+        assert expected != 0  # so a swap of the two sides, which negates it, shows
+        assert dist.values.tobytes() == np.float64(expected).tobytes()
+
     def test_rejects_inestimable_sample(self):
         s = PanelSample(y=[1, 2, 3, 4], time=[0, 0, 1, 1], affected=[0, 0, 1, 1])
         with pytest.raises(EmptyCellError):

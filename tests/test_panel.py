@@ -348,18 +348,21 @@ OUTCOME_ENTRIES = {
     "int": (np.int64, st.integers(-(2**63), 2**63 - 1)),
     "bool": (np.bool_, st.booleans()),
     "complex": (np.complex128, st.complex_numbers()),
+    "text": (np.str_, st.one_of(st.floats().map(repr), st.integers().map(str), st.text())),
     "object": (
         object,
         st.one_of(
             st.integers(), st.floats(), st.complex_numbers(),
-            st.sampled_from([True, Fraction(1, 3), None, 10**400, 1 + 0j]),
+            st.sampled_from([True, Fraction(1, 3), None, 10**400, 1 + 0j, "1.5", b"2"]),
         ),
     ),
 }
 
 
 def finite_float(v):
-    """float(v) if it is finite, else None (also where float() refuses v)."""
+    """float(v) if v is a number that float() reads as finite, else None; text is not a number."""
+    if isinstance(v, (str, bytes)):
+        return None
     try:
         v = float(v)
     except (TypeError, OverflowError):
@@ -444,8 +447,9 @@ class TestPanelSampleValidation:
     @given(data=st.data())
     def test_outcomes_build_a_sample_or_raise_value_error(self, data):
         # Any outcome vector of these dtypes ends in the documented
-        # ValueError unless float() reads every entry as a finite float,
-        # and then in a sample whose y holds those floats.
+        # ValueError unless every entry is a number that float() reads as
+        # a finite float, and then in a sample whose y holds those floats.
+        # Text is refused even where float() parses it.
         dtype, entries = OUTCOME_ENTRIES[data.draw(st.sampled_from(sorted(OUTCOME_ENTRIES)))]
         n = data.draw(st.integers(4, 8))
         y = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)), dtype=dtype)

@@ -20,6 +20,7 @@ from didperm import (
     simulate_null,
 )
 from didperm.randomize import (
+    _block_streams,
     _combinations,
     _count_thresholds,
     _draw_margin,
@@ -83,6 +84,30 @@ class TestSeedContract:
             generator_for(2**64)
         with pytest.raises(ValueError):
             generator_for(0, -3)
+
+    @pytest.mark.parametrize("seed, block", [(0, 0), (1, 5), (2**64 - 1, 3), (123456789, 2**40)])
+    def test_rekeyed_stream_is_that_of_generator_for(self, seed, block):
+        # The block is re-keyed after another block of the same seed that
+        # was left with half a Philox output buffered and half a word held
+        # back by a float32 draw.  It then reads the raw words of a fresh
+        # generator, and after a float32 draw (half a word held back on
+        # both sides) the same `choice` and `hypergeometric` draws.
+        streams = _block_streams(seed, [block + 1, block])
+        _, rng = next(streams)
+        rng.random(3, dtype=np.float32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert next(streams)[0] == block
+        fresh = generator_for(seed, block)
+        assert rng.bit_generator.random_raw(5).tolist() == fresh.bit_generator.random_raw(5).tolist()
+        assert rng.random(dtype=np.float32) == fresh.random(dtype=np.float32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert np.array_equal(
+            rng.choice(5000, 7, replace=False, shuffle=False),
+            fresh.choice(5000, 7, replace=False, shuffle=False),
+        )
+        counts = [g.hypergeometric(2500, 2500, 2500, size=3).tolist() for g in (rng, fresh)]
+        assert counts[0] == counts[1]
+        assert rng.random(dtype=np.float32) == fresh.random(dtype=np.float32)
 
     def test_run_is_concatenation_of_block_replays(self):
         # Every block is replayed alone from its own fresh generator; the run
@@ -287,13 +312,13 @@ class TestStreamContract:
     @pytest.mark.parametrize(
         "n, n_affected, n_time, scheme, contract",
         [
-            (80, 40, 40, AFFECTED_FIXED, "block-v4"),  # both margins n/2, one relabeled
-            (4096, 2048, 2048, DUAL_BERNOULLI, "block-v4"),
-            (80, 40, 40, DUAL_FIXED, "block-v4"),
-            (4096, 2048, 2048, DUAL_FIXED, "block-v4"),
+            (80, 40, 40, AFFECTED_FIXED, "block-v5"),  # both margins n/2, one relabeled
+            (4096, 2048, 2048, DUAL_BERNOULLI, "block-v5"),
+            (80, 40, 40, DUAL_FIXED, "block-v5"),
+            (4096, 2048, 2048, DUAL_FIXED, "block-v5"),
             (4097, 1366, 2048, AFFECTED_FIXED, "block-v2"),
             (5000, 1667, 2500, DUAL_FIXED, "block-v2"),
-            (5000, 2500, 2500, AFFECTED_BERNOULLI, "block-v4"),
+            (5000, 2500, 2500, AFFECTED_BERNOULLI, "block-v5"),
             (5000, 2500, 2500, DUAL_FIXED, "block-v3"),
         ],
     )
@@ -328,6 +353,19 @@ class TestDrawAgreementSets:
         assert float(((observed - expected) ** 2 / expected).sum()) < 18.5
 
 
+def key_words(*rows):
+    """Raw words whose 32-bit halves, low half first, are each row's keys in turn.
+
+    A row of odd length ends in a word whose high half is 0, the smallest
+    key, which a row drops.
+    """
+    words = []
+    for keys in rows:
+        halves = list(keys) + [0] * (len(keys) % 2)
+        words += [lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])]
+    return words
+
+
 class WordStream:
     """A stand-in for a Generator whose bit stream is the given 64-bit words, in order."""
 
@@ -344,32 +382,34 @@ class WordStream:
 
 
 class TestRawWordDraws:
-    """Block-v4 draws: the smallest raw words of a row, and c by inverse CDF."""
+    """Block-v5 draws: the smallest 32-bit keys of a row, and c by inverse CDF."""
 
     def test_tie_at_the_cut_marks_exactly_m_lower_position_first(self):
         # Row 0 ties 3 and 3 at the cut of m = 2, row 1 ties 7, 7 and 7 at
         # the cut of m = 1; both take the lower positions.  Row 2 has its
-        # tie below the cut and takes both tied words.
-        words = [[5, 3, 3, 9, 1], [7, 8, 7, 9, 7], [2, 2, 0, 9, 8]]
-        marked = _smallest_keys(WordStream(np.ravel(words)), 5, np.array([2, 1, 3]))
+        # tie below the cut and takes both tied keys.  Each row of 5 keys
+        # reads 3 words, low half first, and drops the last high half, the
+        # smallest key.
+        keys = [[5, 3, 3, 9, 1], [7, 8, 7, 9, 7], [2, 2, 0, 9, 8]]
+        marked = _smallest_keys(WordStream(key_words(*keys)), 5, np.array([2, 1, 3]))
         assert marked.tolist() == [
             [False, True, False, False, True],
             [True, False, False, False, False],
             [True, True, True, False, False],
         ]
-        marked = _smallest_keys(WordStream(words[0]), 5, np.array([2]))
+        marked = _smallest_keys(WordStream(key_words(keys[0])), 5, np.array([2]))
         assert marked.tolist() == [[False, True, False, False, True]]
 
     def test_tied_words_through_each_draw(self):
-        # Every word equal: the lowest positions are the smallest.  A
+        # Every key equal: the lowest positions are the smallest.  A
         # fixed-margin row gives them the rarer label.  At n = 4, T_0 and
         # T_1 are 2**64 / 6 and 5 * 2**64 / 6: word 0 draws c = 0, and so
         # no member, the largest word c = 2 and every member.
-        margin = _draw_margin(WordStream([2**40] * 6), np.array([0, 1, 1, 1, 1, 0]), Mode.FIXED_MARGINS, 1)
+        margin = _draw_margin(WordStream(key_words([2**20] * 6)), np.array([0, 1, 1, 1, 1, 0]), Mode.FIXED_MARGINS, 1)
         assert margin.tolist() == [[0, 0, 1, 1, 1, 1]]
-        c, inside = draw_agreement_sets(WordStream([0, 2**64 - 1] + [5] * 8), 4, 2)
+        c, inside = draw_agreement_sets(WordStream([0, 2**64 - 1] + key_words([5] * 4, [5] * 4)), 4, 2)
         assert c.tolist() == [0, 2] and inside.tolist() == [[False] * 4, [True] * 4]
-        c, inside = draw_agreement_sets(WordStream([2**62] + [5] * 4), 4, 1)
+        c, inside = draw_agreement_sets(WordStream([2**62] + key_words([5] * 4)), 4, 1)
         assert c.tolist() == [1] and inside.tolist() == [[True, True, False, False]]
 
     def test_bernoulli_bits_are_read_by_shifts(self):
@@ -382,9 +422,10 @@ class TestRawWordDraws:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_multi_row_runs_read_only_the_bit_stream(self, monkeypatch, margins, mode):
         # Each block's stream is replaced by a stand-in that offers its bit
-        # generator and nothing else, so a `Generator` method would raise.
-        # n = 6 redraws many degenerate rows; n = 80 with both margins n/2
-        # draws agreement sets under dual fixed margins.
+        # generator and nothing else, so a `Generator` method would raise;
+        # every block of each run is seen to take the stand-in.  n = 6
+        # redraws many degenerate rows; n = 80 with both margins n/2 draws
+        # agreement sets under dual fixed margins.
         scheme = RandomizationScheme(margins, mode)
         small = PanelSample(y=[0.5, 1.0, 2.0, 3.5, 5.0, 8.0], time=[0, 1, 0, 1, 0, 1], affected=[0, 0, 1, 1, 0, 1])
         cells = np.arange(80) % 4
@@ -395,9 +436,18 @@ class TestRawWordDraws:
             def __init__(self, rng):
                 self.bit_generator = rng.bit_generator
 
-        monkeypatch.setattr(inference, "generator_for", lambda *key: BitsOnly(generator_for(*key)))
+        wrapped = []
+
+        def bits_only(master_seed, blocks):
+            for block, rng in _block_streams(master_seed, blocks):
+                wrapped.append(block)
+                yield block, BitsOnly(rng)
+
+        monkeypatch.setattr(inference, "_block_streams", bits_only)
         for sample, dist in zip((small, balanced), expected):
+            wrapped.clear()
             again = simulate_null(sample, scheme, iterations=300, master_seed=3)
+            assert wrapped == list(range(-(-300 // documented_block_rows(sample.n))))
             assert again.values.tobytes() == dist.values.tobytes()
             assert again.degenerate_draws_discarded == dist.degenerate_draws_discarded
         assert expected[0].degenerate_draws_discarded > 0
