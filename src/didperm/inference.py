@@ -227,8 +227,7 @@ def _simulate_chunk(
     `relabel(rng, rows)` draws `rows` relabelings and values them, with
     estimability, in one kernel call on a prefix of the run's tiled `weights`:
     agreement sets and `panel._agreement_draws` at balanced dual fixed
-    margins, label matrices and `panel._block_cells` elsewhere.  The
-    blocks read their streams from one re-keyed generator (`_block_streams`).
+    margins, label matrices and `panel._block_cells` elsewhere.
     """
     y, time, affected, n = sample.y, sample.time, sample.affected, sample.n
     per_block = stream_block_rows(n)
